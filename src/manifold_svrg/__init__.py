@@ -3,9 +3,9 @@ manifolds, with a seven-retraction benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .errors import (ManifoldSvrgError, NoConvergentTau, NoFeasibleC,
-                     NonFiniteInput, NonFiniteValue, NotSPD, RankDeficient,
-                     SingularStep, TooLarge, TooManySamples)
+from .errors import (InvalidObservation, ManifoldSvrgError, NoConvergentTau,
+                     NoFeasibleC, NonFiniteInput, NonFiniteValue, NotSPD,
+                     RankDeficient, SingularStep, TooLarge, TooManySamples)
 from .linalg import polar_project, qr_positive
 from .manifold import (MetricParams, StiefelPoint, TangentSpace, TangentVector,
                        d_rho, d_rho_array, feasibility_error, inner_x,

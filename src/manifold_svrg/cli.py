@@ -88,7 +88,7 @@ def cmd_run(args):
     sys.stdout.write(text)
     failed = [r for r in results if r.status.startswith("Failed")]
     for r in failed:
-        print(f"run {r.run_id}: {r.status}", file=sys.stderr)
+        print(f"run {r.run_id}: {r.error}", file=sys.stderr)
     return 1 if failed else 0
 
 

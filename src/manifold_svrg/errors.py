@@ -39,3 +39,7 @@ class TooManySamples(ManifoldSvrgError):
 
 class NoConvergentTau(ManifoldSvrgError):
     """No step size in the tuning grid converged on every run."""
+
+
+class InvalidObservation(ManifoldSvrgError, ValueError):
+    """A matrix-completion observation has an index outside the matrix or is malformed."""

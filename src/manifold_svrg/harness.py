@@ -62,6 +62,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if min(self.d, self.n, self.r) < 1:
+            raise ValueError(f"d, n and r must be at least 1, got {self.d}, {self.n}, {self.r}")
+        if self.r > self.d:
+            raise ValueError(f"r = {self.r} exceeds d = {self.d}")
+        if not 0.0 < self.batch_frac <= 1.0:
+            raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
         if self.problem not in ("pca", "mc"):
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.method not in ("s-svrg", "s-svrg-bb", "s-sgd", "rgd"):
@@ -84,6 +90,7 @@ class RunResult:
     final_grad: float
     seconds: float
     trace: object
+    error: str = None          # "<ExcType>: <message>" for a failed run
 
 
 @dataclass(frozen=True)
@@ -203,8 +210,9 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     """Execute all seeded runs of one experiment cell.
 
     Returns (SummaryRow, list of RunResult).  Failed runs (optimizer
-    errors) are kept in the result list with their status; epoch statistics
-    cover converged runs only and the success count says how many.
+    errors) are kept in the result list with their status and message;
+    epoch statistics cover converged runs only and the success count says
+    how many.
     """
     if problem is None:
         problem = build_problem(spec)
@@ -218,7 +226,8 @@ def run_experiment(spec: ExperimentSpec, problem=None):
             result = RunResult(run_id=run_id, seed=spec.seed + run_id,
                                status=f"Failed:{type(exc).__name__}",
                                epochs=spec.max_epochs, final_f=float("nan"),
-                               final_grad=float("nan"), seconds=0.0, trace=None)
+                               final_grad=float("nan"), seconds=0.0, trace=None,
+                               error=f"{type(exc).__name__}: {exc}")
         results.append(result)
         if spec.out is not None and result.trace is not None:
             os.makedirs(spec.out, exist_ok=True)

@@ -303,7 +303,10 @@ def _inner_step(problem, kind, X, X0, egrad0, idx, tau, rho, phi):
     # one stochastic update; returns the new iterate array
     if tau == 0.0:
         return X  # exact stationarity, no retraction roundoff
-    G = egrad0 + problem.batch_egrad_diff(X, X0, idx)
+    # at the anchor itself (each epoch's first step, every step of rgd) the
+    # batch correction is exactly zero, so its oracle calls are skipped; the
+    # caller still charges them to the IFO count
+    G = egrad0 if X is X0 else egrad0 + problem.batch_egrad_diff(X, X0, idx)
     if kind is RetractionKind.GP:
         return retract_gp_array(X, G, tau)
     if kind is RetractionKind.GR:
@@ -323,7 +326,8 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     trace records the state at each epoch start; the loop stops once the
     Riemannian gradient norm at an anchor falls below grad_tol or after
     max_epochs epochs.  IFO counts n per full gradient and 2|batch| per
-    inner step; RO counts one per retraction.
+    inner step, also for the first step of an epoch, whose zero correction
+    is never evaluated; RO counts one per retraction.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TooManySamples
+from .errors import InvalidObservation, NonFiniteInput, TooManySamples
 from .linalg import pinv_gram, qr_positive
 from .oracles import dense_pca_eig
 
@@ -61,9 +61,14 @@ class PcaInstance:
 
     def __init__(self, A, r):
         A = np.asarray(A, dtype=float)
+        # min/max propagate NaN and expose Inf without a full-size mask
+        if not (np.isfinite(A.min()) and np.isfinite(A.max())):
+            raise NonFiniteInput("data matrix has NaN or Inf entries")
         self.A = A
         self.d, self.n = A.shape
         self.r = int(r)
+        if not 1 <= self.r <= self.d:
+            raise ValueError(f"r = {self.r} outside [1, d = {self.d}]")
         self.A_bar = A.mean(axis=1, keepdims=True)
         self.B = A - self.A_bar
         self._col_sq = np.sum(self.B ** 2, axis=0)
@@ -109,6 +114,18 @@ class McInstance:
     Lives on the Grassmann manifold (rho = 0 by default): the objective is
     invariant to right rotation of X.  Column i stores observed row indices
     Omega_i and values; a column with no observations contributes zero.
+
+    The batched oracles pad every column's observations to one length and
+    sum the per-observation gradient rows 2 resid_i a_i^T into X's shape
+    with a single np.bincount over flat (row * r + j) slots precomputed at
+    construction; padding lands in a sentinel row that is dropped.
+
+    Anchor cache: full_value_egrad(X) keeps those per-observation rows of
+    all n columns, keyed on an exact copy of X.  batch_egrad_diff(Xk, X0,
+    idx) gathers them when X0 equals the key bit for bit, so an inner step
+    of the variance-reduced loop fits only the batch at Xk; any other X0,
+    including the key's array mutated in place, is refit.  The cache makes
+    an instance stateful: share one across threads only with a lock.
     """
 
     kind = "mc"
@@ -123,24 +140,45 @@ class McInstance:
         self.M_true = None if M_true is None else np.asarray(M_true, dtype=float)
         self.mu0 = float(mu0)
         self.varrho = float(varrho)
-        self.num_observed = int(sum(len(ri) for ri in self.rows))
+        lengths = np.fromiter(map(len, self.rows), np.intp, self.n)
+        self.num_observed = int(lengths.sum())
         if self.num_observed == 0:
             raise ValueError("no observed entries")
-        self._build_padded()
+        flat_rows = np.concatenate(self.rows)
+        flat_vals = np.concatenate(self.vals)
+        self._check_observations(lengths, flat_rows, flat_vals)
+        self._build_padded(lengths, flat_rows, flat_vals)
+        self._anchor = (None, None)  # (copy of X, its per-observation gradient rows)
 
-    def _build_padded(self):
+    def _check_observations(self, lengths, flat_rows, flat_vals):
+        counts = np.fromiter(map(len, self.vals), np.intp, self.n)
+        bad = np.flatnonzero(counts != lengths)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"column {j}: {counts[j]} values for {lengths[j]} row indices")
+        # row d is the padding sentinel and a negative row would alias X[-1]
+        bad = np.flatnonzero((flat_rows < 0) | (flat_rows >= self.d))
+        if bad.size:
+            j = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
+            raise InvalidObservation(
+                f"column {j}: row index {flat_rows[bad[0]]} outside [0, {self.d})")
+        if not np.all(np.isfinite(flat_vals)):
+            raise NonFiniteInput("observed values contain NaN or Inf")
+
+    def _build_padded(self, lengths, flat_rows, flat_vals):
         # pad every column's observation list to the same length so the
         # normal-equation solves batch through one stacked LAPACK call; the
         # sentinel row index d maps to an appended zero row of X, making
         # padded residuals vanish identically
-        m_max = max(len(ri) for ri in self.rows)
+        m_max = int(lengths.max())
+        filled = np.arange(m_max) < lengths[:, None]   # fills row-major: column by column
         self._pad_rows = np.full((self.n, m_max), self.d, dtype=np.intp)
+        self._pad_rows[filled] = flat_rows
         self._pad_vals = np.zeros((self.n, m_max))
-        for i in range(self.n):
-            k = len(self.rows[i])
-            self._pad_rows[i, :k] = self.rows[i]
-            self._pad_vals[i, :k] = self.vals[i]
-        self._all_full_rank = all(len(ri) >= self.r for ri in self.rows)
+        self._pad_vals[filled] = flat_vals
+        self._slots = (self._pad_rows[:, :, None] * self.r
+                       + np.arange(self.r)).reshape(self.n, m_max * self.r)
+        self._all_full_rank = bool(lengths.min() >= self.r)
 
     def _fit_batch(self, X, idx):
         """Stacked least-squares fits; falls back to the loop when singular."""
@@ -153,11 +191,22 @@ class McInstance:
         resid = Xi @ a - v
         return a, resid
 
-    def _accumulate(self, idx, a, resid, egrad):
-        contrib = 2.0 * resid * a.transpose(0, 2, 1)  # (b, m_max, r)
-        ext = np.zeros((self.d + 1, egrad.shape[1]))
-        np.add.at(ext, self._pad_rows[idx].reshape(-1), contrib.reshape(-1, contrib.shape[2]))
-        egrad += ext[: self.d]
+    def _contrib(self, X, idx):
+        """Per-observation gradient rows 2 resid a^T, shape (b, m_max, r), and residuals."""
+        a, resid = self._fit_batch(X, idx)
+        return 2.0 * resid * a.transpose(0, 2, 1), resid
+
+    def _scatter(self, idx, contrib):
+        """Sum per-observation rows into a d x r array (duplicates in idx add up)."""
+        flat = np.bincount(self._slots[idx].reshape(-1), weights=contrib.reshape(-1),
+                           minlength=(self.d + 1) * self.r)
+        return flat[: self.d * self.r].reshape(self.d, self.r)
+
+    def _anchor_contrib(self, X0, idx):
+        key, contrib = self._anchor
+        if key is not None and np.array_equal(X0, key):
+            return contrib[idx]
+        return self._contrib(X0, idx)[0]
 
     def _fit_column(self, X, i):
         rows = self.rows[i]
@@ -196,15 +245,15 @@ class McInstance:
 
     def full_value_egrad(self, X):
         if self._all_full_rank:
+            idx = np.arange(self.n)
             try:
-                idx = np.arange(self.n)
-                a, resid = self._fit_batch(X, idx)
-                f = float(np.sum(resid ** 2))
-                egrad = np.zeros_like(X)
-                self._accumulate(idx, a, resid, egrad)
-                return f / self.n, egrad / self.n
+                contrib, resid = self._contrib(X, idx)
             except np.linalg.LinAlgError:
                 pass
+            else:
+                self._anchor = (np.array(X, dtype=float), contrib)
+                f = float(np.sum(resid ** 2))
+                return f / self.n, self._scatter(idx, contrib) / self.n
         f = 0.0
         egrad = np.zeros_like(X)
         for i in range(self.n):
@@ -219,12 +268,11 @@ class McInstance:
         idx = np.asarray(idx, dtype=np.intp)
         if self._all_full_rank:
             try:
-                a, resid = self._fit_batch(X, idx)
-                egrad = np.zeros_like(X)
-                self._accumulate(idx, a, resid, egrad)
-                return egrad / len(idx)
+                contrib, _ = self._contrib(X, idx)
             except np.linalg.LinAlgError:
                 pass
+            else:
+                return self._scatter(idx, contrib) / len(idx)
         egrad = np.zeros_like(X)
         for i in idx:
             a, resid, rows = self._fit_column(X, i)
@@ -237,15 +285,12 @@ class McInstance:
         idx = np.asarray(idx, dtype=np.intp)
         if self._all_full_rank:
             try:
-                ak, rk = self._fit_batch(Xk, idx)
-                a0, r0 = self._fit_batch(X0, idx)
-                contrib = 2.0 * (rk * ak.transpose(0, 2, 1) - r0 * a0.transpose(0, 2, 1))
-                ext = np.zeros((self.d + 1, Xk.shape[1]))
-                np.add.at(ext, self._pad_rows[idx].reshape(-1),
-                          contrib.reshape(-1, contrib.shape[2]))
-                return ext[: self.d] / len(idx)
+                ck, _ = self._contrib(Xk, idx)
+                c0 = self._anchor_contrib(X0, idx)
             except np.linalg.LinAlgError:
                 pass
+            else:
+                return self._scatter(idx, ck - c0) / len(idx)
         return self.batch_egrad(Xk, idx) - self.batch_egrad(X0, idx)
 
     def fitted_matrix(self, X):
@@ -315,8 +360,12 @@ def mc_generate(d, n, r, cond, seed, mu0=1.0, varrho=1.0):
     flat.sort()
     ii = flat // n
     jj = flat % n
-    rows = [ii[jj == j] for j in range(n)]
-    vals = [M[rows[j], j] for j in range(n)]
+    # group by column; the stable sort keeps each column's rows ascending
+    order = np.argsort(jj, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(jj, minlength=n)).tolist()]
+    by_col, val_by_col = ii[order], M[ii, jj][order]
+    rows = [by_col[a:b] for a, b in zip(bounds, bounds[1:])]
+    vals = [val_by_col[a:b] for a, b in zip(bounds, bounds[1:])]
     return McInstance(d, n, r, rows, vals, M_true=M, mu0=mu0, varrho=varrho)
 
 
@@ -329,28 +378,47 @@ def mc_save_observations(inst, path):
 
 
 def mc_load_observations(path, r, d=None, n=None, **kwargs):
-    """Read 'i j value' triples (1-based); dims default to the max index seen."""
+    """Read 'i j value' triples (1-based); dims default to the max index seen.
+
+    Raises InvalidObservation, naming the line, for a malformed line, an
+    index below 1 or beyond an explicit d / n, or a repeated (i, j), and
+    NonFiniteInput for a NaN or Inf value.
+    """
     ii, jj, vv = [], [], []
+    seen = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b, c = line.split()
-            ii.append(int(a) - 1)
-            jj.append(int(b) - 1)
-            vv.append(float(c))
+            where = f"{path}:{lineno}"
+            try:
+                a, b, c = line.split()
+                i, j, v = int(a), int(b), float(c)
+            except ValueError:
+                raise InvalidObservation(f"{where}: expected 'i j value', got {line!r}") from None
+            if i < 1 or j < 1:
+                raise InvalidObservation(f"{where}: indices are 1-based, got ({i}, {j})")
+            if d is not None and i > d:
+                raise InvalidObservation(f"{where}: row {i} exceeds d = {d}")
+            if n is not None and j > n:
+                raise InvalidObservation(f"{where}: column {j} exceeds n = {n}")
+            if not math.isfinite(v):
+                raise NonFiniteInput(f"{where}: value {v!r} is not finite")
+            if (i, j) in seen:
+                raise InvalidObservation(
+                    f"{where}: duplicate observation ({i}, {j}), first on line {seen[i, j]}")
+            seen[i, j] = lineno
+            ii.append(i - 1)
+            jj.append(j - 1)
+            vv.append(v)
     if not ii:
         raise ValueError(f"no observations in {path}")
     d = (max(ii) + 1) if d is None else d
     n = (max(jj) + 1) if n is None else n
     rows = [[] for _ in range(n)]
     vals = [[] for _ in range(n)]
-    seen = set()
     for i, j, v in zip(ii, jj, vv):
-        if (i, j) in seen:
-            raise ValueError(f"duplicate observation ({i + 1}, {j + 1})")
-        seen.add((i, j))
         rows[j].append(i)
         vals[j].append(v)
     return McInstance(d, n, r, rows, vals, **kwargs)

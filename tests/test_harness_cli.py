@@ -36,6 +36,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             tiny_spec(runs=0)
 
+    @pytest.mark.parametrize("bad", [dict(d=0), dict(n=0), dict(r=0), dict(r=11),
+                                     dict(batch_frac=0.0), dict(batch_frac=-0.1),
+                                     dict(batch_frac=1.5)])
+    def test_shape_and_batch_validation(self, bad):
+        with pytest.raises(ValueError):
+            tiny_spec(**bad)
+
     def test_config_hash_ignores_out(self):
         a = tiny_spec(out=None)
         b = tiny_spec(out="/tmp/x")
@@ -130,6 +137,16 @@ class TestRunExperiment:
         assert row.successes == 0
         assert all(r.status == "Failed:ValueError" for r in results)
         assert np.isnan(row.nrm_bar) and np.isnan(row.err_bar)
+
+    def test_failure_message_kept(self, capsys):
+        spec = tiny_spec(method="s-svrg", step="bb", runs=1, max_epochs=2)
+        _, (result,) = run_experiment(spec)
+        assert result.error.startswith("ValueError: s-svrg needs a fixed or thm1 step rule")
+        code = main(["run", "--problem", "pca", "--method", "s-svrg", "--step", "bb",
+                     "--d", "10", "--n", "20", "--r", "2", "--batch-frac", "0.5",
+                     "--inner-k", "2", "--max-epochs", "2", "--runs", "1"])
+        assert code == 1
+        assert "run 0: ValueError: s-svrg needs a fixed" in capsys.readouterr().err
 
 
 class TestGridTune:

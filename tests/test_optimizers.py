@@ -16,7 +16,7 @@ from manifold_svrg.optimizers import (BB, Fixed, OutputMode, SvrgConfig,
                                       run_s_sgd, run_s_svrg, select_output,
                                       svrg_gradient, theorem1_schedule,
                                       warm_start)
-from manifold_svrg.problems import PcaInstance, pca_generate
+from manifold_svrg.problems import PcaInstance, mc_generate, pca_generate
 from manifold_svrg.retractions import RetractionKind
 
 rng = np.random.default_rng(31)
@@ -227,6 +227,33 @@ class TestRunSvrg:
         # last record is at the start of epoch S-1, before its inner loop
         assert tr.ifo_calls[-1] == (S - 1) * (20 + 2 * K * B) + 20
         assert tr.ro_calls[-1] == (S - 1) * K
+
+    @pytest.mark.parametrize("make", [lambda: small_pca(12, 20, 2, seed=3),
+                                      lambda: mc_generate(12, 20, 2, 10.0, seed=3)],
+                             ids=["pca", "mc"])
+    def test_anchor_correction_skipped(self, make):
+        # the first inner step of an epoch sits at the anchor, where the
+        # correction is exactly zero and is not evaluated
+        S, K = 3, 4
+        cfg = SvrgConfig(step_mode=Fixed(0.01), K=K, batch=3, max_epochs=S,
+                         grad_tol=0.0, seed=1, r=2)
+        X0 = random_point(12, 2)
+        counted = make()
+        calls = []
+        diff = counted.batch_egrad_diff
+        counted.batch_egrad_diff = lambda *a: calls.append(1) or diff(*a)
+
+        _, plain = run_s_svrg(make(), cfg, X0=X0)
+        _, tr = run_s_svrg(counted, cfg, X0=X0)
+        assert tr.status == "MaxEpochs" and len(calls) == S * (K - 1)
+        for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
+            assert getattr(tr, col) == getattr(plain, col)
+
+        calls.clear()
+        _, tr = run_rgd(counted, cfg, X0=X0)
+        _, plain = run_rgd(make(), cfg, X0=X0)
+        assert calls == []
+        assert tr.f == plain.f and tr.ifo_calls == plain.ifo_calls
 
     def test_divergence_detected(self):
         # a compact manifold keeps f finite under any step, so the guard is

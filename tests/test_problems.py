@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from manifold_svrg.errors import TooManySamples
+from manifold_svrg.errors import InvalidObservation, NonFiniteInput, TooManySamples
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.oracles import FiniteDiffSpec, fd_derivative
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants,
@@ -107,6 +107,18 @@ class TestPcaInstance:
             worst = max(worst, num / np.linalg.norm(X - Y))
         assert worst <= consts.L + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        A = pca_generate(6, 8, seed=0)
+        A[2, 3] = bad
+        with pytest.raises(NonFiniteInput):
+            PcaInstance(A, r=2)
+
+    @pytest.mark.parametrize("r", [0, 7])
+    def test_rank_outside_dimension_rejected(self, r):
+        with pytest.raises(ValueError):
+            PcaInstance(pca_generate(6, 8, seed=0), r=r)
+
     def test_single_unit_column_L(self):
         inst = PcaInstance(np.zeros((3, 1)), r=1)
         inst.B = np.array([[1.0], [0.0], [0.0]])
@@ -205,6 +217,39 @@ class TestMcInstance:
         self.inst._all_full_rank = True
         np.testing.assert_allclose(fast, slow, atol=1e-13)
 
+    def test_anchor_cache_matches_fresh_instance(self):
+        X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
+        idx = np.array([4, 4, 17, 0, 4, 24, 17])
+        fresh = mc_generate(30, 25, 3, cond=10.0, seed=8)
+        self.inst.full_value_egrad(X0)
+        assert np.array_equal(self.inst.batch_egrad_diff(Xk, X0, idx),
+                              fresh.batch_egrad_diff(Xk, X0, idx))
+
+    def test_anchor_cache_misses_after_in_place_change(self):
+        X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
+        idx = rng.integers(25, size=6)
+        self.inst.full_value_egrad(X0)
+        stale = self.inst.batch_egrad_diff(Xk, X0, idx)
+        X0[:] = random_stiefel(30, 3)
+        fresh = mc_generate(30, 25, 3, cond=10.0, seed=8)
+        got = self.inst.batch_egrad_diff(Xk, X0, idx)
+        assert np.array_equal(got, fresh.batch_egrad_diff(Xk, X0, idx))
+        assert not np.array_equal(got, stale)
+
+    @pytest.mark.parametrize("row", [-1, 6])
+    def test_row_index_outside_matrix_rejected(self, row):
+        # -1 would alias the last row of X and 6 = d the padding sentinel
+        with pytest.raises(InvalidObservation, match="column 1"):
+            McInstance(6, 2, 1, rows=[[0, 1], [2, row]], vals=[[1.0, 2.0], [3.0, 4.0]])
+
+    def test_value_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="column 0"):
+            McInstance(6, 1, 1, rows=[[0, 1, 2]], vals=[[1.0, 2.0]])
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            McInstance(6, 1, 1, rows=[[0, 1]], vals=[[1.0, np.nan]])
+
     def test_sampled_constants_cover_ratios(self):
         consts = self.inst.constants(probes=20, seed=1)
         assert consts.source == "sampled"
@@ -246,6 +291,26 @@ class TestMcIO:
         assert inst.d == 3 and inst.n == 2
         assert inst.vals[0][0] == 2.5
         assert inst.rows[1][0] == 2
+
+    @pytest.mark.parametrize("text, kw, line", [
+        ("1 1 2.5\n0 2 1.0\n", {}, 2),                # 0-based row
+        ("1 1 2.5\n3 0 1.0\n", {}, 2),                # 0-based column
+        ("1 1 2.5\n\n5 2 1.0\n", dict(d=4, n=2), 3),  # row beyond d
+        ("# c\n1 3 2.5\n", dict(d=4, n=2), 2),         # column beyond n
+        ("1 1 2.5\n2 1\n", {}, 2),                    # missing value
+        ("1 1 2.5\n1 1 0.7\n", {}, 2),                # duplicate entry
+    ], ids=["row0", "col0", "row>d", "col>n", "short", "duplicate"])
+    def test_bad_line_rejected_by_number(self, tmp_path, text, kw, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidObservation, match=f"bad.txt:{line}:"):
+            mc_load_observations(path, r=1, **kw)
+
+    def test_non_finite_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("1 1 2.5\n2 1 nan\n")
+        with pytest.raises(NonFiniteInput, match="nan.txt:2:"):
+            mc_load_observations(path, r=1)
 
     def test_pca_load_csv_and_npy(self, tmp_path):
         A = pca_generate(6, 8, seed=0)
