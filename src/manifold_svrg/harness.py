@@ -191,12 +191,15 @@ def _single_run(problem, spec, run_id):
     ), X
 
 
+def _csv_header(spec, seed):
+    """The four '#' reproducibility lines that open every CSV the harness writes."""
+    return (f"# generator={GENERATOR}\n# seed={seed}\n"
+            f"# config_hash={spec.config_hash()}\n# version={__version__}\n")
+
+
 def _write_trace(path, spec, result):
     with open(path, "w", newline="") as fh:
-        fh.write(f"# generator={GENERATOR}\n")
-        fh.write(f"# seed={result.seed}\n")
-        fh.write(f"# config_hash={spec.config_hash()}\n")
-        fh.write(f"# version={__version__}\n")
+        fh.write(_csv_header(spec, result.seed))
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         tr = result.trace
@@ -217,6 +220,8 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     if problem is None:
         problem = build_problem(spec)
     f_star = reference_value(spec, problem)
+    if spec.out is not None:
+        os.makedirs(spec.out, exist_ok=True)
 
     results = []
     for run_id in range(spec.runs):
@@ -230,7 +235,6 @@ def run_experiment(spec: ExperimentSpec, problem=None):
                                error=f"{type(exc).__name__}: {exc}")
         results.append(result)
         if spec.out is not None and result.trace is not None:
-            os.makedirs(spec.out, exist_ok=True)
             _write_trace(os.path.join(spec.out, f"trace_run{run_id:03d}.csv"),
                          spec, result)
 
@@ -257,7 +261,8 @@ def run_experiment(spec: ExperimentSpec, problem=None):
         t_bar=float(np.mean([r.seconds for r in scored])) if scored else float("nan"),
     )
     if spec.out is not None:
-        _write_summary(os.path.join(spec.out, "summary.csv"), spec, [row])
+        with open(os.path.join(spec.out, "summary.csv"), "w", newline="") as fh:
+            fh.write(emit_table([row], spec)[1])
     return row, results
 
 
@@ -287,27 +292,13 @@ SUMMARY_FIELDS = ("problem", "method", "retraction", "tau_star", "runs",
                   "epoch_std", "nrm_bar", "err_bar", "t_bar")
 
 
-def _summary_header(spec):
-    return (f"# generator={GENERATOR}\n# seed={spec.seed}\n"
-            f"# config_hash={spec.config_hash()}\n# version={__version__}\n")
-
-
-def _write_summary(path, spec, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(_summary_header(spec))
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for row in rows:
-            d = asdict(row)
-            writer.writerow([repr(d[k]) if isinstance(d[k], float) else d[k]
-                             for k in SUMMARY_FIELDS])
-
-
 def emit_table(rows, spec=None):
     """Render summary rows as an aligned text table plus CSV text.
 
     The error column uses one-significant-digit scientific notation; the
     CSV keeps full precision and round-trips through parse_summary_csv.
+    Given the spec, the CSV opens with the trace files' '#' header; that
+    text is what run_experiment writes as summary.csv.
     """
     if not rows:
         raise ValueError("need at least one summary row")
@@ -328,7 +319,7 @@ def emit_table(rows, spec=None):
 
     buf = io.StringIO()
     if spec is not None:
-        buf.write(_summary_header(spec))
+        buf.write(_csv_header(spec, spec.seed))
     writer = csv.writer(buf)
     writer.writerow(SUMMARY_FIELDS)
     for row in rows:

@@ -1,4 +1,4 @@
-"""Stiefel / Grassmann points, tangent vectors, metric and Riemannian gradient.
+"""Stiefel / Grassmann points, tangent directions, metric and Riemannian gradient.
 
 The metric on the Stiefel tangent space is <E1, E2>_X = <E1, P E2> with
 P = I - (1 - 1/(4 rho)) X X^T for rho > 0.  rho = 0 selects the Grassmann
@@ -8,10 +8,11 @@ limit).  The direction operator
     d_rho(X, Y) = (I - X X^T) Y + 4 rho X skew(X^T Y)
 
 turns a Euclidean gradient into the Riemannian gradient under that metric.
+Everything past StiefelPoint, the boundary validator, works on raw arrays.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +23,9 @@ FEAS_TOL = 1e-10
 __all__ = [
     "TangentSpace",
     "StiefelPoint",
-    "TangentVector",
-    "MetricParams",
     "nu_of_rho",
-    "d_rho",
-    "riemannian_grad",
+    "gamma_of_rho",
     "inner_x",
-    "tangent_project",
     "feasibility_error",
     "d_rho_array",
     "tangent_project_array",
@@ -72,33 +69,6 @@ class StiefelPoint:
         return self.X.shape
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A direction attached to a base point, tagged with its tangent space."""
-
-    E: np.ndarray
-    base: StiefelPoint
-    space: TangentSpace = TangentSpace.STIEFEL
-
-    def __post_init__(self):
-        E = np.asarray(self.E, dtype=float)
-        check_finite(E, "tangent vector")
-        X = self.base.X
-        if E.shape != X.shape:
-            raise ValueError(f"tangent shape {E.shape} != base shape {X.shape}")
-        scale = max(1.0, float(np.linalg.norm(E)))
-        if self.space is TangentSpace.STIEFEL:
-            err = np.linalg.norm(X.T @ E + E.T @ X)
-        else:
-            err = np.linalg.norm(X.T @ E)
-        if err > FEAS_TOL * scale:
-            raise ValueError(f"direction violates the {self.space.value} tangency invariant: {err:g}")
-        object.__setattr__(self, "E", E)
-
-    def norm(self):
-        return float(np.linalg.norm(self.E))
-
-
 def nu_of_rho(rho):
     """Lower norm-equivalence constant nu = min(1, 1/(4 rho)); nu = 1 at rho = 0."""
     if rho < 0:
@@ -122,19 +92,6 @@ def gamma_of_rho(rho):
     return max(1.0, 1.0 / (4.0 * rho))
 
 
-@dataclass(frozen=True)
-class MetricParams:
-    """Metric family parameter rho with the induced norm-equivalence constants."""
-
-    rho: float
-    nu: float = field(init=False)
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu", nu_of_rho(self.rho))
-        object.__setattr__(self, "gamma", gamma_of_rho(self.rho))
-
-
 def d_rho_array(X, Y, rho):
     """(I - X X^T) Y + 4 rho X skew(X^T Y) on raw arrays (hot path)."""
     XtY = X.T @ Y
@@ -143,40 +100,21 @@ def d_rho_array(X, Y, rho):
     return Y - X @ XtY + (4.0 * rho) * (X @ skew(XtY))
 
 
-def d_rho(X: StiefelPoint, Y, rho) -> TangentVector:
-    """Map an ambient matrix Y to the tangent (rho > 0) or horizontal (rho = 0) space."""
-    E = d_rho_array(X.X, np.asarray(Y, dtype=float), rho)
-    space = TangentSpace.GRASSMANN if rho == 0.0 else TangentSpace.STIEFEL
-    return TangentVector(E, X, space)
-
-
-def riemannian_grad(X: StiefelPoint, egrad, rho) -> TangentVector:
-    """Riemannian gradient from the Euclidean gradient: d_rho(X, egrad)."""
-    return d_rho(X, egrad, rho)
-
-
-def inner_x(X: StiefelPoint, E1: TangentVector, E2: TangentVector, rho):
+def inner_x(X, E1, E2, rho):
     """Metric inner product <E1, P E2> at X; Euclidean for rho = 0."""
-    A, B = E1.E, E2.E
-    base = float(np.sum(A * B))
+    base = float(np.sum(E1 * E2))
     if rho == 0.0:
         return base
     coeff = 1.0 - 1.0 / (4.0 * rho)
-    XtB = X.X.T @ B
-    return base - coeff * float(np.sum((X.X.T @ A) * XtB))
+    return base - coeff * float(np.sum((X.T @ E1) * (X.T @ E2)))
 
 
 def tangent_project_array(X, Z, space):
-    if space is TangentSpace.STIEFEL:
-        return Z - X @ sym(X.T @ Z)
-    return Z - X @ (X.T @ Z)
-
-
-def tangent_project(X: StiefelPoint, Z, space=TangentSpace.STIEFEL) -> TangentVector:
     """Orthogonal projection of an arbitrary matrix onto the tangent space.
 
     Stiefel: Z - X sym(X^T Z).  Grassmann horizontal: (I - X X^T) Z.
     Idempotent; used to canonicalize probes in tests and finite differences.
     """
-    E = tangent_project_array(X.X, np.asarray(Z, dtype=float), space)
-    return TangentVector(E, X, space)
+    if space is TangentSpace.STIEFEL:
+        return Z - X @ sym(X.T @ Z)
+    return Z - X @ (X.T @ Z)

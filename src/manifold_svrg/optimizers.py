@@ -1,6 +1,6 @@
 """Stochastic Riemannian optimizers without vector transport.
 
-Three methods share one mechanical core: take a Euclidean gradient
+Three methods share one mechanical core, _step: take a Euclidean gradient
 estimate G, map it through d_rho into the tangent space, and retract along
 -tau * G^R.  The variance-reduced method anchors minibatch gradients to a
 full gradient recomputed once per epoch, the plain stochastic method uses
@@ -20,9 +20,12 @@ import numpy as np
 
 from .errors import NoFeasibleC, NonFiniteValue
 from .linalg import qr_positive
-from .manifold import (StiefelPoint, TangentSpace, TangentVector, d_rho,
-                       d_rho_array, feasibility_error, nu_of_rho)
-from .retractions import (GRADIENT_KINDS, RetractionKind, phi_half_t,
+from .manifold import (StiefelPoint, TangentSpace, d_rho_array,
+                       feasibility_error, nu_of_rho)
+# retract_gp_array and retract_gr_array are reached through retract_array;
+# they stay importable here because perfbench/spans.py wraps the names
+# this module exposes
+from .retractions import (GRADIENT_KINDS, RetractionKind,  # noqa: F401
                           retract_array, retract_gp_array, retract_gr_array)
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "SvrgConfig",
     "Schedule",
     "RunTrace",
-    "svrg_gradient",
     "run_s_svrg",
     "run_s_sgd",
     "run_rgd",
@@ -114,10 +116,8 @@ class SvrgConfig:
     output_mode: OutputMode = OutputMode.LAST_ITERATE
     seed: int = 0
     r: int = 5
-    phi: object = phi_half_t
     alpha: float = 1.0  # only read in SAMPLED_LINEAR mode
     bb_double: bool = False  # Grassmann completion doubles the raw BB value
-    warm_tau: float = None  # step for the warm-start pass; None picks 1/(2L)
 
     def __post_init__(self):
         if self.rho < 0:
@@ -268,18 +268,6 @@ def select_output(iterates, p_sk, mode, rng):
 # ---------------------------------------------------------------------------
 # gradient estimators and steps
 
-def svrg_gradient(problem, X_k: StiefelPoint, X_anchor: StiefelPoint,
-                  full_grad_anchor, batch, rho) -> TangentVector:
-    """Variance-reduced Riemannian gradient d_rho(X_k, G) for one batch.
-
-    G is the anchor full gradient plus the batch-mean correction; at
-    X_k = X_anchor the correction cancels exactly for every batch.
-    """
-    idx = np.asarray(batch, dtype=np.intp)
-    G = full_grad_anchor + problem.batch_egrad_diff(X_k.X, X_anchor.X, idx)
-    return d_rho(X_k, G, rho)
-
-
 def bb_step(X_s, X_prev, grad_s, grad_prev, K, tau_min, tau_max,
             kind=TangentSpace.STIEFEL):
     """Safeguarded long BB estimate over outer iterates, divided by K.
@@ -299,20 +287,53 @@ def bb_step(X_s, X_prev, grad_s, grad_prev, K, tau_min, tau_max,
     return max(tau_min, min(tau_lbb, tau_max)) / K
 
 
-def _inner_step(problem, kind, X, X0, egrad0, idx, tau, rho, phi):
-    # one stochastic update; returns the new iterate array
+def _step(kind, X, G, tau, rho):
+    """One retraction-only update of X along the Euclidean gradient estimate G.
+
+    gp and gr retract along G itself; every other kind retracts along the
+    descent direction -d_rho(X, G).  No vector transport is involved.
+    """
+    E = G if kind in GRADIENT_KINDS else -d_rho_array(X, G, rho)
+    return retract_array(kind, X, E, tau)
+
+
+def _inner_step(problem, kind, X, X0, egrad0, idx, tau, rho):
+    # one variance-reduced update; returns the new iterate array
     if tau == 0.0:
         return X  # exact stationarity, no retraction roundoff
     # at the anchor itself (each epoch's first step, every step of rgd) the
     # batch correction is exactly zero, so its oracle calls are skipped; the
     # caller still charges them to the IFO count
     G = egrad0 if X is X0 else egrad0 + problem.batch_egrad_diff(X, X0, idx)
-    if kind is RetractionKind.GP:
-        return retract_gp_array(X, G, tau)
-    if kind is RetractionKind.GR:
-        return retract_gr_array(X, G, tau)
-    GR = d_rho_array(X, G, rho)
-    return retract_array(kind, X, -GR, tau, phi)
+    return _step(kind, X, G, tau, rho)
+
+
+def _single_sample_path(problem, config, X, tau, N, rng, events):
+    """Yield X_0 = X, ..., X_N of N single-sample steps with a constant tau.
+
+    Step j draws one component i uniformly and sets X_{j+1} to the step
+    along grad f_i(X_j), re-orthonormalized (and logged in events) once it
+    drifts off the manifold.
+    """
+    yield X
+    for j in range(N):
+        i = int(rng.integers(problem.n))
+        X = _step(config.retraction, X, problem.component_egrad(X, i), tau, config.rho)
+        if feasibility_error(X) > DRIFT_TOL:
+            X = qr_positive(X)[0]
+            events.append(("reorthonormalized", j))
+        yield X
+
+
+def _start_point(problem, config, X0, rng):
+    """The start array: a validated copy of X0, or a random draw from rng."""
+    if X0 is None:
+        return qr_positive(rng.standard_normal((problem.d, config.r)))[0]
+    if not isinstance(X0, StiefelPoint):
+        X0 = StiefelPoint(X0)
+    if X0.shape != (problem.d, config.r):
+        raise ValueError(f"X0 has shape {X0.shape}, expected ({problem.d}, {config.r})")
+    return X0.X.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +352,7 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))
+    X = _start_point(problem, config, X0, rng)
     n = problem.n
     kind = config.retraction
     rho = config.rho
@@ -343,11 +365,6 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
         schedule = theorem1_schedule(n, mode.mu, mode.kappa, consts.L, consts.C,
                                      L1=1.0, L2=0.5, r=config.r, nu=nu_of_rho(rho))
         K, batch = schedule.K, schedule.batch
-
-    if X0 is None:
-        X = qr_positive(rng.standard_normal((problem.d, config.r)))[0]
-    else:
-        X = np.array(X0.X if isinstance(X0, StiefelPoint) else X0, dtype=float)
 
     trace = RunTrace()
     ifo = 0
@@ -387,7 +404,7 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
         inner = [X] if sample_inner else None
         for _ in range(K):
             idx = rng.integers(n, size=batch)
-            X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho, config.phi)
+            X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
             ifo += 2 * batch
             ro += 1
             if sample_inner:
@@ -412,12 +429,12 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     return StiefelPoint(X), trace
 
 
-def run_s_sgd(problem, config: SvrgConfig, N, tilde_D=1.0, sigma=None,
-              X0=None, tau=None, record_every=None):
+def run_s_sgd(problem, config: SvrgConfig, N, sigma=None, X0=None, tau=None,
+              record_every=None):
     """Single-sample stochastic descent with a constant theory step.
 
-    tau defaults to min(nu / L_hat, tilde_D / (sigma sqrt(N))); sigma, when
-    not supplied, is the largest deviation of 100 single-sample Riemannian
+    tau defaults to min(nu / L_hat, 1 / (sigma sqrt(N))); sigma, when not
+    supplied, is the largest deviation of 100 single-sample Riemannian
     gradients from the full one at the start point.  Returns the iterate at
     an index drawn uniformly from {0, ..., N-1} up front, which is the
     estimator the analysis speaks about.
@@ -426,19 +443,12 @@ def run_s_sgd(problem, config: SvrgConfig, N, tilde_D=1.0, sigma=None,
     if N < 1:
         raise ValueError("N must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SGD)))
+    X = _start_point(problem, config, X0, rng)
     n = problem.n
-    kind = config.retraction
     rho = config.rho
-    nu = nu_of_rho(rho)
-
-    if X0 is None:
-        X = qr_positive(rng.standard_normal((problem.d, config.r)))[0]
-    else:
-        X = np.array(X0.X if isinstance(X0, StiefelPoint) else X0, dtype=float)
 
     j_bar = int(rng.integers(N))
     ifo = 0
-    ro = 0
     trace = RunTrace()
     trace.status = "Completed"
 
@@ -455,36 +465,22 @@ def run_s_sgd(problem, config: SvrgConfig, N, tilde_D=1.0, sigma=None,
                 gi = d_rho_array(X, problem.component_egrad(X, i), rho)
                 ifo += 1
                 sigma = max(sigma, float(np.linalg.norm(gi - g_full)))
-        tau = min(nu / L_hat, tilde_D / (sigma * math.sqrt(N)))
+        tau = min(nu_of_rho(rho) / L_hat, 1.0 / (sigma * math.sqrt(N)))
 
     if record_every is None:
         record_every = max(1, N // 100)
 
-    X_out = X.copy() if j_bar == 0 else None
-    for j in range(N):
-        if j % record_every == 0:
+    # step j costs one IFO and one RO call, and X_N is never recorded
+    path = _single_sample_path(problem, config, X, tau, N, rng, trace.events)
+    for j, X in enumerate(path):
+        if j == j_bar:
+            X_out = X
+        if j < N and j % record_every == 0:
             f, egrad = problem.full_value_egrad(X)
             gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
             if not (np.isfinite(f) and np.isfinite(gn)):
                 raise NonFiniteValue(f"objective or gradient diverged at step {j}")
-            trace.record(j, f, gn, tau, ifo, ro, t0)
-        i = int(rng.integers(n))
-        gi = problem.component_egrad(X, i)
-        ifo += 1
-        if kind is RetractionKind.GP:
-            X = retract_gp_array(X, gi, tau)
-        elif kind is RetractionKind.GR:
-            X = retract_gr_array(X, gi, tau)
-        else:
-            X = retract_array(kind, X, -d_rho_array(X, gi, rho), tau, config.phi)
-        ro += 1
-        if feasibility_error(X) > DRIFT_TOL:
-            X = qr_positive(X)[0]
-            trace.events.append(("reorthonormalized", j))
-        if j + 1 == j_bar:
-            X_out = X.copy()
-    if X_out is None:
-        X_out = X
+            trace.record(j, f, gn, tau, ifo + j, j, t0)
     return StiefelPoint(X_out), trace
 
 
@@ -498,27 +494,13 @@ def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     """Seeded random orthonormal start refined by K single-sample steps.
 
     The same seed yields the same start for every method, so paired
-    comparisons share initial conditions.  The refinement step defaults to
-    1/(2L), small relative to the component curvature.
+    comparisons share initial conditions.  The refinement step is 1/(2L),
+    small relative to the component curvature.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_WARM)))
-    X = qr_positive(rng.standard_normal((problem.d, config.r)))[0]
-    tau = config.warm_tau
-    if tau is None:
-        tau = 0.5 / problem.constants().L
-    kind = config.retraction
-    rho = config.rho
-    for _ in range(config.K):
-        i = int(rng.integers(problem.n))
-        gi = problem.component_egrad(X, i)
-        if kind is RetractionKind.GP:
-            X = retract_gp_array(X, gi, tau)
-        elif kind is RetractionKind.GR:
-            X = retract_gr_array(X, gi, tau)
-        else:
-            X = retract_array(kind, X, -d_rho_array(X, gi, rho), tau, config.phi)
-        if feasibility_error(X) > DRIFT_TOL:
-            X = qr_positive(X)[0]
+    X = _start_point(problem, config, None, rng)
+    tau = 0.5 / problem.constants().L
+    *_, X = _single_sample_path(problem, config, X, tau, config.K, rng, [])
     return StiefelPoint(X)
 
 

@@ -29,7 +29,6 @@ __all__ = [
 class FiniteDiffSpec:
     h: float = 1e-6
     scheme: str = "central"  # or "forward"
-    rel_tol: float = 1e-5
 
     def __post_init__(self):
         if self.h <= 0:

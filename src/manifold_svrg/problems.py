@@ -31,8 +31,6 @@ __all__ = [
     "mc_generate",
     "mc_save_observations",
     "mc_load_observations",
-    "g1_regularizer",
-    "tilde_f",
 ]
 
 
@@ -55,9 +53,6 @@ class PcaInstance:
     The objective is the negated average explained variance; its optimum is
     the span of the top-r eigenvectors of the centered covariance.
     """
-
-    kind = "pca"
-    default_rho = 0.0  # X^T grad is symmetric, so the skew term vanishes
 
     def __init__(self, A, r):
         A = np.asarray(A, dtype=float)
@@ -113,7 +108,8 @@ class McInstance:
 
     Lives on the Grassmann manifold (rho = 0 by default): the objective is
     invariant to right rotation of X.  Column i stores observed row indices
-    Omega_i and values; a column with no observations contributes zero.
+    Omega_i, each at most once, and values; a column with no observations
+    contributes zero.
 
     The batched oracles pad every column's observations to one length and
     sum the per-observation gradient rows 2 resid_i a_i^T into X's shape
@@ -128,18 +124,13 @@ class McInstance:
     an instance stateful: share one across threads only with a lock.
     """
 
-    kind = "mc"
-    default_rho = 0.0
-
-    def __init__(self, d, n, r, rows, vals, M_true=None, mu0=1.0, varrho=1.0):
+    def __init__(self, d, n, r, rows, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)
         self.rows = [np.asarray(ri, dtype=np.intp) for ri in rows]
         self.vals = [np.asarray(vi, dtype=float) for vi in vals]
         if len(self.rows) != self.n or len(self.vals) != self.n:
             raise ValueError("need one observation list per column")
         self.M_true = None if M_true is None else np.asarray(M_true, dtype=float)
-        self.mu0 = float(mu0)
-        self.varrho = float(varrho)
         lengths = np.fromiter(map(len, self.rows), np.intp, self.n)
         self.num_observed = int(lengths.sum())
         if self.num_observed == 0:
@@ -174,6 +165,14 @@ class McInstance:
         filled = np.arange(m_max) < lengths[:, None]   # fills row-major: column by column
         self._pad_rows = np.full((self.n, m_max), self.d, dtype=np.intp)
         self._pad_rows[filled] = flat_rows
+        # a row repeated inside one column would be summed by the stacked
+        # fit but kept once by the per-column one; sorted, it shows as equal
+        # neighbours below the sentinel
+        ranked = np.sort(self._pad_rows, axis=1)
+        repeat = np.argwhere((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < self.d))
+        if repeat.size:
+            j, k = repeat[0]
+            raise InvalidObservation(f"column {j}: row index {ranked[j, k]} is repeated")
         self._pad_vals = np.zeros((self.n, m_max))
         self._pad_vals[filled] = flat_vals
         self._slots = (self._pad_rows[:, :, None] * self.r
@@ -338,7 +337,7 @@ def pca_load(path, r):
     return PcaInstance(A, r)
 
 
-def mc_generate(d, n, r, cond, seed, mu0=1.0, varrho=1.0):
+def mc_generate(d, n, r, cond, seed):
     """Random rank-r ground truth with the given condition number.
 
     Singular values are geometrically spaced from 1 down to 1/cond; the
@@ -366,7 +365,7 @@ def mc_generate(d, n, r, cond, seed, mu0=1.0, varrho=1.0):
     by_col, val_by_col = ii[order], M[ii, jj][order]
     rows = [by_col[a:b] for a, b in zip(bounds, bounds[1:])]
     vals = [val_by_col[a:b] for a, b in zip(bounds, bounds[1:])]
-    return McInstance(d, n, r, rows, vals, M_true=M, mu0=mu0, varrho=varrho)
+    return McInstance(d, n, r, rows, vals, M_true=M)
 
 
 def mc_save_observations(inst, path):
@@ -422,41 +421,3 @@ def mc_load_observations(path, r, d=None, n=None, **kwargs):
         rows[j].append(i)
         vals[j].append(v)
     return McInstance(d, n, r, rows, vals, **kwargs)
-
-
-def g1_regularizer(z):
-    """Incoherence barrier: 0 below 1, exp((z-1)^2) - 1 above (continuous knee)."""
-    if z < 0:
-        raise ValueError("z must be nonnegative")
-    if z <= 1.0:
-        return 0.0
-    return math.expm1((z - 1.0) ** 2)
-
-
-def tilde_f(inst, W, Z, varrho=None, mu0=None):
-    """Regularized two-factor completion objective (probe only, never optimized).
-
-    F(W, Z) = min_S (1/2) ||P_Omega(M - W S Z^T)||^2 plus the row-norm
-    barrier on both factors.  Incoherent factors make the barrier vanish
-    and tilde_f equal F exactly.
-    """
-    W = np.asarray(W, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    varrho = inst.varrho if varrho is None else varrho
-    mu0 = inst.mu0 if mu0 is None else mu0
-    r = W.shape[1]
-    design = []
-    target = []
-    for j in range(inst.n):
-        for i, v in zip(inst.rows[j], inst.vals[j]):
-            design.append(np.outer(W[i], Z[j]).ravel())
-            target.append(v)
-    design = np.asarray(design)
-    target = np.asarray(target)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = design @ coef - target
-    val = 0.5 * float(resid @ resid)
-    knee = 3.0 * mu0 * r
-    val += varrho * sum(g1_regularizer(float(w @ w) / knee) for w in W)
-    val += varrho * sum(g1_regularizer(float(z @ z) / knee) for z in Z)
-    return val

@@ -4,8 +4,9 @@ Five free-direction retractions (geodesic, QR, polar, Cayley, subspace)
 accept an arbitrary tangent direction.  The two gradient-coupled maps
 (gradient projection, gradient reflection) take the Euclidean gradient
 itself; their derivatives at t = 0 are -d_rho(X, g) with rho = 1/4 and
--2 d_0(X, g) respectively.  t is nonnegative in the optimizers; descent is
-encoded in the direction sign.
+-2 d_0(X, g) respectively.  retract_array serves every kind through one
+table.  t is nonnegative in the optimizers; descent is encoded in the
+direction sign.
 """
 
 import enum
@@ -14,18 +15,16 @@ import numpy as np
 
 from .errors import SingularStep
 from .linalg import expm, polar_project, pinv_gram, qr_positive
-from .manifold import StiefelPoint, TangentVector, d_rho_array
+from .manifold import d_rho_array
 
 __all__ = [
     "RetractionKind",
     "FREE_KINDS",
     "GRADIENT_KINDS",
     "phi_half_t",
-    "phi_saturating",
     "retract_array",
-    "retract",
-    "retract_gp",
-    "retract_gr",
+    "retract_gp_array",
+    "retract_gr_array",
     "declared_derivative",
     "estimate_l1_l2",
 ]
@@ -55,18 +54,8 @@ GRADIENT_KINDS = (RetractionKind.GP, RetractionKind.GR)
 
 
 def phi_half_t(t):
-    """Smooth weight phi(t) = t/2; makes the jd map identical to wy."""
+    """The jd weight phi(t) = t/2: phi(0) = 0, phi'(0) = 1/2, and jd equals wy."""
     return 0.5 * t
-
-
-def phi_saturating(t, threshold=1e-10):
-    """Weight that saturates at 1/2 once t reaches the threshold.
-
-    Emphasizes the X^T E term at small steps; phi(0) = 0 and the one-sided
-    derivative at 0 is 1/2, but the function jumps at the threshold, so
-    derivative probes with h above the threshold must use phi_half_t.
-    """
-    return 0.5 * t if abs(t) < threshold else 0.5
 
 
 def _qr_relaxed(D):
@@ -110,11 +99,11 @@ def _retract_wy(X, E, t):
     return X - t * (U @ W)
 
 
-def _retract_jd(X, E, t, phi):
+def _retract_jd(X, E, t):
     r = X.shape[1]
     XtE = X.T @ E
     D = E - X @ XtE
-    J = np.eye(r) + (0.25 * t * t) * (D.T @ D) - phi(t) * XtE
+    J = np.eye(r) + (0.25 * t * t) * (D.T @ D) - phi_half_t(t) * XtE
     try:
         Ji = np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
@@ -129,45 +118,36 @@ def _retract_exp2(X, E, t):
     return (X @ Vt.T * np.cos(s * t) + U * np.sin(s * t)) @ Vt
 
 
-def retract_array(kind, X, E, t, phi=phi_half_t):
-    """Retraction on raw arrays: feasible point with R(0) = X, R'(0) = E."""
-    if kind is RetractionKind.EXP1:
-        return _retract_exp1(X, E, t)
-    if kind is RetractionKind.QR:
-        return _retract_qr(X, E, t)
-    if kind is RetractionKind.PD:
-        return _retract_pd(X, E, t)
-    if kind is RetractionKind.WY:
-        return _retract_wy(X, E, t)
-    if kind is RetractionKind.JD:
-        return _retract_jd(X, E, t, phi)
-    if kind is RetractionKind.EXP2:
-        return _retract_exp2(X, E, t)
-    raise ValueError(f"{kind} couples to the Euclidean gradient; use retract_gp / retract_gr")
-
-
-def retract(kind, X: StiefelPoint, E: TangentVector, t, phi=phi_half_t) -> StiefelPoint:
-    """Typed wrapper around retract_array; validates feasibility on return."""
-    return StiefelPoint(retract_array(kind, X.X, E.E, t, phi))
-
-
 def retract_gp_array(X, eucl_dir, t):
+    """Polar projection of the Euclidean gradient step X - t g."""
     return polar_project(X - t * eucl_dir)
 
 
 def retract_gr_array(X, eucl_dir, t):
+    """Householder-reflection step built from X - t g (pseudo-inverse Gram)."""
     Xb = X - t * eucl_dir
     return 2.0 * Xb @ (pinv_gram(Xb.T @ Xb) @ (Xb.T @ X)) - X
 
 
-def retract_gp(X: StiefelPoint, eucl_dir, t) -> StiefelPoint:
-    """Polar projection of the Euclidean gradient step X - t g."""
-    return StiefelPoint(retract_gp_array(X.X, np.asarray(eucl_dir, float), t))
+_RETRACTIONS = {
+    RetractionKind.EXP1: _retract_exp1,
+    RetractionKind.QR: _retract_qr,
+    RetractionKind.PD: _retract_pd,
+    RetractionKind.WY: _retract_wy,
+    RetractionKind.JD: _retract_jd,
+    RetractionKind.GP: retract_gp_array,
+    RetractionKind.GR: retract_gr_array,
+    RetractionKind.EXP2: _retract_exp2,
+}
 
 
-def retract_gr(X: StiefelPoint, eucl_dir, t) -> StiefelPoint:
-    """Householder-reflection step built from X - t g (pseudo-inverse Gram)."""
-    return StiefelPoint(retract_gr_array(X.X, np.asarray(eucl_dir, float), t))
+def retract_array(kind, X, E, t):
+    """Retraction on raw arrays: a feasible point with R(0) = X.
+
+    E is a tangent direction for the free kinds, where R'(0) = E, and the
+    Euclidean gradient for gp and gr, where R'(0) is declared_derivative.
+    """
+    return _RETRACTIONS[kind](X, E, t)
 
 
 def declared_derivative(kind, X, direction):
@@ -183,15 +163,7 @@ def declared_derivative(kind, X, direction):
     return direction
 
 
-def _apply(kind, X, direction, t, phi):
-    if kind is RetractionKind.GP:
-        return retract_gp_array(X, direction, t)
-    if kind is RetractionKind.GR:
-        return retract_gr_array(X, direction, t)
-    return retract_array(kind, X, direction, t, phi)
-
-
-def estimate_l1_l2(kind, trials, d=50, r=5, seed=0, phi=phi_half_t):
+def estimate_l1_l2(kind, trials, d=50, r=5, seed=0):
     """Empirical suprema of the two retraction-deviation ratios.
 
     Samples random (X, direction, t in (0, 10]) and returns
@@ -222,7 +194,7 @@ def estimate_l1_l2(kind, trials, d=50, r=5, seed=0, phi=phi_half_t):
             else:
                 direction = Z - 0.5 * X @ (X.T @ Z + Z.T @ X)
             deriv = declared_derivative(kind, X, direction)
-            Rt = _apply(kind, X, direction, t, phi)
+            Rt = retract_array(kind, X, direction, t)
         nd = np.linalg.norm(deriv)
         if nd < 1e-12:
             continue

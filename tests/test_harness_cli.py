@@ -130,6 +130,25 @@ class TestRunExperiment:
         assert np.isnan(parsed.tau_star) and np.isnan(row.tau_star)
         assert replace(parsed, tau_star=0.0) == replace(row, tau_star=0.0)
 
+    def test_trace_and_summary_share_header(self, tmp_path):
+        spec = tiny_spec(runs=1, out=str(tmp_path))
+        run_experiment(spec)
+
+        def header(name):
+            return [ln for ln in (tmp_path / name).read_text().splitlines()
+                    if ln.startswith("#")]
+
+        # run 0 carries the cell seed, so the two '#' blocks coincide
+        assert len(header("summary.csv")) == 4
+        assert header("summary.csv") == header("trace_run000.csv")
+
+    def test_summary_written_when_every_run_fails(self, tmp_path):
+        out = tmp_path / "cell"
+        spec = tiny_spec(method="s-svrg", step="bb", runs=2, max_epochs=2, out=str(out))
+        row, _ = run_experiment(spec)
+        assert row.successes == 0
+        assert sorted(os.listdir(out)) == ["summary.csv"]
+
     def test_failed_runs_reported(self):
         # s-svrg with a bb step string is a configuration error per run
         spec = tiny_spec(method="s-svrg", step="bb", runs=2, max_epochs=2)

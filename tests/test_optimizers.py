@@ -3,21 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from manifold_svrg.errors import NoFeasibleC, NonFiniteValue
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (StiefelPoint, TangentSpace, d_rho_array,
                                     feasibility_error, nu_of_rho)
-from manifold_svrg.oracles import brute_force_expectation
+from manifold_svrg.oracles import brute_force_expectation, fd_derivative
 from manifold_svrg.optimizers import (BB, Fixed, OutputMode, SvrgConfig,
                                       Theorem1, bb_step, gamma_fn,
                                       linear_convergence_p, loj_ratio_probe,
                                       recursion_lemma_check, run_rgd,
                                       run_s_sgd, run_s_svrg, select_output,
-                                      svrg_gradient, theorem1_schedule,
-                                      warm_start)
+                                      theorem1_schedule, warm_start, _step)
 from manifold_svrg.problems import PcaInstance, mc_generate, pca_generate
-from manifold_svrg.retractions import RetractionKind
+from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
+                                       declared_derivative)
 
 rng = np.random.default_rng(31)
 
@@ -32,13 +33,14 @@ def random_point(d, r):
 
 class TestSvrgGradient:
     def test_anchor_identity_exact(self):
+        # at X_k = X_anchor the batch correction cancels exactly
         inst = small_pca()
-        X = random_point(10, 2)
-        _, full = inst.full_value_egrad(X.X)
+        X = random_point(10, 2).X
+        _, full = inst.full_value_egrad(X)
         for batch in ([0], [3, 5], [1, 1, 4]):
-            g = svrg_gradient(inst, X, X, full, batch, rho=0.25)
-            want = d_rho_array(X.X, full, 0.25)
-            np.testing.assert_array_equal(g.E, want)
+            G = full + inst.batch_egrad_diff(X, X, np.asarray(batch))
+            np.testing.assert_array_equal(d_rho_array(X, G, 0.25),
+                                          d_rho_array(X, full, 0.25))
 
     @pytest.mark.parametrize("rho", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("bs", [1, 2])
@@ -59,6 +61,27 @@ class TestSvrgGradient:
         assert np.linalg.norm(mean - want) <= 1e-12
         bound = (L ** 2 / (nu ** 2 * bs)) * np.linalg.norm(Xk.X - Xa.X) ** 2
         assert second <= bound + 1e-12
+
+
+class TestStep:
+    @pytest.mark.parametrize("kind", list(RetractionKind), ids=lambda k: k.value)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rho=st.sampled_from([0.0, 0.25, 1.0]))
+    def test_first_order_descent(self, kind, seed, rho):
+        # the one step leaves X along its declared derivative: -d_rho(X, G)
+        # for the free kinds, the gp / gr maps' own for those; every one is
+        # a descent direction, <G, R'(0)> <= 0
+        if kind is RetractionKind.EXP2:
+            rho = 0.0  # the Grassmann geodesic needs a horizontal direction
+        local = np.random.default_rng(seed)
+        X = qr_positive(local.standard_normal((9, 3)))[0]
+        G = local.standard_normal((9, 3))
+        got = fd_derivative(lambda t: _step(kind, X, G, t, rho))
+        want = (declared_derivative(kind, X, G) if kind in GRADIENT_KINDS
+                else -d_rho_array(X, G, rho))
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+        assert np.sum(G * want) <= 1e-12 * np.linalg.norm(G) ** 2
+        assert feasibility_error(_step(kind, X, G, 0.3, rho)) <= 1e-10
 
 
 class TestBBStep:
@@ -305,6 +328,24 @@ class TestRunSvrg:
         assert tr.f[-1] <= tr.f[0] + 1e-12
 
 
+@pytest.mark.parametrize("solve", [
+    run_s_svrg, run_rgd, lambda inst, cfg, X0: run_s_sgd(inst, cfg, N=5, X0=X0)],
+    ids=["s-svrg", "rgd", "s-sgd"])
+def test_start_point_validated(solve):
+    # X0 is checked for orthonormality and for shape (d, r) on entry, as an
+    # array or a StiefelPoint, and the solver returns a StiefelPoint
+    inst = PcaInstance(pca_generate(10, 20, 0), 2)
+    cfg = SvrgConfig(step_mode=Fixed(0.01), K=2, batch=2, max_epochs=2, r=2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        solve(inst, cfg, X0=5.0 * random_point(10, 2).X)
+    for shape in ((12, 2), (10, 3)):
+        with pytest.raises(ValueError, match="X0 has shape"):
+            solve(inst, cfg, X0=random_point(*shape))
+    for X0 in (random_point(10, 2), random_point(10, 2).X):
+        X, _ = solve(inst, cfg, X0=X0)
+        assert isinstance(X, StiefelPoint) and X.shape == (10, 2)
+
+
 class TestRunSgd:
     def test_n1_returns_start(self):
         inst = small_pca(10, 8, 2, seed=1)
@@ -331,7 +372,7 @@ class TestRunSgd:
     def test_theory_step_rule_applied(self):
         inst = small_pca(15, 40, 2, seed=5)
         cfg = SvrgConfig(seed=6, r=2)
-        _, tr = run_s_sgd(inst, cfg, N=50, X0=random_point(15, 2), tilde_D=1.0)
+        _, tr = run_s_sgd(inst, cfg, N=50, X0=random_point(15, 2))
         assert len(set(tr.step_size)) == 1  # constant step throughout
         assert tr.step_size[0] > 0
 

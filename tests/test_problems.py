@@ -2,20 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from manifold_svrg.errors import InvalidObservation, NonFiniteInput, TooManySamples
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.oracles import FiniteDiffSpec, fd_derivative
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants,
-                                    g1_regularizer, mc_generate,
-                                    mc_load_observations, mc_save_observations,
-                                    pca_generate, pca_load, tilde_f)
+                                    mc_generate, mc_load_observations,
+                                    mc_save_observations, pca_generate, pca_load)
 
 rng = np.random.default_rng(13)
 
 
 def random_stiefel(d, r):
     return qr_positive(rng.standard_normal((d, r)))[0]
+
+
+@st.composite
+def mc_cases(draw):
+    """A small completion instance without repeated rows, a point and a batch."""
+    r = draw(st.integers(1, 3))
+    d = draw(st.integers(r + 2, 12))
+    n = draw(st.integers(1, 8))
+    local = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [local.permutation(d)[: local.integers(r + 2, d + 1)] for _ in range(n)]
+    vals = [local.standard_normal(len(ri)) for ri in rows]
+    X = qr_positive(local.standard_normal((d, r)))[0]
+    idx = local.integers(n, size=draw(st.integers(1, 2 * n)))
+    return McInstance(d, n, r, rows, vals), X, idx
 
 
 class TestPcaGenerate:
@@ -208,14 +222,21 @@ class TestMcInstance:
         U = np.linalg.svd(self.inst.M_true, full_matrices=False)[0][:, :3]
         assert self.inst.value(U) <= 1e-24
 
-    def test_batched_paths_match_loop(self):
-        X = random_stiefel(30, 3)
-        idx = rng.integers(25, size=9)
-        fast = self.inst.batch_egrad(X, idx)
-        self.inst._all_full_rank = False
-        slow = self.inst.batch_egrad(X, idx)
-        self.inst._all_full_rank = True
-        np.testing.assert_allclose(fast, slow, atol=1e-13)
+    @settings(deadline=None)
+    @given(mc_cases())
+    def test_batched_paths_match_loop(self, case):
+        # the stacked fits and the per-column loop agree on full and batch
+        # gradients (and the value) to 1e-12 relative
+        inst, X, idx = case
+        assert inst._all_full_rank
+        f_fast, full_fast = inst.full_value_egrad(X)
+        batch_fast = inst.batch_egrad(X, idx)
+        inst._all_full_rank = False
+        f_slow, full_slow = inst.full_value_egrad(X)
+        batch_slow = inst.batch_egrad(X, idx)
+        assert abs(f_fast - f_slow) <= 1e-12 * abs(f_slow)
+        for fast, slow in ((full_fast, full_slow), (batch_fast, batch_slow)):
+            assert np.linalg.norm(fast - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_anchor_cache_matches_fresh_instance(self):
         X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
@@ -241,6 +262,11 @@ class TestMcInstance:
         # -1 would alias the last row of X and 6 = d the padding sentinel
         with pytest.raises(InvalidObservation, match="column 1"):
             McInstance(6, 2, 1, rows=[[0, 1], [2, row]], vals=[[1.0, 2.0], [3.0, 4.0]])
+
+    def test_repeated_row_rejected(self):
+        # the stacked path would sum both entries, the per-column path keep one
+        with pytest.raises(InvalidObservation, match="column 1: row index 3 is repeated"):
+            McInstance(6, 2, 1, rows=[[0, 1], [3, 1, 3]], vals=[[1.0, 2.0], [3.0, 4.0, 5.0]])
 
     def test_value_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="column 0"):
@@ -320,31 +346,3 @@ class TestMcIO:
         i2 = pca_load(tmp_path / "a.csv", r=2)
         np.testing.assert_array_equal(i1.A, A)
         np.testing.assert_allclose(i2.A, A, atol=1e-12)
-
-
-class TestRegularizer:
-    def test_knee_continuity(self):
-        assert g1_regularizer(1.0) == 0.0
-        assert g1_regularizer(0.3) == 0.0
-        assert g1_regularizer(1.0 + 1e-9) <= 1e-15
-
-    def test_direct_value(self):
-        assert g1_regularizer(2.0) == pytest.approx(math.e - 1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            g1_regularizer(-0.1)
-
-    def test_tilde_f_incoherent_equals_plain_fit(self):
-        inst = mc_generate(12, 9, 2, 10.0, seed=6)
-        W = random_stiefel(12, 2) * 0.1   # tiny rows: barrier inactive
-        Z = random_stiefel(9, 2) * 0.1
-        with_reg = tilde_f(inst, W, Z, varrho=5.0, mu0=1.0)
-        without = tilde_f(inst, W, Z, varrho=0.0, mu0=1.0)
-        assert with_reg == without
-
-    def test_tilde_f_zero_at_truth(self):
-        inst = mc_generate(12, 9, 2, 10.0, seed=6)
-        U, s, Vt = np.linalg.svd(inst.M_true, full_matrices=False)
-        val = tilde_f(inst, U[:, :2], Vt[:2].T, varrho=1.0, mu0=10.0)
-        assert val <= 1e-20

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.manifold import (StiefelPoint, TangentSpace, d_rho_array,
-                                    feasibility_error, tangent_project,
+from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
 from manifold_svrg.oracles import FiniteDiffSpec, fd_retraction_derivative
 from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
                                        estimate_l1_l2, phi_half_t,
-                                       phi_saturating, retract, retract_array,
-                                       retract_gp, retract_gp_array, retract_gr,
+                                       retract_array, retract_gp_array,
                                        retract_gr_array)
 
 rng = np.random.default_rng(21)
@@ -39,10 +37,6 @@ def test_phi_first_order_invariant():
     h = 1e-8
     assert abs(phi_half_t(h) / h - 0.5) <= 1e-4
     assert phi_half_t(0.0) == 0.0
-    # the saturating variant meets phi(0) = 0 / phi'(0) = 1/2 only below its
-    # threshold; above it the value is pinned at 1/2
-    assert phi_saturating(1e-11) == 0.5e-11
-    assert phi_saturating(1e-3) == 0.5
 
 
 class TestFreeRetractions:
@@ -85,7 +79,7 @@ class TestFreeRetractions:
             X, E = random_instance()
             t = rng.uniform(0.0, 5.0)
             Ywy = retract_array(RetractionKind.WY, X, E, t)
-            Yjd = retract_array(RetractionKind.JD, X, E, t, phi=phi_half_t)
+            Yjd = retract_array(RetractionKind.JD, X, E, t)
             assert np.linalg.norm(Ywy - Yjd) <= 1e-10
 
     def test_exp1_vertical_direction(self):
@@ -102,12 +96,6 @@ class TestFreeRetractions:
         np.testing.assert_array_equal(retract_array(RetractionKind.EXP2, X,
                                                     np.zeros((6, 2)), 1.0), X)
 
-    def test_typed_wrapper_validates(self):
-        X = StiefelPoint(qr_positive(rng.standard_normal((8, 3)))[0])
-        E = tangent_project(X, rng.standard_normal((8, 3)))
-        Y = retract(RetractionKind.QR, X, E, 0.5)
-        assert isinstance(Y, StiefelPoint)
-
     def test_grassmann_moves_the_subspace(self):
         # principal angle between span(R(t)) and span(X) strictly positive
         X, E = random_instance(space=TangentSpace.GRASSMANN)
@@ -117,13 +105,17 @@ class TestFreeRetractions:
             s = np.linalg.svd(X.T @ Y, compute_uv=False)
             assert s.min() < 1.0 - 1e-8
 
-    def test_direction_coupled_kinds_rejected(self):
-        X, E = random_instance()
-        with pytest.raises(ValueError):
-            retract_array(RetractionKind.GP, X, E, 0.1)
-
 
 class TestGradientCoupledRetractions:
+    def test_retract_array_takes_the_euclidean_gradient(self):
+        # retract_array serves all eight kinds; for gp and gr the direction
+        # is the Euclidean gradient itself
+        X, _ = random_instance()
+        g = rng.standard_normal(X.shape)
+        for kind, fn in ((RetractionKind.GP, retract_gp_array),
+                         (RetractionKind.GR, retract_gr_array)):
+            np.testing.assert_array_equal(retract_array(kind, X, g, 0.1), fn(X, g, 0.1))
+
     def test_gp_zero_step(self):
         X, _ = random_instance()
         np.testing.assert_allclose(retract_gp_array(X, rng.standard_normal(X.shape), 0.0),
@@ -141,11 +133,11 @@ class TestGradientCoupledRetractions:
 
     @pytest.mark.parametrize("kind", GRADIENT_KINDS)
     def test_derivative_matches_declared(self, kind):
-        fn = retract_gp_array if kind is RetractionKind.GP else retract_gr_array
         for _ in range(10):
             X, _ = random_instance(12, 4)
             g = rng.standard_normal((12, 4))
-            deriv = fd_retraction_derivative(lambda t: fn(X, g, t), FiniteDiffSpec())
+            deriv = fd_retraction_derivative(lambda t: retract_array(kind, X, g, t),
+                                             FiniteDiffSpec())
             want = declared_derivative(kind, X, g)
             assert np.linalg.norm(deriv - want) <= 1e-5 * np.linalg.norm(want)
 
@@ -160,12 +152,6 @@ class TestGradientCoupledRetractions:
         np.testing.assert_allclose(d_gr, 2.0 * d_gp, atol=1e-12)
         want = -2.0 * (g - X @ (X.T @ g))
         np.testing.assert_allclose(d_gr, want, atol=1e-12)
-
-    def test_typed_wrappers(self):
-        X = StiefelPoint(qr_positive(rng.standard_normal((8, 3)))[0])
-        g = rng.standard_normal((8, 3))
-        assert isinstance(retract_gp(X, g, 0.2), StiefelPoint)
-        assert isinstance(retract_gr(X, g, 0.2), StiefelPoint)
 
 
 class TestBoundConstants:
