@@ -105,11 +105,11 @@ def cmd_tune(args):
 def cmd_verify(_args):
     """Fast oracle and invariant checks; one line per check."""
     from .manifold import TangentSpace, d_rho_array, tangent_project_array
-    from .oracles import (FiniteDiffSpec, brute_force_expectation,
-                          fd_retraction_derivative, gram_schmidt_qr, taylor_expm)
+    from .oracles import (brute_force_expectation, fd_derivative, gram_schmidt_qr,
+                          taylor_expm)
     from .linalg import expm, qr_positive
     from .optimizers import gamma_fn, recursion_lemma_check, theorem1_schedule
-    from .problems import PcaInstance, pca_generate
+    from .problems import PcaInstance, mc_generate, pca_generate
     from .retractions import (FREE_KINDS, GRADIENT_KINDS, RetractionKind,
                               declared_derivative, retract_array)
 
@@ -135,8 +135,7 @@ def cmd_verify(_args):
                      else H if kind is RetractionKind.EXP2 else E)
         Y = retract_array(kind, X, direction, 0.3)
         feas = np.linalg.norm(Y.T @ Y - np.eye(4))
-        deriv = fd_retraction_derivative(
-            lambda t: retract_array(kind, X, direction, t), FiniteDiffSpec())
+        deriv = fd_derivative(lambda t: retract_array(kind, X, direction, t))
         want = declared_derivative(kind, X, direction)
         rel = np.linalg.norm(deriv - want) / np.linalg.norm(want)
         check(f"retraction {kind.value}: feasibility", feas < 1e-10, f"{feas:g}")
@@ -151,16 +150,20 @@ def cmd_verify(_args):
     check("qr vs Gram-Schmidt oracle",
           np.linalg.norm(Q1 - Q2) < 1e-10 and np.linalg.norm(R1 - R2) < 1e-10)
 
-    inst = PcaInstance(pca_generate(8, 5, seed=3), r=2)
-    Xa = qr_positive(rng.standard_normal((8, 2)))[0]
-    Xk = qr_positive(Xa + 0.05 * rng.standard_normal((8, 2)))[0]
-    _, full = inst.full_value_egrad(Xa)
-    mean, _ = brute_force_expectation(
-        lambda b: d_rho_array(Xk, full + inst.batch_egrad_diff(Xk, Xa, np.array(b)), 0.25),
-        n=5, batch_size=2)
-    want = d_rho_array(Xk, inst.full_value_egrad(Xk)[1], 0.25)
-    check("variance-reduced gradient unbiased (brute force)",
-          np.linalg.norm(mean - want) < 1e-12)
+    for name, inst, rho in (("pca", PcaInstance(pca_generate(8, 5, seed=3), r=2), 0.25),
+                            ("mc", mc_generate(10, 6, 2, 10.0, seed=3), 0.0)):
+        Xa = qr_positive(rng.standard_normal((inst.d, inst.r)))[0]
+        Xk = qr_positive(Xa + 0.05 * rng.standard_normal((inst.d, inst.r)))[0]
+        _, full = inst.full_value_egrad(Xa)
+        parts = np.mean([inst.component_egrad(Xa, i) for i in range(inst.n)], axis=0)
+        check(f"{name} full gradient = mean of component gradients",
+              np.linalg.norm(full - parts) < 1e-12)
+        mean, _ = brute_force_expectation(
+            lambda b: d_rho_array(Xk, full + inst.batch_egrad_diff(Xk, Xa, np.array(b)), rho),
+            n=inst.n, batch_size=2)
+        want = d_rho_array(Xk, inst.full_value_egrad(Xk)[1], rho)
+        check(f"{name} variance-reduced gradient unbiased (brute force)",
+              np.linalg.norm(mean - want) < 1e-12)
 
     sched = theorem1_schedule(1000, 0.0, 1.0, L=2.0, C=2.0, L1=1.0, L2=0.5, r=5, nu=1.0)
     check("schedule arithmetic K, batch", sched.K == 10 and sched.batch == 100)

@@ -183,7 +183,7 @@ def _single_run(problem, spec, run_id):
         run_id=run_id,
         seed=cfg.seed,
         status=trace.status,
-        epochs=(trace.epoch[-1] if trace.epoch else 0) if converged else cfg.max_epochs,
+        epochs=trace.epochs_run if converged else cfg.max_epochs,
         final_f=trace.f[-1],
         final_grad=trace.grad_norm[-1],
         seconds=trace.seconds[-1],

@@ -470,12 +470,12 @@ def run_s_sgd(problem, config: SvrgConfig, N, sigma=None, X0=None, tau=None,
     if record_every is None:
         record_every = max(1, N // 100)
 
-    # step j costs one IFO and one RO call, and X_N is never recorded
-    path = _single_sample_path(problem, config, X, tau, N, rng, trace.events)
+    # X_0 ... X_{N-1}: step j costs one IFO and one RO call
+    path = _single_sample_path(problem, config, X, tau, N - 1, rng, trace.events)
     for j, X in enumerate(path):
         if j == j_bar:
             X_out = X
-        if j < N and j % record_every == 0:
+        if j % record_every == 0:
             f, egrad = problem.full_value_egrad(X)
             gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
             if not (np.isfinite(f) and np.isfinite(gn)):

@@ -8,16 +8,13 @@ enumeration of ordered batches.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooLarge
 
 __all__ = [
-    "FiniteDiffSpec",
     "fd_derivative",
-    "fd_retraction_derivative",
     "gram_schmidt_qr",
     "taylor_expm",
     "brute_force_expectation",
@@ -25,35 +22,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteDiffSpec:
-    h: float = 1e-6
-    scheme: str = "central"  # or "forward"
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+FD_STEP = 1e-6  # h of fd_derivative
 
 
-def fd_derivative(curve, spec=FiniteDiffSpec()):
+def fd_derivative(curve):
     """Richardson-extrapolated derivative of a matrix-valued curve at 0.
 
-    Central differences at h and h/2 are combined as (4 D(h/2) - D(h)) / 3,
-    separating truncation from roundoff near the 1e-5 validation floor.
+    Central differences at h = FD_STEP and h/2 are combined as
+    (4 D(h/2) - D(h)) / 3, separating truncation from roundoff near the
+    1e-5 validation floor.
     """
-    h = spec.h
-    if spec.scheme == "forward":
-        d1 = (curve(h) - curve(0.0)) / h
-        d2 = (curve(h / 2) - curve(0.0)) / (h / 2)
-        return 2.0 * d2 - d1
+    h = FD_STEP
     d1 = (curve(h) - curve(-h)) / (2.0 * h)
     d2 = (curve(h / 2) - curve(-h / 2)) / h
     return (4.0 * d2 - d1) / 3.0
-
-
-def fd_retraction_derivative(retraction, spec=FiniteDiffSpec()):
-    """Derivative at t = 0 of a retraction given as a callable t -> matrix."""
-    return fd_derivative(retraction, spec)
 
 
 def gram_schmidt_qr(A):

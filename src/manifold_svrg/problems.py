@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidObservation, NonFiniteInput, TooManySamples
-from .linalg import pinv_gram, qr_positive
+from .linalg import qr_positive
 from .oracles import dense_pca_eig
 
 __all__ = [
@@ -84,10 +84,6 @@ class PcaInstance:
         b = self.B[:, i]
         return -2.0 * np.outer(b, b @ X)
 
-    def batch_egrad(self, X, idx):
-        Bs = self.B[:, idx]
-        return (-2.0 / len(idx)) * (Bs @ (Bs.T @ X))
-
     def batch_egrad_diff(self, Xk, X0, idx):
         # mean_i grad f_i(Xk) - grad f_i(X0); one pass over the batch slab
         Bs = self.B[:, idx]
@@ -111,10 +107,15 @@ class McInstance:
     Omega_i, each at most once, and values; a column with no observations
     contributes zero.
 
-    The batched oracles pad every column's observations to one length and
-    sum the per-observation gradient rows 2 resid_i a_i^T into X's shape
-    with a single np.bincount over flat (row * r + j) slots precomputed at
-    construction; padding lands in a sentinel row that is dropped.
+    Every oracle gets its least-squares coefficients from one stacked fit,
+    _fit, which also holds the one rank-deficient branch: with a column of
+    fewer than r observations, or exactly singular normal equations, the
+    fits are the minimum-norm ones.  The full and batch oracles pad every
+    column's observations to one length and sum the per-observation
+    gradient rows 2 resid_i a_i^T into X's shape with a single np.bincount
+    over flat (row * r + j) slots precomputed at construction; padding
+    lands in a sentinel row that is dropped.  component_value_grad fits its
+    one column unpadded.
 
     Anchor cache: full_value_egrad(X) keeps those per-observation rows of
     all n columns, keyed on an exact copy of X.  batch_egrad_diff(Xk, X0,
@@ -165,9 +166,9 @@ class McInstance:
         filled = np.arange(m_max) < lengths[:, None]   # fills row-major: column by column
         self._pad_rows = np.full((self.n, m_max), self.d, dtype=np.intp)
         self._pad_rows[filled] = flat_rows
-        # a row repeated inside one column would be summed by the stacked
-        # fit but kept once by the per-column one; sorted, it shows as equal
-        # neighbours below the sentinel
+        # a row repeated inside one column would enter its fit twice, once per
+        # entry, though f_i observes each entry once; sorted, it shows as
+        # equal neighbours below the sentinel
         ranked = np.sort(self._pad_rows, axis=1)
         repeat = np.argwhere((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < self.d))
         if repeat.size:
@@ -177,22 +178,38 @@ class McInstance:
         self._pad_vals[filled] = flat_vals
         self._slots = (self._pad_rows[:, :, None] * self.r
                        + np.arange(self.r)).reshape(self.n, m_max * self.r)
-        self._all_full_rank = bool(lengths.min() >= self.r)
+        self._short = lengths < self.r
 
-    def _fit_batch(self, X, idx):
-        """Stacked least-squares fits; falls back to the loop when singular."""
+    def _fit(self, Xi, v, short):
+        """Least-squares coefficients a (b, r, 1) and residuals Xi a - v (b, m, 1).
+
+        Xi (b, m, r) holds the observed rows of X for b columns and v (b, m, 1)
+        their values; short (b,) flags columns with fewer than r observations.
+        """
+        a = None
+        if not short.any():
+            XiT = Xi.transpose(0, 2, 1)
+            try:
+                a = np.linalg.solve(XiT @ Xi, XiT @ v)
+            except np.linalg.LinAlgError:
+                pass
+        if a is None:
+            # rank deficient (a short column, or exactly singular normal
+            # equations): minimum-norm fits for the whole stack, from the SVD
+            # of Xi as in lstsq; a pseudo-inverse of Xi^T Xi would square the
+            # condition number
+            a = np.linalg.pinv(Xi) @ v
+        return a, Xi @ a - v
+
+    def _fit_padded(self, X, idx):
+        """_fit of the columns idx, gathered through the padded observation arrays."""
         Xp = np.vstack([X, np.zeros((1, X.shape[1]))])
-        Xi = Xp[self._pad_rows[idx]]                  # (b, m_max, r)
-        v = self._pad_vals[idx][:, :, None]           # (b, m_max, 1)
-        G = Xi.transpose(0, 2, 1) @ Xi
-        rhs = Xi.transpose(0, 2, 1) @ v
-        a = np.linalg.solve(G, rhs)                   # (b, r, 1)
-        resid = Xi @ a - v
-        return a, resid
+        return self._fit(Xp[self._pad_rows[idx]], self._pad_vals[idx][:, :, None],
+                         self._short[idx])
 
     def _contrib(self, X, idx):
         """Per-observation gradient rows 2 resid a^T, shape (b, m_max, r), and residuals."""
-        a, resid = self._fit_batch(X, idx)
+        a, resid = self._fit_padded(X, idx)
         return 2.0 * resid * a.transpose(0, 2, 1), resid
 
     def _scatter(self, idx, contrib):
@@ -207,30 +224,14 @@ class McInstance:
             return contrib[idx]
         return self._contrib(X0, idx)[0]
 
-    def _fit_column(self, X, i):
-        rows = self.rows[i]
-        if len(rows) == 0:
-            return None, None, None
-        Xi = X[rows]
-        v = self.vals[i]
-        G = Xi.T @ Xi
-        rhs = Xi.T @ v
-        if len(rows) < self.r:
-            a = pinv_gram(G) @ rhs  # minimum-norm fit
-        else:
-            try:
-                a = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError:
-                a = pinv_gram(G) @ rhs
-        resid = Xi @ a - v
-        return a, resid, rows
-
     def component_value_grad(self, X, i):
-        a, resid, rows = self._fit_column(X, i)
-        if a is None:
-            return 0.0, np.zeros_like(X)
+        # the column's own rows, unpadded: zero-row padding would change the
+        # Gram sums in the last bits
+        rows = self.rows[i]
+        a, resid = self._fit(X[rows][None], self.vals[i][None, :, None], self._short[i:i + 1])
+        resid = resid[0, :, 0]
         egrad = np.zeros_like(X)
-        egrad[rows] = 2.0 * np.outer(resid, a)
+        egrad[rows] = 2.0 * np.outer(resid, a[0, :, 0])
         return float(resid @ resid), egrad
 
     def component_value(self, X, i):
@@ -243,63 +244,20 @@ class McInstance:
         return self.full_value_egrad(X)[0]
 
     def full_value_egrad(self, X):
-        if self._all_full_rank:
-            idx = np.arange(self.n)
-            try:
-                contrib, resid = self._contrib(X, idx)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                self._anchor = (np.array(X, dtype=float), contrib)
-                f = float(np.sum(resid ** 2))
-                return f / self.n, self._scatter(idx, contrib) / self.n
-        f = 0.0
-        egrad = np.zeros_like(X)
-        for i in range(self.n):
-            a, resid, rows = self._fit_column(X, i)
-            if a is None:
-                continue
-            f += resid @ resid
-            egrad[rows] += 2.0 * np.outer(resid, a)
-        return float(f) / self.n, egrad / self.n
-
-    def batch_egrad(self, X, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        if self._all_full_rank:
-            try:
-                contrib, _ = self._contrib(X, idx)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return self._scatter(idx, contrib) / len(idx)
-        egrad = np.zeros_like(X)
-        for i in idx:
-            a, resid, rows = self._fit_column(X, i)
-            if a is None:
-                continue
-            egrad[rows] += 2.0 * np.outer(resid, a)
-        return egrad / len(idx)
+        idx = np.arange(self.n)
+        contrib, resid = self._contrib(X, idx)
+        self._anchor = (np.array(X, dtype=float), contrib)
+        return float(np.sum(resid ** 2)) / self.n, self._scatter(idx, contrib) / self.n
 
     def batch_egrad_diff(self, Xk, X0, idx):
         idx = np.asarray(idx, dtype=np.intp)
-        if self._all_full_rank:
-            try:
-                ck, _ = self._contrib(Xk, idx)
-                c0 = self._anchor_contrib(X0, idx)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return self._scatter(idx, ck - c0) / len(idx)
-        return self.batch_egrad(Xk, idx) - self.batch_egrad(X0, idx)
+        ck, _ = self._contrib(Xk, idx)
+        return self._scatter(idx, ck - self._anchor_contrib(X0, idx)) / len(idx)
 
     def fitted_matrix(self, X):
         """Column-wise least-squares reconstruction X a_i from observed rows."""
-        out = np.zeros((self.d, self.n))
-        for i in range(self.n):
-            a, _, _ = self._fit_column(X, i)
-            if a is not None:
-                out[:, i] = X @ a
-        return out
+        a, _ = self._fit_padded(X, np.arange(self.n))
+        return X @ a[:, :, 0].T
 
     def constants(self, probes=50, seed=0):
         """Sampled (not certified) Lipschitz / bound estimates with 2x headroom."""

@@ -18,8 +18,7 @@ from manifold_svrg.manifold import (TangentSpace, d_rho_array, nu_of_rho,
 from manifold_svrg.optimizers import (gamma_fn, loj_ratio_probe,
                                       recursion_lemma_check, run_s_sgd,
                                       SvrgConfig, theorem1_schedule)
-from manifold_svrg.oracles import (FiniteDiffSpec, brute_force_expectation,
-                                   fd_retraction_derivative)
+from manifold_svrg.oracles import brute_force_expectation, fd_derivative
 from manifold_svrg.problems import PcaInstance, pca_generate
 from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
@@ -39,7 +38,6 @@ def report(capfd, num, ok, detail):
 def test_criterion_1_retraction_axioms(capfd):
     d, r = 50, 5
     worst_zero = worst_feas = worst_deriv = 0.0
-    fd = FiniteDiffSpec()
     for kind in FREE_KINDS + GRADIENT_KINDS:
         for _ in range(500):
             X = qr_positive(rng.standard_normal((d, r)))[0]
@@ -57,7 +55,7 @@ def test_criterion_1_retraction_axioms(capfd):
                 worst_feas = max(worst_feas,
                                  float(np.linalg.norm(Y.T @ Y - np.eye(r))))
             want = declared_derivative(kind, X, direction)
-            got = fd_retraction_derivative(lambda t: retract_array(kind, X, direction, t), fd)
+            got = fd_derivative(lambda t: retract_array(kind, X, direction, t))
             worst_deriv = max(worst_deriv,
                               float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     ok = worst_zero <= 1e-12 and worst_feas <= 1e-10 and worst_deriv <= 1e-5

@@ -355,6 +355,16 @@ class TestRunSgd:
         X, _ = run_s_sgd(inst, cfg, N=1, X0=X0, tau=0.01)
         np.testing.assert_array_equal(X.X, X0.X)
 
+    def test_takes_n_minus_one_steps(self):
+        # the output index is drawn from {0, ..., N-1}, so X_N is never
+        # needed: N - 1 component gradients, one per step
+        inst = small_pca(10, 8, 2, seed=1)
+        drawn = []
+        egrad = inst.component_egrad
+        inst.component_egrad = lambda X, i: drawn.append(i) or egrad(X, i)
+        run_s_sgd(inst, SvrgConfig(seed=3, r=2), N=7, X0=random_point(10, 2), tau=0.01)
+        assert len(drawn) == 6
+
     def test_single_component_is_deterministic_gd(self):
         # identical centered columns make every component gradient equal the
         # full gradient; centering must be bypassed to keep B nonzero

@@ -3,18 +3,13 @@ import pytest
 import scipy.linalg
 
 from manifold_svrg.errors import TooLarge
-from manifold_svrg.oracles import (FiniteDiffSpec, brute_force_expectation,
-                                   dense_pca_eig, fd_derivative,
-                                   gram_schmidt_qr, taylor_expm)
+from manifold_svrg.oracles import (brute_force_expectation, dense_pca_eig,
+                                   fd_derivative, gram_schmidt_qr, taylor_expm)
 
 rng = np.random.default_rng(99)
 
 
 class TestFiniteDiff:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FiniteDiffSpec(h=0.0)
-
     def test_linear_curve_exact(self):
         E = rng.standard_normal((4, 2))
         X = rng.standard_normal((4, 2))
@@ -26,11 +21,6 @@ class TestFiniteDiff:
         A, B, C = (rng.standard_normal((3, 3)) for _ in range(3))
         got = fd_derivative(lambda t: A + t * B + t ** 3 * C)
         np.testing.assert_allclose(got, B, atol=1e-10)
-
-    def test_forward_scheme(self):
-        B = rng.standard_normal((2, 2))
-        got = fd_derivative(lambda t: t * B + t * t * B, FiniteDiffSpec(scheme="forward"))
-        np.testing.assert_allclose(got, B, atol=1e-7)
 
 
 class TestGramSchmidt:

@@ -4,7 +4,7 @@ import pytest
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
-from manifold_svrg.oracles import FiniteDiffSpec, fd_retraction_derivative
+from manifold_svrg.oracles import fd_derivative
 from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
                                        estimate_l1_l2, phi_half_t,
@@ -54,8 +54,7 @@ class TestFreeRetractions:
             for t in (0.01, 0.5, 2.0):
                 Y = retract_array(kind, X, E, t)
                 assert feasibility_error(Y) <= 1e-10
-            deriv = fd_retraction_derivative(
-                lambda t: retract_array(kind, X, E, t), FiniteDiffSpec())
+            deriv = fd_derivative(lambda t: retract_array(kind, X, E, t))
             rel = np.linalg.norm(deriv - E) / np.linalg.norm(E)
             assert rel <= 1e-5
 
@@ -136,8 +135,7 @@ class TestGradientCoupledRetractions:
         for _ in range(10):
             X, _ = random_instance(12, 4)
             g = rng.standard_normal((12, 4))
-            deriv = fd_retraction_derivative(lambda t: retract_array(kind, X, g, t),
-                                             FiniteDiffSpec())
+            deriv = fd_derivative(lambda t: retract_array(kind, X, g, t))
             want = declared_derivative(kind, X, g)
             assert np.linalg.norm(deriv - want) <= 1e-5 * np.linalg.norm(want)
 
