@@ -191,10 +191,21 @@ def _single_run(problem, spec, run_id):
     ), X
 
 
+def _numerics():
+    """numpy's version and the BLAS it links: the one library trace bits depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = "unknown"
+    return f"numpy={np.__version__} blas={blas}"
+
+
 def _csv_header(spec, seed):
-    """The four '#' reproducibility lines that open every CSV the harness writes."""
+    """The five '#' reproducibility lines that open every CSV the harness writes."""
     return (f"# generator={GENERATOR}\n# seed={seed}\n"
-            f"# config_hash={spec.config_hash()}\n# version={__version__}\n")
+            f"# config_hash={spec.config_hash()}\n# version={__version__}\n"
+            f"# {_numerics()}\n")
 
 
 def _write_trace(path, spec, result):

@@ -99,6 +99,20 @@ class PcaInstance:
         return -float(np.sum(w[: self.r])), V[:, : self.r]
 
 
+def _lsq_normal(Xi, v):
+    """Stacked least squares min ||Xi a - v|| through the normal equations.
+
+    Exactly singular normal equations send the stack to the minimum-norm
+    fits, from the SVD of Xi as in lstsq; a pseudo-inverse of Xi^T Xi would
+    square the condition number.
+    """
+    XiT = Xi.transpose(0, 2, 1)
+    try:
+        return np.linalg.solve(XiT @ Xi, XiT @ v)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(Xi) @ v
+
+
 class McInstance:
     """Low-rank matrix completion from uniformly observed entries.
 
@@ -108,14 +122,14 @@ class McInstance:
     contributes zero.
 
     Every oracle gets its least-squares coefficients from one stacked fit,
-    _fit, which also holds the one rank-deficient branch: with a column of
-    fewer than r observations, or exactly singular normal equations, the
-    fits are the minimum-norm ones.  The full and batch oracles pad every
-    column's observations to one length and sum the per-observation
-    gradient rows 2 resid_i a_i^T into X's shape with a single np.bincount
-    over flat (row * r + j) slots precomputed at construction; padding
-    lands in a sentinel row that is dropped.  component_value_grad fits its
-    one column unpadded.
+    _fit, which also holds the one rank-deficient branch: a column of fewer
+    than r observations gets the minimum-norm fit, and so does every column
+    of a stack whose normal equations are exactly singular.  The full and
+    batch oracles pad every column's observations to one length and sum the
+    per-observation gradient rows 2 resid_i a_i^T into X's shape with a
+    single np.bincount over flat (row * r + j) slots precomputed at
+    construction; padding lands in a sentinel row that is dropped.
+    component_value_grad fits its one column unpadded.
 
     Anchor cache: full_value_egrad(X) keeps those per-observation rows of
     all n columns, keyed on an exact copy of X.  batch_egrad_diff(Xk, X0,
@@ -186,19 +200,15 @@ class McInstance:
         Xi (b, m, r) holds the observed rows of X for b columns and v (b, m, 1)
         their values; short (b,) flags columns with fewer than r observations.
         """
-        a = None
-        if not short.any():
-            XiT = Xi.transpose(0, 2, 1)
-            try:
-                a = np.linalg.solve(XiT @ Xi, XiT @ v)
-            except np.linalg.LinAlgError:
-                pass
-        if a is None:
-            # rank deficient (a short column, or exactly singular normal
-            # equations): minimum-norm fits for the whole stack, from the SVD
-            # of Xi as in lstsq; a pseudo-inverse of Xi^T Xi would square the
-            # condition number
-            a = np.linalg.pinv(Xi) @ v
+        if short.any():
+            # a short column takes the minimum-norm fit on its own, so the
+            # other columns' fits do not depend on whether the stack holds one
+            full = ~short
+            a = np.empty((len(Xi), Xi.shape[2], 1))
+            a[full] = _lsq_normal(Xi[full], v[full])
+            a[short] = np.linalg.pinv(Xi[short]) @ v[short]
+        else:
+            a = _lsq_normal(Xi, v)
         return a, Xi @ a - v
 
     def _fit_padded(self, X, idx):

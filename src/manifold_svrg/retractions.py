@@ -146,6 +146,8 @@ def retract_array(kind, X, E, t):
 
     E is a tangent direction for the free kinds, where R'(0) = E, and the
     Euclidean gradient for gp and gr, where R'(0) is declared_derivative.
+    Raises RankDeficient when the qr, pd or gp step X + tE loses column
+    rank, and SingularStep when the wy or jd inner solve is singular.
     """
     return _RETRACTIONS[kind](X, E, t)
 

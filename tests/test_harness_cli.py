@@ -139,7 +139,8 @@ class TestRunExperiment:
                     if ln.startswith("#")]
 
         # run 0 carries the cell seed, so the two '#' blocks coincide
-        assert len(header("summary.csv")) == 4
+        assert len(header("summary.csv")) == 5
+        assert header("summary.csv")[-1].startswith(f"# numpy={np.__version__} blas=")
         assert header("summary.csv") == header("trace_run000.csv")
 
     def test_summary_written_when_every_run_fails(self, tmp_path):

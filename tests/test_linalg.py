@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg  # test-only oracle: the package itself imports no scipy
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import manifold_svrg
 from manifold_svrg.errors import NonFiniteInput, NotSPD, RankDeficient
 from manifold_svrg.linalg import (expm, inv_sqrt_spd, pinv_gram, polar_project,
                                   qr_positive, skew, sym)
@@ -103,6 +111,32 @@ class TestInvSqrtSpd:
             inv_sqrt_spd(np.diag([1.0, -1.0]))
 
 
+@st.composite
+def expm_inputs(draw, structure, max_log_norm=1.0):
+    """A square matrix, 1x1 up to the 10x10 block of r = 5, scaled to a 1-norm
+    drawn log-uniformly from 1e-18 to 10**max_log_norm (or zero).
+
+    structure: "skew"; "nearly skew", skew plus a relative drift up to 1e-6
+    as X^T E carries in the exp retraction; or "symmetric".
+    """
+    n = draw(st.integers(1, 10))
+    A = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    if structure == "symmetric":
+        A = A + A.T
+    else:
+        drift = draw(st.sampled_from([0.0, 1e-12, 1e-6])) if structure == "nearly skew" else 0.0
+        S = A - A.T
+        A = S + (drift * _one_norm(S)) * A
+    norm = _one_norm(A)
+    if norm == 0.0:
+        return A
+    return (A / norm) * 10.0 ** draw(st.floats(-18.0, max_log_norm))
+
+
+def _one_norm(A):
+    return np.abs(A).sum(axis=0).max(initial=0.0)
+
+
 class TestExpm:
     def test_zero(self):
         np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
@@ -123,10 +157,51 @@ class TestExpm:
             A *= 5.0 / max(np.linalg.norm(A), 1.0)
             np.testing.assert_allclose(expm(A) @ expm(-A), np.eye(5), atol=1e-10)
 
-    def test_skew_gives_orthogonal(self):
-        A = skew(rng.standard_normal((6, 6)))
+    # scipy serves as the oracle on the retraction's nearly skew blocks only:
+    # on general matrices its own error reaches 1.5e-12 (symmetric, 1-norm
+    # near 10) and 0.8 (triangular with a 1e-194 diagonal entry) against a
+    # 40-digit reference, where expm stays below 1e-14
+    @settings(max_examples=300, deadline=None)
+    @given(expm_inputs("nearly skew"))
+    @example(np.zeros((10, 10)))
+    @example(np.array([[-3.0]]))
+    @example(np.full((10, 10), 1e-18) - np.tril(np.full((10, 10), 2e-18)))
+    @example(skew(np.arange(100.0).reshape(10, 10)) / 45.0)   # 1-norm 4.5: degree 13
+    @example(skew(np.arange(100.0).reshape(10, 10)) / 22.5)   # 1-norm 9: one squaring
+    def test_matches_scipy(self, A):
+        want = scipy.linalg.expm(A)
+        assert _one_norm(expm(A) - want) <= 1e-12 * _one_norm(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expm_inputs("symmetric"))
+    @example(np.array([[5.0, 5.0], [5.0, 0.0]]))
+    def test_symmetric_matches_eigendecomposition(self, A):
+        w, V = np.linalg.eigh(A)
+        want = (V * np.exp(w)) @ V.T
+        assert _one_norm(expm(A) - want) <= 1e-12 * _one_norm(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(expm_inputs("skew", max_log_norm=3.0))
+    @example(skew(np.arange(100.0).reshape(10, 10)))      # 1-norm 202.5: six squarings
+    def test_skew_gives_orthogonal(self, A):
         Q = expm(A)
-        assert np.linalg.norm(Q.T @ Q - np.eye(6)) <= 1e-12
+        assert np.linalg.norm(Q.T @ Q - np.eye(len(A))) <= 1e-12
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(NonFiniteInput):
+            expm(np.array([[np.inf]]))
+
+
+def test_package_imports_no_scipy():
+    # scipy bundles a second BLAS; the package runs on numpy's alone
+    code = ("import sys, manifold_svrg, manifold_svrg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(manifold_svrg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestPinvGram:

@@ -280,6 +280,22 @@ class TestMcInstance:
         assert_matches_lstsq(inst, X, random_stiefel(5, 2), np.array([1, 0, 1]))
         assert inst.component_value(X, 1) == 11.0
 
+    def test_short_column_leaves_other_fits_alone(self):
+        # only the short column takes the minimum-norm branch: the full-rank
+        # columns' coefficients are the same bits with or without it
+        X = random_stiefel(30, 3)
+        short = self.inst.rows[5][:2]
+        rows = list(self.inst.rows)
+        vals = list(self.inst.vals)
+        rows[5], vals[5] = short, self.inst.vals[5][:2]
+        cut = McInstance(30, 25, 3, rows, vals)
+        idx = np.array([0, 5, 9, 17])
+        a_with, _ = cut._fit_padded(X, idx)
+        a_without, _ = cut._fit_padded(X, idx[idx != 5])
+        assert np.array_equal(a_with[[0, 2, 3]], a_without)
+        want = np.linalg.lstsq(X[short], vals[5], rcond=None)[0]
+        np.testing.assert_allclose(a_with[1, :, 0], want, atol=1e-12)
+
     def test_anchor_cache_matches_fresh_instance(self):
         X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
         idx = np.array([4, 4, 17, 0, 4, 24, 17])

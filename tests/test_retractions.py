@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from manifold_svrg.linalg import qr_positive
+from manifold_svrg.errors import RankDeficient, SingularStep
+from manifold_svrg.linalg import qr_positive, skew
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
 from manifold_svrg.oracles import fd_derivative
@@ -103,6 +105,61 @@ class TestFreeRetractions:
             Y = retract_array(RetractionKind.EXP2, X, E, t)
             s = np.linalg.svd(X.T @ Y, compute_uv=False)
             assert s.min() < 1.0 - 1e-8
+
+
+@st.composite
+def extreme_steps(draw):
+    """(X, Z, t): t up to 1e3 and a Stiefel tangent Z = X Omega + K, of norm
+    1e-3 to 1, whose normal part K is generic, (nearly) vanishing or of rank
+    one."""
+    local = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = qr_positive(local.standard_normal((9, 3)))[0]
+    K = (np.eye(9) - X @ X.T) @ local.standard_normal((9, 3))
+    shape = draw(st.sampled_from(["generic", "near-vertical", "rank-deficient"]))
+    if shape == "near-vertical":
+        K *= draw(st.sampled_from([0.0, 1e-14, 1e-8]))
+    elif shape == "rank-deficient":
+        K = np.outer(K[:, 0], draw(st.sampled_from([[1.0, 0.0, 0.0], [1.0, -1.0, 2.0]])))
+    Z = X @ skew(local.standard_normal((3, 3))) + K
+    Z *= 10.0 ** draw(st.floats(-3.0, 0.0)) / np.linalg.norm(Z)
+    return X, Z, 10.0 ** draw(st.floats(-8.0, 3.0))
+
+
+def _vertical_step():
+    # a unit vertical direction X Omega at t = 1e3: the Gram matrix of the gr
+    # step X - t Z has condition number about 1e6
+    local = np.random.default_rng(0)
+    X = qr_positive(local.standard_normal((9, 3)))[0]
+    Z = X @ skew(local.standard_normal((3, 3)))
+    return X, Z / np.linalg.norm(Z), 1e3
+
+
+_GR_KNOWN_LOSS = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="gr forms the pseudo-inverse of the Gram matrix of X - t g, so its "
+           "feasibility error grows like eps * cond(X - t g)^2: 2.4e-10 at t |g| = 1e3")
+
+
+class TestExtremeSteps:
+    @pytest.mark.parametrize("kind", [
+        pytest.param(k, marks=_GR_KNOWN_LOSS) if k is RetractionKind.GR else k
+        for k in RetractionKind], ids=lambda k: k.value)
+    @settings(max_examples=150, deadline=None)
+    @given(case=extreme_steps(), along_x=st.sampled_from([0.0, 1.0]))
+    @example(case=_vertical_step(), along_x=0.0)
+    def test_feasible_or_documented_error(self, kind, case, along_x):
+        # a retraction either lands on the manifold or raises its documented
+        # error; t = 1 with along_x = 1 cancels X in the gp / gr step X - t g
+        X, Z, t = case
+        if kind is RetractionKind.EXP2:
+            Z = Z - X @ (X.T @ Z)       # its horizontal part
+        elif kind in GRADIENT_KINDS:
+            Z = Z + along_x * X         # a Euclidean gradient need not be tangent
+        try:
+            Y = retract_array(kind, X, Z, t)
+        except (RankDeficient, SingularStep):
+            return
+        assert feasibility_error(Y) <= 1e-10
 
 
 class TestGradientCoupledRetractions:
