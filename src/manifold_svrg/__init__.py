@@ -4,8 +4,8 @@ manifolds, with a seven-retraction benchmark harness."""
 __version__ = "0.1.0"
 
 from .errors import (InvalidObservation, ManifoldSvrgError, NoConvergentTau,
-                     NoFeasibleC, NonFiniteInput, NonFiniteValue, NotSPD,
-                     RankDeficient, SingularStep, TooLarge, TooManySamples)
+                     NoFeasibleC, NonFiniteInput, NonFiniteValue, RankDeficient,
+                     SingularStep, TooLarge, TooManySamples)
 from .linalg import polar_project, qr_positive
 from .manifold import (StiefelPoint, TangentSpace, d_rho_array, feasibility_error,
                        inner_x, nu_of_rho, tangent_project_array)

@@ -13,10 +13,6 @@ class RankDeficient(ManifoldSvrgError):
     """A factorization input lost full column rank."""
 
 
-class NotSPD(ManifoldSvrgError):
-    """Matrix expected to be symmetric positive definite is not."""
-
-
 class SingularStep(ManifoldSvrgError):
     """An inner solve of a retraction is singular; the tangent is corrupted."""
 

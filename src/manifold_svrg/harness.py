@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NoConvergentTau
-from .optimizers import (BB, Fixed, OutputMode, SvrgConfig, Theorem1,
-                         run_rgd, run_s_sgd, run_s_svrg, warm_start)
+from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
+                         run_s_svrg, warm_start)
 from .problems import McInstance, PcaInstance, mc_generate, pca_generate
 from .retractions import RetractionKind
 

@@ -8,15 +8,13 @@ solver loop runs on the one BLAS that numpy links.
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotSPD, RankDeficient
+from .errors import NonFiniteInput, RankDeficient
 
 __all__ = [
     "check_finite",
     "qr_positive",
     "polar_project",
-    "inv_sqrt_spd",
     "expm",
-    "pinv_gram",
     "skew",
     "sym",
 ]
@@ -57,17 +55,6 @@ def polar_project(A):
     if s[-1] <= 1e-12 * s[0]:
         raise RankDeficient("input to polar_project is (numerically) rank deficient")
     return U @ Vt
-
-
-def inv_sqrt_spd(S):
-    """Inverse square root of a symmetric positive definite matrix."""
-    S = np.asarray(S, dtype=float)
-    check_finite(S, "inv_sqrt input")
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    if w[0] <= 0.0:
-        raise NotSPD(f"smallest eigenvalue {w[0]:g} is not positive")
-    return (V / np.sqrt(w)) @ V.T
 
 
 # Scaling and squaring with diagonal Pade approximants (Higham, "The
@@ -138,22 +125,6 @@ def expm(A):
     for _ in range(s):
         E = E @ E
     return E
-
-
-def pinv_gram(G):
-    """Moore-Penrose pseudo-inverse of a symmetric PSD Gram matrix.
-
-    Eigenvalues below 1e-12 * lambda_max are treated as zero; the Gram
-    matrix of a gradient-reflection step can be near singular when a step
-    nearly annihilates a column.
-    """
-    G = np.asarray(G, dtype=float)
-    check_finite(G, "pinv input")
-    G = 0.5 * (G + G.T)
-    w, V = np.linalg.eigh(G)
-    cutoff = 1e-12 * max(w[-1], 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    return (V * inv) @ V.T
 
 
 def skew(A):

@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import NoFeasibleC, NonFiniteValue
 from .linalg import qr_positive
-from .manifold import (StiefelPoint, TangentSpace, d_rho_array,
-                       feasibility_error, nu_of_rho)
+from .manifold import StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
 # retract_gp_array and retract_gr_array are reached through retract_array;
 # they stay importable here because perfbench/spans.py wraps the names
 # this module exposes
@@ -43,7 +42,6 @@ __all__ = [
     "theorem1_schedule",
     "gamma_fn",
     "select_output",
-    "linear_convergence_p",
     "warm_start",
     "recursion_lemma_check",
     "loj_ratio_probe",
@@ -57,6 +55,11 @@ DRIFT_TOL = 1e-10
 _STREAM_SVRG = 1
 _STREAM_SGD = 2
 _STREAM_WARM = 3
+
+# the BB safeguard and first-epoch estimate (see BB)
+_BB_TAU_MIN = 1e-8
+_BB_TAU_MAX = 1e8
+_BB_TAU_INIT = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +76,11 @@ class Fixed:
 
 @dataclass(frozen=True)
 class BB:
-    """Safeguarded long BB step divided by the inner iteration count."""
+    """Safeguarded long BB step divided by the inner iteration count.
 
-    tau_min: float = 1e-8
-    tau_max: float = 1e8
-    tau_init: float = 1.0  # first epoch has no difference pair yet
-
-    def __post_init__(self):
-        if not (0.0 < self.tau_min < self.tau_max):
-            raise ValueError("need 0 < tau_min < tau_max")
+    The raw estimate is clipped to [1e-8, 1e8]; the first epoch, which has
+    no difference pair yet, takes 1 / K.
+    """
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ class Theorem1:
 class OutputMode(enum.Enum):
     LAST_ITERATE = "last"
     SAMPLED = "sampled"           # categorical over inner iterates, p ~ Delta
-    SAMPLED_LINEAR = "sampled-linear"  # extra alpha^2 mass on the last slot
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,6 @@ class SvrgConfig:
     output_mode: OutputMode = OutputMode.LAST_ITERATE
     seed: int = 0
     r: int = 5
-    alpha: float = 1.0  # only read in SAMPLED_LINEAR mode
     bb_double: bool = False  # Grassmann completion doubles the raw BB value
 
     def __post_init__(self):
@@ -243,15 +240,6 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
                     Delta=Delta, p=p, L_tilde=L_tilde, L_hat=L_hat)
 
 
-def linear_convergence_p(Delta, alpha):
-    """Output distribution with alpha^2 extra mass on the final slot."""
-    total = alpha * alpha + Delta.sum()
-    p = np.empty(len(Delta) + 1)
-    p[:-1] = Delta / total
-    p[-1] = alpha * alpha / total
-    return p
-
-
 def select_output(iterates, p_sk, mode, rng):
     """Pick the epoch's representative iterate (the last one, or a draw)."""
     if mode is OutputMode.LAST_ITERATE:
@@ -268,23 +256,22 @@ def select_output(iterates, p_sk, mode, rng):
 # ---------------------------------------------------------------------------
 # gradient estimators and steps
 
-def bb_step(X_s, X_prev, grad_s, grad_prev, K, tau_min, tau_max,
-            kind=TangentSpace.STIEFEL):
+def bb_step(X_s, X_prev, grad_s, grad_prev, K, double):
     """Safeguarded long BB estimate over outer iterates, divided by K.
 
-    Grassmann runs double the raw estimate before safeguarding; a vanishing
-    curvature pairing falls back to the tau_max safeguard.
+    double (Grassmann runs) doubles the raw estimate before safeguarding; a
+    vanishing curvature pairing falls back to the upper safeguard.
     """
     S = X_s - X_prev
     Y = grad_s - grad_prev
     sy = abs(float(np.sum(S * Y)))
     if sy <= 1e-300:
-        tau_lbb = tau_max
+        tau_lbb = _BB_TAU_MAX
     else:
         tau_lbb = float(np.sum(S * S)) / sy
-        if kind is TangentSpace.GRASSMANN:
+        if double:
             tau_lbb *= 2.0
-    return max(tau_min, min(tau_lbb, tau_max)) / K
+    return max(_BB_TAU_MIN, min(tau_lbb, _BB_TAU_MAX)) / K
 
 
 def _step(kind, X, G, tau, rho):
@@ -385,12 +372,9 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
             tau = mode.tau
         elif isinstance(mode, BB):
             if X_prev is None:
-                tau = mode.tau_init / K
+                tau = _BB_TAU_INIT / K
             else:
-                space = (TangentSpace.GRASSMANN if config.bb_double
-                         else TangentSpace.STIEFEL)
-                tau = bb_step(X, X_prev, grad0, grad_prev, K,
-                              mode.tau_min, mode.tau_max, space)
+                tau = bb_step(X, X_prev, grad0, grad_prev, K, config.bb_double)
         else:
             tau = schedule.tau
 
@@ -412,9 +396,7 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
 
         if sample_inner:
             if schedule is not None:
-                p = (linear_convergence_p(schedule.Delta, config.alpha)
-                     if config.output_mode is OutputMode.SAMPLED_LINEAR
-                     else schedule.p)
+                p = schedule.p
             else:
                 # no decrease table outside the analysis mode: uniform over
                 # the K fresh iterates, never the anchor slot
@@ -429,15 +411,14 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     return StiefelPoint(X), trace
 
 
-def run_s_sgd(problem, config: SvrgConfig, N, sigma=None, X0=None, tau=None,
-              record_every=None):
+def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=None):
     """Single-sample stochastic descent with a constant theory step.
 
-    tau defaults to min(nu / L_hat, 1 / (sigma sqrt(N))); sigma, when not
-    supplied, is the largest deviation of 100 single-sample Riemannian
-    gradients from the full one at the start point.  Returns the iterate at
-    an index drawn uniformly from {0, ..., N-1} up front, which is the
-    estimator the analysis speaks about.
+    tau defaults to min(nu / L_hat, 1 / (sigma sqrt(N))), where sigma is the
+    largest deviation of 100 single-sample Riemannian gradients from the
+    full one at the start point.  Returns the iterate at an index drawn
+    uniformly from {0, ..., N-1} up front, which is the estimator the
+    analysis speaks about.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -455,16 +436,15 @@ def run_s_sgd(problem, config: SvrgConfig, N, sigma=None, X0=None, tau=None,
     if tau is None:
         consts = problem.constants()
         L_hat = 2.0 * 0.5 * consts.C + 1.0 * consts.L  # polar-style (L1, L2) = (1, 1/2)
-        if sigma is None:
-            _, egrad_full = problem.full_value_egrad(X)
-            g_full = d_rho_array(X, egrad_full, rho)
-            ifo += n
-            sigma = 1e-300
-            for _ in range(100):
-                i = int(rng.integers(n))
-                gi = d_rho_array(X, problem.component_egrad(X, i), rho)
-                ifo += 1
-                sigma = max(sigma, float(np.linalg.norm(gi - g_full)))
+        _, egrad_full = problem.full_value_egrad(X)
+        g_full = d_rho_array(X, egrad_full, rho)
+        ifo += n
+        sigma = 1e-300
+        for _ in range(100):
+            i = int(rng.integers(n))
+            gi = d_rho_array(X, problem.component_egrad(X, i), rho)
+            ifo += 1
+            sigma = max(sigma, float(np.linalg.norm(gi - g_full)))
         tau = min(nu_of_rho(rho) / L_hat, 1.0 / (sigma * math.sqrt(N)))
 
     if record_every is None:
@@ -504,19 +484,19 @@ def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     return StiefelPoint(X)
 
 
-def recursion_lemma_check(a_seq, b, c, d, a_coef, K=None, f0=0.0):
+def recursion_lemma_check(a_seq, b, c, d, a_coef, f0=0.0):
     """Numeric check of the telescoped decrease bound.
 
     Builds the recursions with equality,
 
         f_{k+1} = f_k - c a_k + d b_k,   b_{k+1} = (1 + b) b_k + a_coef a_k,
 
-    from b_0 = 0, and tests f_K <= f_0 - sum_k Delta_k a_k with
-    Delta_k = c - a_coef d Gamma(b, K - k).  Returns (holds, f_K, bound).
+    from b_0 = 0 over K = len(a_seq) steps, and tests f_K <= f_0 - sum_k
+    Delta_k a_k with Delta_k = c - a_coef d Gamma(b, K - k).  Returns
+    (holds, f_K, bound).
     """
     a_seq = np.asarray(a_seq, dtype=float)
-    if K is None:
-        K = len(a_seq)
+    K = len(a_seq)
     fk = f0
     bk = 0.0
     for k in range(K):
@@ -528,8 +508,8 @@ def recursion_lemma_check(a_seq, b, c, d, a_coef, K=None, f0=0.0):
     return fk <= bound + 1e-9 * max(1.0, abs(bound)), fk, bound
 
 
-def loj_ratio_probe(f_values, grad_norms, f_limit, grad_floor=1e-12):
-    """Ratios |f - f_limit|^(1/2) / ||grad f||, NaN once the norm underflows.
+def loj_ratio_probe(f_values, grad_norms, f_limit):
+    """Ratios |f - f_limit|^(1/2) / ||grad f||, NaN where ||grad f|| < 1e-12.
 
     A bounded tail is consistent with a local gradient-dominance inequality;
     no constant is asserted because none is computable from a single run.
@@ -537,6 +517,6 @@ def loj_ratio_probe(f_values, grad_norms, f_limit, grad_floor=1e-12):
     f_values = np.asarray(f_values, dtype=float)
     grad_norms = np.asarray(grad_norms, dtype=float)
     out = np.full(len(f_values), np.nan)
-    ok = grad_norms >= grad_floor
+    ok = grad_norms >= 1e-12
     out[ok] = np.sqrt(np.abs(f_values[ok] - f_limit)) / grad_norms[ok]
     return out

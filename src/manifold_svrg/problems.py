@@ -40,7 +40,6 @@ class ProblemConstants:
 
     L: float
     C: float
-    source: str = "analytic"  # analytic | sampled | user
 
     def __post_init__(self):
         if self.L <= 0 or self.C <= 0:
@@ -269,12 +268,15 @@ class McInstance:
         a, _ = self._fit_padded(X, np.arange(self.n))
         return X @ a[:, :, 0].T
 
-    def constants(self, probes=50, seed=0):
-        """Sampled (not certified) Lipschitz / bound estimates with 2x headroom."""
-        rng = np.random.default_rng(seed)
+    def constants(self):
+        """Sampled (not certified) Lipschitz / bound estimates with 2x headroom.
+
+        50 random pairs of points from a fixed seed, so every call agrees.
+        """
+        rng = np.random.default_rng(0)
         lip = 0.0
         bound = 0.0
-        for _ in range(probes):
+        for _ in range(50):
             X = qr_positive(rng.standard_normal((self.d, self.r)))[0]
             Y = qr_positive(rng.standard_normal((self.d, self.r)))[0]
             i = int(rng.integers(self.n))
@@ -282,8 +284,7 @@ class McInstance:
             gy = self.component_egrad(Y, i)
             lip = max(lip, np.linalg.norm(gx - gy) / max(np.linalg.norm(X - Y), 1e-300))
             bound = max(bound, np.linalg.norm(gx))
-        return ProblemConstants(L=2.0 * max(lip, 1e-12), C=2.0 * max(bound, 1e-12),
-                                source="sampled")
+        return ProblemConstants(L=2.0 * max(lip, 1e-12), C=2.0 * max(bound, 1e-12))
 
 
 def pca_generate(d, n, seed):
@@ -344,7 +345,7 @@ def mc_save_observations(inst, path):
                 fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
 
 
-def mc_load_observations(path, r, d=None, n=None, **kwargs):
+def mc_load_observations(path, r, d=None, n=None):
     """Read 'i j value' triples (1-based); dims default to the max index seen.
 
     Raises InvalidObservation, naming the line, for a malformed line, an
@@ -388,4 +389,4 @@ def mc_load_observations(path, r, d=None, n=None, **kwargs):
     for i, j, v in zip(ii, jj, vv):
         rows[j].append(i)
         vals[j].append(v)
-    return McInstance(d, n, r, rows, vals, **kwargs)
+    return McInstance(d, n, r, rows, vals)

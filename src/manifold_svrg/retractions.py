@@ -1,12 +1,14 @@
 """Seven retraction maps onto the Stiefel / Grassmann manifold.
 
 Five free-direction retractions (geodesic, QR, polar, Cayley, subspace)
-accept an arbitrary tangent direction.  The two gradient-coupled maps
-(gradient projection, gradient reflection) take the Euclidean gradient
-itself; their derivatives at t = 0 are -d_rho(X, g) with rho = 1/4 and
--2 d_0(X, g) respectively.  retract_array serves every kind through one
-table.  t is nonnegative in the optimizers; descent is encoded in the
-direction sign.
+accept an arbitrary tangent direction.  The two gradient-coupled maps take
+the Euclidean gradient g itself and work on the step X - t g: gradient
+projection takes its polar factor, and gradient reflection reflects X
+through its column space, with the orthogonal projector built from the
+step's thin SVD.  Their derivatives at t = 0 are -d_rho(X, g) with
+rho = 1/4 and -2 d_0(X, g) respectively.  retract_array serves every kind
+through one table.  t is nonnegative in the optimizers; descent is encoded
+in the direction sign.
 """
 
 import enum
@@ -14,7 +16,7 @@ import enum
 import numpy as np
 
 from .errors import SingularStep
-from .linalg import expm, polar_project, pinv_gram, qr_positive
+from .linalg import check_finite, expm, polar_project, qr_positive
 from .manifold import d_rho_array
 
 __all__ = [
@@ -37,7 +39,7 @@ class RetractionKind(enum.Enum):
     WY = "wy"        # Cayley-type low-rank update
     JD = "jd"        # subspace update with the phi weight
     GP = "gp"        # polar projection of a Euclidean gradient step
-    GR = "gr"        # Householder reflection of a Euclidean gradient step
+    GR = "gr"        # reflection through a Euclidean gradient step's column space
     EXP2 = "exp2"    # Grassmann geodesic via the compact SVD
 
     @classmethod
@@ -124,9 +126,18 @@ def retract_gp_array(X, eucl_dir, t):
 
 
 def retract_gr_array(X, eucl_dir, t):
-    """Householder-reflection step built from X - t g (pseudo-inverse Gram)."""
-    Xb = X - t * eucl_dir
-    return 2.0 * Xb @ (pinv_gram(Xb.T @ Xb) @ (Xb.T @ X)) - X
+    """Reflection 2 U_k U_k^T X - X through the column space of X - t g.
+
+    U_k holds the left singular vectors of X - t g whose singular values
+    exceed 1e-12 times the largest, so U_k U_k^T is the orthogonal projector
+    onto the step's numerical column space.  Taken from the thin SVD rather
+    than a Gram-matrix inverse, it does not square the step's condition
+    number.
+    """
+    U, s, _ = np.linalg.svd(check_finite(X - t * eucl_dir, "gr step"),
+                            full_matrices=False)
+    Uk = U[:, s > 1e-12 * s[0]]
+    return 2.0 * Uk @ (Uk.T @ X) - X
 
 
 _RETRACTIONS = {
@@ -148,6 +159,12 @@ def retract_array(kind, X, E, t):
     Euclidean gradient for gp and gr, where R'(0) is declared_derivative.
     Raises RankDeficient when the qr, pd or gp step X + tE loses column
     rank, and SingularStep when the wy or jd inner solve is singular.
+
+    Domain of wy: its inner 2r x 2r solve is conditioned like (t ||E||)^2
+    along near-vertical directions E = X Omega, so it loses feasibility once
+    t ||E|| is in the thousands (worst over unit vertical directions: about
+    2e-11 at t ||E|| = 1e3, 1e-8 at 2e4).  The feasibility property covers
+    t <= 1e3 with ||E|| <= 1.
     """
     return _RETRACTIONS[kind](X, E, t)
 
@@ -165,10 +182,10 @@ def declared_derivative(kind, X, direction):
     return direction
 
 
-def estimate_l1_l2(kind, trials, d=50, r=5, seed=0):
+def estimate_l1_l2(kind, trials, seed=0):
     """Empirical suprema of the two retraction-deviation ratios.
 
-    Samples random (X, direction, t in (0, 10]) and returns
+    Samples random (X, direction, t in (0, 10]) at d = 50, r = 5 and returns
 
         L1_hat = sup ||R(t) - X|| / (t ||R'(0)||)
         L2_hat = sup ||R(t) - X - t R'(0)|| / (t^2 ||R'(0)||^2)
@@ -181,8 +198,8 @@ def estimate_l1_l2(kind, trials, d=50, r=5, seed=0):
     l1 = 0.0
     l2 = 0.0
     for _ in range(trials):
-        X, _ = np.linalg.qr(rng.standard_normal((d, r)))
-        Z = rng.standard_normal((d, r))
+        X, _ = np.linalg.qr(rng.standard_normal((50, 5)))
+        Z = rng.standard_normal((50, 5))
         t = rng.uniform(1e-3, 10.0)
         if kind == "line":
             E = Z

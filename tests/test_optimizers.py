@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from manifold_svrg.errors import NoFeasibleC, NonFiniteValue
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.manifold import (StiefelPoint, TangentSpace, d_rho_array,
-                                    feasibility_error, nu_of_rho)
+from manifold_svrg.manifold import (StiefelPoint, d_rho_array, feasibility_error,
+                                    nu_of_rho)
 from manifold_svrg.oracles import brute_force_expectation, fd_derivative
 from manifold_svrg.optimizers import (BB, Fixed, OutputMode, SvrgConfig,
                                       Theorem1, bb_step, gamma_fn,
-                                      linear_convergence_p, loj_ratio_probe,
-                                      recursion_lemma_check, run_rgd,
-                                      run_s_sgd, run_s_svrg, select_output,
-                                      theorem1_schedule, warm_start, _step)
+                                      loj_ratio_probe, recursion_lemma_check,
+                                      run_rgd, run_s_sgd, run_s_svrg,
+                                      select_output, theorem1_schedule,
+                                      warm_start, _step)
 from manifold_svrg.problems import PcaInstance, mc_generate, pca_generate
 from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
                                        declared_derivative)
@@ -88,34 +88,30 @@ class TestBBStep:
     def test_identical_differences(self):
         S = rng.standard_normal((5, 2))
         assert bb_step(S, np.zeros_like(S), S, np.zeros_like(S), K=4,
-                       tau_min=1e-8, tau_max=1e8) == pytest.approx(0.25)
+                       double=False) == pytest.approx(0.25)
 
     def test_quadratic_curvature_two(self):
         S = rng.standard_normal((5, 2))
         got = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                      tau_min=1e-8, tau_max=1e8)
+                      double=False)
         assert got == pytest.approx(0.5)
 
     def test_clamped_to_tau_max(self):
         S = rng.standard_normal((4, 2))
         Y = 1e-12 * S
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1,
-                      tau_min=1e-8, tau_max=1e8)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1, double=False)
         assert got == 1e8
 
     def test_zero_denominator_fallback(self):
         S = rng.standard_normal((4, 2))
         Y = np.zeros_like(S)
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2,
-                      tau_min=1e-8, tau_max=1e8)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2, double=False)
         assert got == 1e8 / 2
 
     def test_grassmann_doubling_before_safeguard(self):
         S = rng.standard_normal((4, 2))
-        st = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                     tau_min=1e-8, tau_max=1e8, kind=TangentSpace.STIEFEL)
-        gr = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                     tau_min=1e-8, tau_max=1e8, kind=TangentSpace.GRASSMANN)
+        st = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1, double=False)
+        gr = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1, double=True)
         assert gr == pytest.approx(2.0 * st)
 
 
@@ -200,13 +196,6 @@ class TestSelectOutput:
             counts[select_output(list(range(K)), p, OutputMode.SAMPLED, r2)] += 1
         sd = math.sqrt(draws * (1 / K) * (1 - 1 / K))
         assert np.all(np.abs(counts - draws / K) <= 3.0 * sd)
-
-    def test_linear_mode_alpha_limit(self):
-        Delta = np.array([0.3, 0.3, 0.4])
-        p = linear_convergence_p(Delta, alpha=1e6)
-        assert p[-1] > 1.0 - 1e-10
-        p_small = linear_convergence_p(Delta, alpha=0.0)
-        np.testing.assert_allclose(p_small[:-1], Delta / Delta.sum())
 
 
 class TestRunSvrg:

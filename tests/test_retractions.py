@@ -126,24 +126,16 @@ def extreme_steps(draw):
 
 
 def _vertical_step():
-    # a unit vertical direction X Omega at t = 1e3: the Gram matrix of the gr
-    # step X - t Z has condition number about 1e6
+    # a unit vertical direction X Omega at t = 1e3: the gr step X - t Z has
+    # condition number about 1e3, its Gram matrix about 1e6
     local = np.random.default_rng(0)
     X = qr_positive(local.standard_normal((9, 3)))[0]
     Z = X @ skew(local.standard_normal((3, 3)))
     return X, Z / np.linalg.norm(Z), 1e3
 
 
-_GR_KNOWN_LOSS = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="gr forms the pseudo-inverse of the Gram matrix of X - t g, so its "
-           "feasibility error grows like eps * cond(X - t g)^2: 2.4e-10 at t |g| = 1e3")
-
-
 class TestExtremeSteps:
-    @pytest.mark.parametrize("kind", [
-        pytest.param(k, marks=_GR_KNOWN_LOSS) if k is RetractionKind.GR else k
-        for k in RetractionKind], ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(RetractionKind), ids=lambda k: k.value)
     @settings(max_examples=150, deadline=None)
     @given(case=extreme_steps(), along_x=st.sampled_from([0.0, 1.0]))
     @example(case=_vertical_step(), along_x=0.0)
@@ -186,6 +178,25 @@ class TestGradientCoupledRetractions:
         X, _ = random_instance()
         np.testing.assert_allclose(retract_gr_array(X, rng.standard_normal(X.shape), 0.0),
                                    X, atol=1e-12)
+
+    def test_gr_matches_gram_formula(self):
+        # on a well-conditioned step the projector equals Xb (Xb^T Xb)^{-1} Xb^T
+        for _ in range(10):
+            X, _ = random_instance()
+            g = rng.standard_normal(X.shape)
+            Xb = X - 0.3 * g
+            want = 2.0 * Xb @ np.linalg.solve(Xb.T @ Xb, Xb.T @ X) - X
+            np.testing.assert_allclose(retract_gr_array(X, g, 0.3), want, atol=1e-12)
+
+    def test_gr_rank_deficient_step(self):
+        # t = 1 with g = X e_0 e_0^T zeroes the first column of X - t g; the
+        # reflection keeps the other two columns and negates the first
+        X, _ = random_instance()
+        g = np.zeros_like(X)
+        g[:, 0] = X[:, 0]
+        want = X.copy()
+        want[:, 0] *= -1.0
+        np.testing.assert_allclose(retract_gr_array(X, g, 1.0), want, atol=1e-13)
 
     @pytest.mark.parametrize("kind", GRADIENT_KINDS)
     def test_derivative_matches_declared(self, kind):
