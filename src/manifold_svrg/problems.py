@@ -14,7 +14,7 @@ optimal, grad_X f_i = 2 * scatter(residual) a_i*^T over the observed rows.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class PcaInstance:
 
     The objective is the negated average explained variance; its optimum is
     the span of the top-r eigenvectors of the centered covariance.
+
+    The centered data B is the instance's one d x n array, stored
+    column-major: B.T is then a contiguous B^T, so a minibatch is a gather
+    of contiguous rows of B^T rather than a strided gather of columns of B.
     """
 
     def __init__(self, A, r):
@@ -58,14 +62,16 @@ class PcaInstance:
         # min/max propagate NaN and expose Inf without a full-size mask
         if not (np.isfinite(A.min()) and np.isfinite(A.max())):
             raise NonFiniteInput("data matrix has NaN or Inf entries")
-        self.A = A
         self.d, self.n = A.shape
         self.r = int(r)
         if not 1 <= self.r <= self.d:
             raise ValueError(f"r = {self.r} outside [1, d = {self.d}]")
-        self.A_bar = A.mean(axis=1, keepdims=True)
-        self.B = A - self.A_bar
-        self._col_sq = np.sum(self.B ** 2, axis=0)
+        B = A - A.mean(axis=1, keepdims=True)
+        # summed over the row-major copy, each column adds row by row; along
+        # the contiguous axis of the column-major B it would round
+        # differently, and L with it
+        self._col_sq = np.sum(B ** 2, axis=0)
+        self.B = np.asfortranarray(B)
 
     def value(self, X):
         return -float(np.sum((self.B.T @ X) ** 2)) / self.n
@@ -84,9 +90,9 @@ class PcaInstance:
         return -2.0 * np.outer(b, b @ X)
 
     def batch_egrad_diff(self, Xk, X0, idx):
-        # mean_i grad f_i(Xk) - grad f_i(X0); one pass over the batch slab
-        Bs = self.B[:, idx]
-        return (-2.0 / len(idx)) * (Bs @ (Bs.T @ (Xk - X0)))
+        # mean_i grad f_i(Xk) - grad f_i(X0); the batch is b contiguous rows of B^T
+        Bs = self.B.T[idx]
+        return (-2.0 / len(idx)) * (Bs.T @ (Bs @ (Xk - X0)))
 
     def constants(self):
         m = float(self._col_sq.max())
@@ -154,6 +160,7 @@ class McInstance:
         self._check_observations(lengths, flat_rows, flat_vals)
         self._build_padded(lengths, flat_rows, flat_vals)
         self._anchor = (None, None)  # (copy of X, its per-observation gradient rows)
+        self._constants = None       # constants(), sampled on the first call
 
     def _check_observations(self, lengths, flat_rows, flat_vals):
         counts = np.fromiter(map(len, self.vals), np.intp, self.n)
@@ -271,8 +278,14 @@ class McInstance:
     def constants(self):
         """Sampled (not certified) Lipschitz / bound estimates with 2x headroom.
 
-        50 random pairs of points from a fixed seed, so every call agrees.
+        50 random pairs of points from a fixed seed, drawn on the first call;
+        later calls return the same constants without sampling again.
         """
+        if self._constants is None:
+            self._constants = self._sample_constants()
+        return self._constants
+
+    def _sample_constants(self):
         rng = np.random.default_rng(0)
         lip = 0.0
         bound = 0.0
@@ -291,8 +304,10 @@ def pca_generate(d, n, seed):
     """Synthetic data: row i scaled by i^0.618, normalized by the max entry."""
     rng = np.random.default_rng(seed)
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
-    A = rng.standard_normal((d, n)) * scale[:, None]
-    A /= np.abs(A).max()
+    # in place throughout: the only d x n array made is the draw itself
+    A = rng.standard_normal((d, n))
+    A *= scale[:, None]
+    A /= max(A.max(), -A.min())
     return A
 
 

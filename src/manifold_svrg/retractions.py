@@ -75,7 +75,10 @@ def _retract_exp1(X, E, t):
     D = E - X @ (X.T @ E)
     Q, R = _qr_relaxed(D)
     A = X.T @ E
-    blk = np.block([[A, -R.T], [R, np.zeros((r, r))]])
+    blk = np.zeros((2 * r, 2 * r))
+    blk[:r, :r] = A
+    blk[:r, r:] = -R.T
+    blk[r:, :r] = R
     M = expm(t * blk)
     return np.hstack([X, Q]) @ M[:, :r]
 

@@ -127,6 +127,29 @@ class TestPcaInstance:
                            for i in idx], axis=0)
         np.testing.assert_allclose(fused, generic, atol=1e-12)
 
+    def test_data_is_one_column_major_array(self):
+        # B.T is a contiguous B^T, and B is the only d x n array kept
+        inst = PcaInstance(pca_generate(15, 40, seed=9), r=3)
+        assert inst.B.flags.f_contiguous
+        held = [v for v in vars(inst).values() if isinstance(v, np.ndarray) and v.size == 15 * 40]
+        assert len(held) == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(d=st.integers(1, 80), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_batch_diff_row_gather_exact(self, d, n, seed, data):
+        # gathering rows of the column-major B^T gives the same bits as
+        # gathering columns of a row-major B; the batch may repeat indices
+        r = data.draw(st.integers(1, min(d, 6)))
+        b = data.draw(st.integers(1, min(n, 100) + 5))
+        local = np.random.default_rng(seed)
+        inst = PcaInstance(local.standard_normal((d, n)), r)
+        idx = local.integers(n, size=b)
+        Xk, X0 = local.standard_normal((2, d, r))
+        C = np.ascontiguousarray(inst.B)
+        want = (-2.0 / b) * (C[:, idx] @ (C[:, idx].T @ (Xk - X0)))
+        assert np.array_equal(inst.batch_egrad_diff(Xk, X0, idx), want)
+
     def test_gradient_symmetry(self):
         X = random_stiefel(15, 3)
         _, egrad = self.inst.full_value_egrad(X)
@@ -343,6 +366,15 @@ class TestMcInstance:
         g = self.inst.component_egrad(X, 0)
         assert np.linalg.norm(g) <= consts.C
 
+    def test_constants_sampled_once(self):
+        calls = []
+        egrad = self.inst.component_egrad
+        self.inst.component_egrad = lambda X, i: calls.append(i) or egrad(X, i)
+        first = self.inst.constants()
+        assert len(calls) == 100
+        assert self.inst.constants() == first
+        assert len(calls) == 100   # the second call samples nothing
+
     def test_fitted_matrix_recovers_truth_at_truth(self):
         U = np.linalg.svd(self.inst.M_true, full_matrices=False)[0][:, :3]
         rec = self.inst.fitted_matrix(U)
@@ -458,5 +490,7 @@ class TestMcIO:
         np.savetxt(tmp_path / "a.csv", A, delimiter=",")
         i1 = pca_load(tmp_path / "a.npy", r=2)
         i2 = pca_load(tmp_path / "a.csv", r=2)
-        np.testing.assert_array_equal(i1.A, A)
-        np.testing.assert_allclose(i2.A, A, atol=1e-12)
+        # the instance keeps only the centered data
+        B = PcaInstance(A, r=2).B
+        np.testing.assert_array_equal(i1.B, B)
+        np.testing.assert_allclose(i2.B, B, atol=1e-12)
