@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from manifold_svrg.errors import InvalidObservation, NonFiniteInput, TooManySamples
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.oracles import fd_derivative
-from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants,
+from manifold_svrg.problems import (_BLOCK_BYTES, McInstance, PcaInstance, ProblemConstants,
                                     mc_generate, mc_load_observations,
                                     mc_save_observations, pca_generate, pca_load)
 
@@ -149,6 +149,37 @@ class TestPcaInstance:
         C = np.ascontiguousarray(inst.B)
         want = (-2.0 / b) * (C[:, idx] @ (C[:, idx].T @ (Xk - X0)))
         assert np.array_equal(inst.batch_egrad_diff(Xk, X0, idx), want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(d=st.one_of(st.integers(1, 60), st.integers(1000, 1100)),
+           blocks=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_blocked_full_gradient(self, d, blocks, seed, data):
+        # n = blocks whole column blocks plus a ragged rest, so that d >= 1000
+        # gives one block, several and a ragged last one (of one column, too)
+        w = max(1, _BLOCK_BYTES // (8 * d))
+        n = blocks * w + data.draw(st.integers(0 if blocks else 1, w - 1))
+        r = data.draw(st.integers(1, min(d, 6)))
+        local = np.random.default_rng(seed)
+        inst = PcaInstance(local.standard_normal((d, n)), r)
+        X = local.standard_normal((d, r))
+        f, egrad = inst.full_value_egrad(X)
+        G = inst.B.T @ X
+        want_f, want = -float(np.sum(G ** 2)) / n, (-2.0 / n) * (inst.B @ G)
+        assert np.linalg.norm(egrad - want) <= 1e-13 * np.linalg.norm(want)
+        assert abs(f - want_f) <= 1e-13 * abs(want_f)
+        assert f == inst.value(X)
+        if n <= w:
+            assert f == want_f and np.array_equal(egrad, want)
+
+    @pytest.mark.parametrize("d, n, r", [(200, 2000, 5), (1000, 10000, 10)])
+    def test_value_is_full_gradient_f(self, d, n, r):
+        # at the pca-desk and pca-rgd shapes: the trace's f column comes from
+        # full_value_egrad and the benchmark's result check from value
+        inst = PcaInstance(pca_generate(d, n, seed=0), r)
+        local = np.random.default_rng(3)
+        for _ in range(20):
+            X = qr_positive(local.standard_normal((d, r)))[0]
+            assert inst.value(X) == inst.full_value_egrad(X)[0]
 
     def test_gradient_symmetry(self):
         X = random_stiefel(15, 3)
