@@ -22,7 +22,7 @@ __all__ = [
 
 def check_finite(A, name="matrix"):
     """Raise NonFiniteInput if A holds NaN or Inf."""
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
     return A
 

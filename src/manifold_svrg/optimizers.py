@@ -386,8 +386,10 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
         X_prev, grad_prev = X, grad0
         anchor = X
         inner = [X] if sample_inner else None
-        for _ in range(K):
-            idx = rng.integers(n, size=batch)
+        # one draw for the epoch's K batches: numpy's PCG64 generator gives
+        # the same indices, and the same state after them, as K draws of
+        # one batch each (TestMinibatchDraw pins this)
+        for idx in rng.integers(n, size=(K, batch)):
             X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
             ifo += 2 * batch
             ro += 1

@@ -115,7 +115,7 @@ class PcaInstance:
 
     def batch_egrad_diff(self, Xk, X0, idx):
         # mean_i grad f_i(Xk) - grad f_i(X0); the batch is b contiguous rows of B^T
-        Bs = self.B.T[idx]
+        Bs = self.B.T.take(idx, axis=0)
         return (-2.0 / len(idx)) * (Bs.T @ (Bs @ (Xk - X0)))
 
     def constants(self):
@@ -223,14 +223,16 @@ class McInstance:
         self._slots = (self._pad_rows[:, :, None] * self.r
                        + np.arange(self.r)).reshape(self.n, m_max * self.r)
         self._short = lengths < self.r
+        self._has_short = bool(self._short.any())
 
     def _fit(self, Xi, v, short):
         """Least-squares coefficients a (b, r, 1) and residuals Xi a - v (b, m, 1).
 
         Xi (b, m, r) holds the observed rows of X for b columns and v (b, m, 1)
-        their values; short (b,) flags columns with fewer than r observations.
+        their values; short (b,) flags columns with fewer than r observations,
+        or is None when the instance has no such column.
         """
-        if short.any():
+        if short is not None and short.any():
             # a short column takes the minimum-norm fit on its own, so the
             # other columns' fits do not depend on whether the stack holds one
             full = ~short
@@ -243,11 +245,12 @@ class McInstance:
 
     def _fit_padded(self, X, idx):
         """_fit of the columns idx, gathered through the padded observation arrays."""
-        Xp = np.vstack([X, np.zeros((1, X.shape[1]))])
+        Xp = np.concatenate([X, np.zeros((1, X.shape[1]))])
         # take copies the same rows as fancy indexing, without its general
         # index machinery: about 5 against 18 us at the mc-desk shape
         return self._fit(Xp.take(self._pad_rows.take(idx, axis=0), axis=0),
-                         self._pad_vals.take(idx, axis=0)[:, :, None], self._short[idx])
+                         self._pad_vals.take(idx, axis=0)[:, :, None],
+                         self._short[idx] if self._has_short else None)
 
     def _contrib(self, X, idx):
         """Per-observation gradient rows 2 resid a^T, shape (b, m_max, r), and residuals."""

@@ -60,21 +60,16 @@ def phi_half_t(t):
     return 0.5 * t
 
 
-def _qr_relaxed(D):
-    # Thin QR with the positive-diagonal convention but without the rank
-    # check: a vertical direction makes D = (I - XX^T)E rank deficient and
-    # the block exponential degenerates gracefully with zero rows in R.
-    Q, R = np.linalg.qr(D)
-    signs = np.sign(np.diagonal(R))
-    signs = np.where(signs == 0, 1.0, signs)
-    return Q * signs, R * signs[:, None]
-
-
 def _retract_exp1(X, E, t):
     r = X.shape[1]
-    D = E - X @ (X.T @ E)
-    Q, R = _qr_relaxed(D)
     A = X.T @ E
+    # a vertical direction makes D = (I - XX^T)E rank deficient and the
+    # block exponential degenerates gracefully with zero rows in R.  Q and
+    # R take no sign fix: flipping Q's columns and R's rows conjugates blk
+    # by a diagonal sign matrix S, expm(S blk S) = S expm(blk) S bit for
+    # bit (negation is exact and pivoting sees only magnitudes), and the
+    # product with [X Q] cancels S
+    Q, R = np.linalg.qr(E - X @ A)
     blk = np.zeros((2 * r, 2 * r))
     blk[:r, :r] = A
     blk[:r, r:] = -R.T

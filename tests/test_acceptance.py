@@ -218,6 +218,7 @@ def _tail_fit(f_values, f_star, window=20):
     return float(slope), r2
 
 
+@pytest.mark.gate
 def test_criterion_7_desk_pca(capfd, desk_pca_runs):
     f_star, cells = desk_pca_runs
     fails = []
@@ -241,6 +242,7 @@ def test_criterion_7_desk_pca(capfd, desk_pca_runs):
            + ("" if ok else f"; failures: {fails[:4]}"))
 
 
+@pytest.mark.gate
 def test_criterion_8_paper_scale_pca(capfd):
     if os.environ.get("PAPER_SCALE") != "1":
         with capfd.disabled():
@@ -257,6 +259,7 @@ def test_criterion_8_paper_scale_pca(capfd):
            f"full-scale pd fixed-step: mean epochs {row.epoch_avg:.1f} in [30, 90]")
 
 
+@pytest.mark.gate
 def test_criterion_9_desk_mc(capfd):
     spec = ExperimentSpec(problem="mc", method="s-svrg-bb", retraction="jd",
                           d=200, n=400, r=5, rho=0.0, step="bb",
@@ -311,6 +314,7 @@ def test_criterion_10_determinism(capfd, tmp_path):
            "bit-identically (wall-clock excluded)")
 
 
+@pytest.mark.gate
 def test_criterion_11_lojasiewicz_probe(capfd, desk_pca_runs):
     f_star, cells = desk_pca_runs
     worst = 0.0

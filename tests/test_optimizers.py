@@ -198,6 +198,22 @@ class TestSelectOutput:
         assert np.all(np.abs(counts - draws / K) <= 3.0 * sd)
 
 
+class TestMinibatchDraw:
+    # run_s_svrg draws an epoch's K batches at once; this pins that numpy's
+    # generator gives the indices and the following state of K draws of one
+    # batch each, so the traces do not depend on how the draw is split
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 10 ** 6),
+           K=st.integers(1, 60), batch=st.integers(1, 120))
+    def test_one_draw_equals_k_draws(self, seed, n, K, batch):
+        whole = np.random.default_rng(seed)
+        steps = np.random.default_rng(seed)
+        rows = whole.integers(n, size=(K, batch))
+        for row in rows:
+            np.testing.assert_array_equal(row, steps.integers(n, size=batch))
+        assert whole.integers(2 ** 40) == steps.integers(2 ** 40)
+
+
 class TestRunSvrg:
     def test_zero_step_stationary(self):
         inst = small_pca(12, 20, 2, seed=3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from manifold_svrg.errors import RankDeficient, SingularStep
-from manifold_svrg.linalg import qr_positive, skew
+from manifold_svrg.linalg import expm, qr_positive, skew
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
 from manifold_svrg.oracles import fd_derivative
@@ -39,6 +39,21 @@ def test_phi_first_order_invariant():
     h = 1e-8
     assert abs(phi_half_t(h) / h - 0.5) <= 1e-4
     assert phi_half_t(0.0) == 0.0
+
+
+def _exp1_sign_fixed(X, E, t):
+    # the geodesic with R's diagonal made nonnegative before the block
+    # exponential, as the retraction once computed it
+    r = X.shape[1]
+    Q, R = np.linalg.qr(E - X @ (X.T @ E))
+    signs = np.sign(np.diagonal(R))
+    signs = np.where(signs == 0, 1.0, signs)
+    Q, R = Q * signs, R * signs[:, None]
+    blk = np.zeros((2 * r, 2 * r))
+    blk[:r, :r] = X.T @ E
+    blk[:r, r:] = -R.T
+    blk[r:, :r] = R
+    return np.hstack([X, Q]) @ expm(t * blk)[:, :r]
 
 
 class TestFreeRetractions:
@@ -91,6 +106,26 @@ class TestFreeRetractions:
         E = X @ (0.5 * (Om - Om.T))
         Y = retract_array(RetractionKind.EXP1, X, E, 0.7)
         assert feasibility_error(Y) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 30), data=st.data(),
+           shape=st.sampled_from(["generic", "vertical", "partly vertical"]),
+           t=st.floats(1e-6, 10.0))
+    def test_exp1_needs_no_qr_sign_fix(self, seed, d, data, shape, t):
+        # QR's signs conjugate the block exponential by a sign matrix that
+        # the product with [X Q] cancels exactly, so the retraction equals
+        # the version that fixes R's diagonal positive, bit for bit
+        r = data.draw(st.integers(1, d))
+        local = np.random.default_rng(seed)
+        X = qr_positive(local.standard_normal((d, r)))[0]
+        E = X @ skew(local.standard_normal((r, r)))
+        if shape != "vertical":
+            K = (np.eye(d) - X @ X.T) @ local.standard_normal((d, r))
+            if shape == "partly vertical":
+                K[:, local.integers(r)] = 0.0
+            E += K
+        np.testing.assert_array_equal(retract_array(RetractionKind.EXP1, X, E, t),
+                                      _exp1_sign_fixed(X, E, t))
 
     def test_exp2_zero_direction(self):
         X = qr_positive(rng.standard_normal((6, 2)))[0]
