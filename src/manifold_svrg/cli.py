@@ -9,12 +9,14 @@ flags override it.
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ManifoldSvrgError
-from .harness import ExperimentSpec, emit_table, grid_tune, run_experiment
+from .harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, emit_table, grid_tune,
+                      run_experiment)
+from .retractions import RetractionKind
 
 
 def read_config(path):
@@ -34,10 +36,9 @@ def read_config(path):
 
 def _add_run_flags(p):
     p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--problem", choices=["pca", "mc"])
-    p.add_argument("--method", choices=["s-svrg", "s-svrg-bb", "s-sgd", "rgd"])
-    p.add_argument("--retraction",
-                   choices=["exp", "qr", "pd", "wy", "jd", "gp", "gr", "exp2"])
+    p.add_argument("--problem", choices=PROBLEMS)
+    p.add_argument("--method", choices=METHOD_STEPS)
+    p.add_argument("--retraction", choices=[kind.value for kind in RetractionKind])
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--r", type=int)
@@ -61,24 +62,15 @@ def build_spec(args):
     values = {}
     if getattr(args, "config", None):
         values.update(read_config(args.config))
-    for f in fields(ExperimentSpec):
-        flag = getattr(args, f.name, None)
+    for name in _SPEC_TYPES:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = flag
-    # config-file values arrive as strings; coerce by field default type
-    defaults = ExperimentSpec()
-    coerced = {}
-    for key, val in values.items():
+            values[name] = flag
+    for key in values:
         if key not in _SPEC_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        template = getattr(defaults, key)
-        if isinstance(val, str) and not isinstance(template, str):
-            if isinstance(template, int):
-                val = int(val)
-            elif isinstance(template, float):
-                val = float(val)
-        coerced[key] = val
-    return ExperimentSpec(**coerced)
+    # config-file values arrive as strings: convert each with its field's type
+    return ExperimentSpec(**{key: _SPEC_TYPES[key](val) for key, val in values.items()})
 
 
 def cmd_run(args):
@@ -177,7 +169,7 @@ def cmd_verify(_args):
     return 1 if failures else 0
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="bench", description="stochastic Riemannian optimization benchmarks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -193,8 +185,11 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run built-in oracle checks")
     p_verify.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ManifoldSvrgError, ValueError, OSError) as exc:

@@ -12,7 +12,7 @@ import hashlib
 import io
 import os
 import statistics
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .retractions import RetractionKind
 GENERATOR = "numpy.random.PCG64"
 
 __all__ = [
+    "PROBLEMS",
+    "METHOD_STEPS",
     "ExperimentSpec",
     "SummaryRow",
     "RunResult",
@@ -39,11 +41,20 @@ __all__ = [
 TRACE_COLUMNS = ("run_id", "epoch", "f", "grad_norm", "step_size",
                  "ifo_calls", "ro_calls", "seconds")
 
+PROBLEMS = ("pca", "mc")
+
+# the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd is
+# s-svrg with one full-batch step per epoch (thm1 would set its own inner
+# count and batch), and s-sgd takes a fixed step as given and otherwise its
+# analysis step
+METHOD_STEPS = {"s-svrg": (Fixed, BB, Theorem1), "s-svrg-bb": (BB,),
+                "rgd": (Fixed, BB), "s-sgd": (Fixed, BB)}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    problem: str = "pca"          # pca | mc
-    method: str = "s-svrg-bb"     # s-svrg | s-svrg-bb | s-sgd | rgd
+    problem: str = "pca"          # one of PROBLEMS
+    method: str = "s-svrg-bb"     # a key of METHOD_STEPS
     retraction: str = "pd"
     d: int = 200
     n: int = 2000
@@ -68,12 +79,15 @@ class ExperimentSpec:
             raise ValueError(f"r = {self.r} exceeds d = {self.d}")
         if not 0.0 < self.batch_frac <= 1.0:
             raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
-        if self.problem not in ("pca", "mc"):
+        if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.method not in ("s-svrg", "s-svrg-bb", "s-sgd", "rgd"):
+        if self.method not in METHOD_STEPS:
             raise ValueError(f"unknown method {self.method!r}")
-        RetractionKind.from_name(self.retraction)
-        parse_step(self.step)
+        # decodes the retraction, step rule and inner count, and runs
+        # SvrgConfig's checks, so every run of a valid spec gets this far
+        mode = build_config(self, self.seed).step_mode
+        if not isinstance(mode, METHOD_STEPS[self.method]):
+            raise ValueError(f"{self.method} does not run step rule {self.step!r}")
 
     def config_hash(self):
         payload = repr(sorted((k, v) for k, v in asdict(self).items() if k != "out"))
@@ -170,13 +184,9 @@ def _single_run(problem, spec, run_id):
     if spec.method == "rgd":
         X, trace = run_rgd(problem, cfg, X0=X0)
     elif spec.method == "s-sgd":
-        N = cfg.K * cfg.max_epochs
-        X, trace = run_s_sgd(problem, cfg, N=N, X0=X0)
+        tau = cfg.step_mode.tau if isinstance(cfg.step_mode, Fixed) else None
+        X, trace = run_s_sgd(problem, cfg, N=cfg.K * cfg.max_epochs, X0=X0, tau=tau)
     else:
-        if spec.method == "s-svrg-bb" and not isinstance(cfg.step_mode, BB):
-            cfg = replace(cfg, step_mode=BB())
-        if spec.method == "s-svrg" and isinstance(cfg.step_mode, BB):
-            raise ValueError("s-svrg needs a fixed or thm1 step rule; use s-svrg-bb for bb")
         X, trace = run_s_svrg(problem, cfg, X0=X0)
     converged = trace.status == "GradTol"
     return RunResult(
@@ -201,23 +211,26 @@ def _numerics():
     return f"numpy={np.__version__} blas={blas}"
 
 
-def _csv_header(spec, seed):
-    """The five '#' reproducibility lines that open every CSV the harness writes."""
-    return (f"# generator={GENERATOR}\n# seed={seed}\n"
-            f"# config_hash={spec.config_hash()}\n# version={__version__}\n"
-            f"# {_numerics()}\n")
+def _write_csv(fh, spec, seed, columns, rows):
+    """Every CSV the harness writes: given a spec, five '#' reproducibility
+    lines, then the column row and the rows, with floats in full (repr)."""
+    if spec is not None:
+        fh.write(f"# generator={GENERATOR}\n# seed={seed}\n"
+                 f"# config_hash={spec.config_hash()}\n# version={__version__}\n"
+                 f"# {_numerics()}\n")
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _write_trace(path, spec, result):
+    tr = result.trace
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_header(spec, result.seed))
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        tr = result.trace
-        for i in range(len(tr.epoch)):
-            writer.writerow([result.run_id, tr.epoch[i], repr(tr.f[i]),
-                             repr(tr.grad_norm[i]), repr(tr.step_size[i]),
-                             tr.ifo_calls[i], tr.ro_calls[i], f"{tr.seconds[i]:.6f}"])
+        _write_csv(fh, spec, result.seed, TRACE_COLUMNS,
+                   zip([result.run_id] * len(tr.epoch), tr.epoch, tr.f, tr.grad_norm,
+                       tr.step_size, tr.ifo_calls, tr.ro_calls,
+                       [f"{t:.6f}" for t in tr.seconds]))
 
 
 def run_experiment(spec: ExperimentSpec, problem=None):
@@ -285,10 +298,11 @@ def grid_tune(spec: ExperimentSpec, tau_grid):
     """
     if not tau_grid:
         raise ValueError("empty step grid")
+    # a method without fixed steps fails here, before any data is generated
+    cells = [(tau, replace(spec, step=f"fixed:{tau}", out=None)) for tau in sorted(tau_grid)]
     problem = build_problem(spec)
     best = None
-    for tau in sorted(tau_grid):
-        cell = replace(spec, step=f"fixed:{tau}", method="s-svrg", out=None)
+    for tau, cell in cells:
         row, _ = run_experiment(cell, problem=problem)
         if row.successes == row.runs:
             if best is None or row.epoch_avg < best[1].epoch_avg:
@@ -296,11 +310,6 @@ def grid_tune(spec: ExperimentSpec, tau_grid):
     if best is None:
         raise NoConvergentTau(f"no step in {sorted(tau_grid)} converged all {spec.runs} runs")
     return best
-
-
-SUMMARY_FIELDS = ("problem", "method", "retraction", "tau_star", "runs",
-                  "successes", "epoch_min", "epoch_avg", "epoch_max",
-                  "epoch_std", "nrm_bar", "err_bar", "t_bar")
 
 
 def emit_table(rows, spec=None):
@@ -328,31 +337,15 @@ def emit_table(rows, spec=None):
     for ln in lines:
         text += "  ".join(c.ljust(w) for c, w in zip(ln, widths)) + "\n"
 
+    names = [f.name for f in fields(SummaryRow)]
     buf = io.StringIO()
-    if spec is not None:
-        buf.write(_csv_header(spec, spec.seed))
-    writer = csv.writer(buf)
-    writer.writerow(SUMMARY_FIELDS)
-    for row in rows:
-        d = asdict(row)
-        writer.writerow([repr(d[k]) if isinstance(d[k], float) else d[k]
-                         for k in SUMMARY_FIELDS])
+    _write_csv(buf, spec, None if spec is None else spec.seed, names,
+               ([getattr(row, k) for k in names] for row in rows))
     return text, buf.getvalue()
 
 
 def parse_summary_csv(text):
     """Read summary rows back from CSV text (skipping '#' header lines)."""
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    reader = csv.DictReader(lines)
-    rows = []
-    for rec in reader:
-        rows.append(SummaryRow(
-            problem=rec["problem"], method=rec["method"],
-            retraction=rec["retraction"], tau_star=float(rec["tau_star"]),
-            runs=int(rec["runs"]), successes=int(rec["successes"]),
-            epoch_min=int(rec["epoch_min"]), epoch_avg=float(rec["epoch_avg"]),
-            epoch_max=int(rec["epoch_max"]), epoch_std=float(rec["epoch_std"]),
-            nrm_bar=float(rec["nrm_bar"]), err_bar=float(rec["err_bar"]),
-            t_bar=float(rec["t_bar"]),
-        ))
-    return rows
+    return [SummaryRow(**{f.name: f.type(rec[f.name]) for f in fields(SummaryRow)})
+            for rec in csv.DictReader(lines)]

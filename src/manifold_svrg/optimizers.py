@@ -70,8 +70,8 @@ class Fixed:
     tau: float
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError("step size must be nonnegative")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"step size must be finite and nonnegative, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class Theorem1:
     def __post_init__(self):
         if not (0.0 <= self.mu <= 2.0 / 3.0):
             raise ValueError("mu must lie in [0, 2/3]")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
 class OutputMode(enum.Enum):

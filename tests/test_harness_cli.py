@@ -6,8 +6,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from manifold_svrg import harness
 from manifold_svrg.cli import build_spec, main, read_config
-from manifold_svrg.errors import NoConvergentTau
+from manifold_svrg.errors import NoConvergentTau, NonFiniteValue
 from manifold_svrg.harness import (ExperimentSpec, SummaryRow, TRACE_COLUMNS,
                                    build_config, build_problem, emit_table,
                                    grid_tune, parse_step, parse_summary_csv,
@@ -38,7 +39,15 @@ class TestSpec:
 
     @pytest.mark.parametrize("bad", [dict(d=0), dict(n=0), dict(r=0), dict(r=11),
                                      dict(batch_frac=0.0), dict(batch_frac=-0.1),
-                                     dict(batch_frac=1.5)])
+                                     dict(batch_frac=1.5),
+                                     # a step rule its method does not run
+                                     dict(method="s-svrg-bb", step="fixed:0.5"),
+                                     dict(method="rgd", step="thm1:0.5,1.0"),
+                                     dict(method="s-sgd", step="thm1:0.5,1.0"),
+                                     # fields every run would reject
+                                     dict(inner_k="x"), dict(inner_k="0"),
+                                     dict(max_epochs=0), dict(rho=-1.0),
+                                     dict(step="fixed:nan")])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_spec(**bad)
@@ -59,6 +68,8 @@ class TestSpec:
         assert (mode.mu, mode.kappa) == (0.1, 2.0)
         with pytest.raises(ValueError):
             parse_step("linesearch")
+        with pytest.raises(ValueError):
+            parse_step("fixed:nan")
 
     def test_resolve_inner_k(self):
         assert resolve_inner_k(tiny_spec(inner_k="auto", batch_frac=0.01)) == 500
@@ -143,30 +154,46 @@ class TestRunExperiment:
         assert header("summary.csv")[-1].startswith(f"# numpy={np.__version__} blas=")
         assert header("summary.csv") == header("trace_run000.csv")
 
-    def test_summary_written_when_every_run_fails(self, tmp_path):
+    @pytest.fixture
+    def diverging(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFiniteValue("objective or gradient diverged at epoch 0")
+        monkeypatch.setattr(harness, "run_s_svrg", diverge)
+
+    def test_summary_written_when_every_run_fails(self, tmp_path, diverging):
         out = tmp_path / "cell"
-        spec = tiny_spec(method="s-svrg", step="bb", runs=2, max_epochs=2, out=str(out))
+        spec = tiny_spec(runs=2, max_epochs=2, out=str(out))
         row, _ = run_experiment(spec)
         assert row.successes == 0
         assert sorted(os.listdir(out)) == ["summary.csv"]
 
-    def test_failed_runs_reported(self):
-        # s-svrg with a bb step string is a configuration error per run
-        spec = tiny_spec(method="s-svrg", step="bb", runs=2, max_epochs=2)
+    def test_failed_runs_reported(self, diverging):
+        spec = tiny_spec(runs=2, max_epochs=2)
         row, results = run_experiment(spec)
         assert row.successes == 0
-        assert all(r.status == "Failed:ValueError" for r in results)
+        assert all(r.status == "Failed:NonFiniteValue" for r in results)
         assert np.isnan(row.nrm_bar) and np.isnan(row.err_bar)
 
-    def test_failure_message_kept(self, capsys):
-        spec = tiny_spec(method="s-svrg", step="bb", runs=1, max_epochs=2)
+    def test_failure_message_kept(self, capsys, diverging):
+        spec = tiny_spec(runs=1, max_epochs=2)
         _, (result,) = run_experiment(spec)
-        assert result.error.startswith("ValueError: s-svrg needs a fixed or thm1 step rule")
-        code = main(["run", "--problem", "pca", "--method", "s-svrg", "--step", "bb",
+        assert result.error == "NonFiniteValue: objective or gradient diverged at epoch 0"
+        code = main(["run", "--problem", "pca", "--method", "s-svrg-bb", "--step", "bb",
                      "--d", "10", "--n", "20", "--r", "2", "--batch-frac", "0.5",
                      "--inner-k", "2", "--max-epochs", "2", "--runs", "1"])
         assert code == 1
-        assert "run 0: ValueError: s-svrg needs a fixed" in capsys.readouterr().err
+        assert "run 0: NonFiniteValue: objective or gradient diverged" in capsys.readouterr().err
+
+    def test_s_svrg_with_bb_is_s_svrg_bb(self):
+        _, (a,) = run_experiment(tiny_spec(method="s-svrg", runs=1))
+        _, (b,) = run_experiment(tiny_spec(method="s-svrg-bb", runs=1))
+        assert a.trace.f == b.trace.f
+
+    def test_s_sgd_takes_a_fixed_step(self):
+        row, (result,) = run_experiment(tiny_spec(method="s-sgd", step="fixed:0.05",
+                                                  runs=1, max_epochs=3))
+        assert result.trace.step_size and set(result.trace.step_size) == {0.05}
+        assert row.tau_star == 0.05
 
 
 class TestGridTune:
@@ -185,6 +212,29 @@ class TestGridTune:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             grid_tune(tiny_spec(), [])
+
+    def test_tunes_the_spec_method(self, monkeypatch):
+        runs = []
+
+        def recording(spec, problem=None):
+            row, results = run_experiment(spec, problem)
+            runs.extend(results)
+            return row, results
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        tau_star, row = grid_tune(tiny_spec(method="rgd", runs=1, max_epochs=150), [2.0, 4.0])
+        assert (tau_star, row.method, row.successes) == (2.0, "rgd", 1)
+        assert len(runs) == 2
+        for result in runs:
+            # full-gradient steps: one retraction per epoch
+            assert result.trace.ro_calls == result.trace.epoch
+
+    def test_method_without_fixed_steps_rejected(self, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("data generated for an untunable method")
+        monkeypatch.setattr(harness, "build_problem", no_data)
+        with pytest.raises(ValueError, match="s-svrg-bb"):
+            grid_tune(tiny_spec(method="s-svrg-bb"), [0.5])
 
 
 class TestEmitTable:
@@ -283,3 +333,10 @@ class TestCliMain:
         code = main(["run", "--problem", "pca", "--step", "warp"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rejected_spec_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "cell"
+        code = main(["run", *self.RUN_ARGS, "--step", "fixed:0.5", "--out", str(out)])
+        assert code == 2
+        assert "error: s-svrg-bb does not run step rule 'fixed:0.5'" in capsys.readouterr().err
+        assert not out.exists()

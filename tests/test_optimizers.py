@@ -172,6 +172,15 @@ class TestSchedule:
         with pytest.raises(ValueError):
             theorem1_schedule(100, 0.9, 1.0, 1, 1, 1, 0.5, 2, 1.0)
 
+    @pytest.mark.parametrize("rule, args", [
+        (Fixed, (-0.1,)), (Fixed, (math.nan,)), (Fixed, (math.inf,)),
+        (Theorem1, (math.nan, 1.0)), (Theorem1, (0.1, 0.0)),
+        (Theorem1, (0.1, math.nan)), (Theorem1, (0.1, math.inf))])
+    def test_step_rule_values_validated(self, rule, args):
+        # a NaN or infinite value would fail every run at its first step
+        with pytest.raises(ValueError):
+            rule(*args)
+
 
 class TestSelectOutput:
     def test_last_iterate_bypasses(self):

@@ -6,13 +6,16 @@ module still lists as public.
 """
 
 import ast
+import enum
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
 import pytest
 
 import manifold_svrg
+from manifold_svrg import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(manifold_svrg.__path__))
 
@@ -42,3 +45,26 @@ def test_package_exports_resolve():
         # a re-exported name is public in its module too (errors lists none)
         if hasattr(module, "__all__"):
             assert name in module.__all__, f"{module_name}.{name} is exported but not in __all__"
+
+
+# defaulted keyword parameters and dataclass fields of every __all__ name,
+# plus the CLI flags; a change that adds or removes a knob updates this
+OPTION_BUDGET = 71
+
+
+def _defaulted(obj):
+    if not callable(obj) or isinstance(obj, enum.EnumMeta):
+        return 0
+    return sum(p.default is not p.empty for p in inspect.signature(obj).parameters.values())
+
+
+def test_option_budget():
+    options = sum(_defaulted(getattr(module, name))
+                  for module in map(importlib.import_module,
+                                    (f"manifold_svrg.{m}" for m in MODULES))
+                  for name in getattr(module, "__all__", []))
+    parser = cli._parser()
+    flags = set()
+    for argv in (["run"], ["tune", "--grid", "1"], ["verify"]):
+        flags |= set(vars(parser.parse_args(argv))) - {"command", "func"}
+    assert options + len(flags) == OPTION_BUDGET, f"{options} options, {len(flags)} flags"
