@@ -25,10 +25,6 @@ class NoFeasibleC(ManifoldSvrgError):
     """No step-size constant satisfies the schedule inequality."""
 
 
-class TooLarge(ManifoldSvrgError):
-    """Brute-force enumeration guard tripped."""
-
-
 class TooManySamples(ManifoldSvrgError):
     """Requested more observed entries than the matrix holds."""
 

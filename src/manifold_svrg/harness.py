@@ -46,7 +46,8 @@ PROBLEMS = ("pca", "mc")
 # the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd is
 # s-svrg with one full-batch step per epoch (thm1 would set its own inner
 # count and batch), and s-sgd takes a fixed step as given and otherwise its
-# analysis step
+# analysis step.  The rule also picks the output: thm1 runs return an
+# iterate sampled with p ~ Delta, the other rules the last iterate
 METHOD_STEPS = {"s-svrg": (Fixed, BB, Theorem1), "s-svrg-bb": (BB,),
                 "rgd": (Fixed, BB), "s-sgd": (Fixed, BB)}
 

@@ -11,7 +11,6 @@ retractions the Euclidean estimate feeds the retraction directly and G^R
 is never formed.
 """
 
-import enum
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,6 @@ __all__ = [
     "Fixed",
     "BB",
     "Theorem1",
-    "OutputMode",
     "SvrgConfig",
     "Schedule",
     "RunTrace",
@@ -97,11 +95,6 @@ class Theorem1:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
-class OutputMode(enum.Enum):
-    LAST_ITERATE = "last"
-    SAMPLED = "sampled"           # categorical over inner iterates, p ~ Delta
-
-
 @dataclass(frozen=True)
 class SvrgConfig:
     retraction: RetractionKind = RetractionKind.PD
@@ -111,7 +104,6 @@ class SvrgConfig:
     batch: int = 1
     max_epochs: int = 200
     grad_tol: float = 1e-6
-    output_mode: OutputMode = OutputMode.LAST_ITERATE
     seed: int = 0
     r: int = 5
     bb_double: bool = False  # Grassmann completion doubles the raw BB value
@@ -240,10 +232,8 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
                     Delta=Delta, p=p, L_tilde=L_tilde, L_hat=L_hat)
 
 
-def select_output(iterates, p_sk, mode, rng):
-    """Pick the epoch's representative iterate (the last one, or a draw)."""
-    if mode is OutputMode.LAST_ITERATE:
-        return iterates[-1]
+def select_output(iterates, p_sk, rng):
+    """Draw the epoch's output from its iterates X_0, ..., X_K with weights p_sk."""
     p = np.asarray(p_sk, dtype=float)
     if len(p) != len(iterates):
         raise ValueError("need one probability per stored iterate")
@@ -331,11 +321,15 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
 
     Per epoch: full Euclidean gradient at the anchor, a step size from the
     configured mode, then K minibatch steps sampled with replacement.  The
-    trace records the state at each epoch start; the loop stops once the
-    Riemannian gradient norm at an anchor falls below grad_tol or after
-    max_epochs epochs.  IFO counts n per full gradient and 2|batch| per
-    inner step, also for the first step of an epoch, whose zero correction
-    is never evaluated; RO counts one per retraction.
+    step rule picks the epoch's output: Theorem1 draws one of the epoch's
+    iterates X_0, ..., X_K with the schedule's p ~ Delta, the iterate its
+    guarantee speaks about; Fixed and BB keep the last one.  The trace
+    records the state at each epoch start; the loop stops once the
+    Riemannian gradient norm at an anchor falls below grad_tol, or after
+    max_epochs epochs with one more full gradient, so that the last row
+    describes the returned point.  IFO counts n per full gradient and
+    2|batch| per inner step, also for the first step of an epoch, whose
+    zero correction is never evaluated; RO counts one per retraction.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))
@@ -358,9 +352,8 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     ro = 0
     X_prev = None
     grad_prev = None
-    sample_inner = config.output_mode is not OutputMode.LAST_ITERATE
 
-    for s in range(config.max_epochs):
+    for s in range(config.max_epochs + 1):
         f0, egrad0 = problem.full_value_egrad(X)
         ifo += n
         grad0 = d_rho_array(X, egrad0, rho)
@@ -382,10 +375,12 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
         if gnorm <= config.grad_tol:
             trace.status = "GradTol"
             break
+        if s == config.max_epochs:
+            break  # the returned point's row; status stays MaxEpochs
 
         X_prev, grad_prev = X, grad0
         anchor = X
-        inner = [X] if sample_inner else None
+        iterates = [X]
         # one draw for the epoch's K batches: numpy's PCG64 generator gives
         # the same indices, and the same state after them, as K draws of
         # one batch each (TestMinibatchDraw pins this)
@@ -393,18 +388,11 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
             X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
             ifo += 2 * batch
             ro += 1
-            if sample_inner:
-                inner.append(X)
-
-        if sample_inner:
             if schedule is not None:
-                p = schedule.p
-            else:
-                # no decrease table outside the analysis mode: uniform over
-                # the K fresh iterates, never the anchor slot
-                p = np.zeros(K + 1)
-                p[1:] = 1.0 / K
-            X = select_output(inner, p, config.output_mode, rng)
+                iterates.append(X)
+
+        if schedule is not None:
+            X = select_output(iterates, schedule.p, rng)
 
         if feasibility_error(X) > DRIFT_TOL:
             X = qr_positive(X)[0]

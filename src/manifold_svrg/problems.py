@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import InvalidObservation, NonFiniteInput, TooManySamples
 from .linalg import qr_positive
-from .oracles import dense_pca_eig
 
 __all__ = [
     "ProblemConstants",
@@ -123,9 +122,15 @@ class PcaInstance:
         return ProblemConstants(L=2.0 * m, C=2.0 * m * math.sqrt(self.r))
 
     def optimum(self):
-        """Optimal value and a maximizing subspace from the dense eigensolver."""
-        w, V = dense_pca_eig(self.B, 1.0 / self.n)
-        return -float(np.sum(w[: self.r])), V[:, : self.r]
+        """Optimal value and a maximizing subspace from the dense eigensolver.
+
+        The value is minus the sum of the r largest eigenvalues of the
+        covariance (1/n) B B^T, and the subspace their eigenvectors, in
+        descending order.
+        """
+        w, V = np.linalg.eigh((1.0 / self.n) * (self.B @ self.B.T))
+        top = np.argsort(w)[::-1][: self.r]
+        return -float(np.sum(w[top])), V[:, top]
 
 
 def _lsq_normal(Xi, v):
@@ -154,7 +159,7 @@ class McInstance:
     _fit, which also holds the one rank-deficient branch: a column of fewer
     than r observations gets the minimum-norm fit, and so does every column
     of a stack whose normal equations are exactly singular.  The full and
-    batch oracles pad every column's observations to one length and sum the
+    batch gradients pad every column's observations to one length and sum the
     per-observation gradient rows 2 resid_i a_i^T into X's shape with a
     single np.bincount over flat (row * r + j) slots precomputed at
     construction; padding lands in a sentinel row that is dropped.

@@ -1,14 +1,14 @@
-"""Seven retraction maps onto the Stiefel / Grassmann manifold.
+"""Eight retraction maps onto the Stiefel / Grassmann manifold.
 
-Five free-direction retractions (geodesic, QR, polar, Cayley, subspace)
-accept an arbitrary tangent direction.  The two gradient-coupled maps take
-the Euclidean gradient g itself and work on the step X - t g: gradient
-projection takes its polar factor, and gradient reflection reflects X
-through its column space, with the orthogonal projector built from the
-step's thin SVD.  Their derivatives at t = 0 are -d_rho(X, g) with
-rho = 1/4 and -2 d_0(X, g) respectively.  retract_array serves every kind
-through one table.  t is nonnegative in the optimizers; descent is encoded
-in the direction sign.
+Six free-direction retractions (Stiefel geodesic, QR, polar, Cayley,
+subspace, and the Grassmann geodesic exp2) accept a tangent direction.  The
+two gradient-coupled maps take the Euclidean gradient g itself and work on
+the step X - t g: gradient projection takes its polar factor, and gradient
+reflection reflects X through its column space, with the orthogonal
+projector built from the step's thin SVD.  Their derivatives at t = 0 are
+-d_rho(X, g) with rho = 1/4 and -2 d_0(X, g) respectively.  retract_array
+serves every kind through one table.  t is nonnegative in the optimizers;
+descent is encoded in the direction sign.
 """
 
 import enum
@@ -28,7 +28,6 @@ __all__ = [
     "retract_gp_array",
     "retract_gr_array",
     "declared_derivative",
-    "estimate_l1_l2",
 ]
 
 
@@ -178,43 +177,3 @@ def declared_derivative(kind, X, direction):
     if kind is RetractionKind.GR:
         return -2.0 * d_rho_array(X, direction, 0.0)
     return direction
-
-
-def estimate_l1_l2(kind, trials, seed=0):
-    """Empirical suprema of the two retraction-deviation ratios.
-
-    Samples random (X, direction, t in (0, 10]) at d = 50, r = 5 and returns
-
-        L1_hat = sup ||R(t) - X|| / (t ||R'(0)||)
-        L2_hat = sup ||R(t) - X - t R'(0)|| / (t^2 ||R'(0)||^2)
-
-    For the polar and QR retractions these never exceed (1, 1/2) and
-    (1 + sqrt(2)/2, sqrt(10)/2).  kind="line" measures the Euclidean
-    straight-line baseline (L1 = 1, L2 = 0), used as an oracle in tests.
-    """
-    rng = np.random.default_rng(seed)
-    l1 = 0.0
-    l2 = 0.0
-    for _ in range(trials):
-        X, _ = np.linalg.qr(rng.standard_normal((50, 5)))
-        Z = rng.standard_normal((50, 5))
-        t = rng.uniform(1e-3, 10.0)
-        if kind == "line":
-            E = Z
-            Rt = X + t * E
-            deriv = E
-        else:
-            if kind in GRADIENT_KINDS:
-                direction = Z
-            elif kind is RetractionKind.EXP2:
-                direction = Z - X @ (X.T @ Z)
-            else:
-                direction = Z - 0.5 * X @ (X.T @ Z + Z.T @ X)
-            deriv = declared_derivative(kind, X, direction)
-            Rt = retract_array(kind, X, direction, t)
-        nd = np.linalg.norm(deriv)
-        if nd < 1e-12:
-            continue
-        l1 = max(l1, np.linalg.norm(Rt - X) / (t * nd))
-        l2 = max(l2, np.linalg.norm(Rt - X - t * deriv) / (t * t * nd * nd))
-    return l1, l2

@@ -1,0 +1,129 @@
+"""Validation oracles shared by the tests.
+
+The first four share no code with the modules they validate beyond plain
+numpy arithmetic: the QR oracle is modified Gram-Schmidt, the exponential
+oracle is a scaled Taylor series, derivatives come from Richardson-
+extrapolated central differences, and stochastic-gradient moments come from
+exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
+package's own retractions to measure their deviation constants.
+"""
+
+import itertools
+
+import numpy as np
+
+from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
+                                       declared_derivative, retract_array)
+
+FD_STEP = 1e-6              # h of fd_derivative
+TAYLOR_TERMS = 60           # terms of taylor_expm's series
+TAYLOR_MAX_NORM = 0.5       # 1-norm taylor_expm scales its argument below
+ENUMERATION_LIMIT = 10 ** 6  # most ordered batches brute_force_expectation visits
+
+
+def fd_derivative(curve):
+    """Richardson-extrapolated derivative of a matrix-valued curve at 0.
+
+    Central differences at h = FD_STEP and h/2 are combined as
+    (4 D(h/2) - D(h)) / 3, separating truncation from roundoff near the
+    1e-5 validation floor.
+    """
+    h = FD_STEP
+    d1 = (curve(h) - curve(-h)) / (2.0 * h)
+    d2 = (curve(h / 2) - curve(-h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def gram_schmidt_qr(A):
+    """Column-by-column modified Gram-Schmidt QR with positive diagonal."""
+    A = np.array(A, dtype=float)
+    d, r = A.shape
+    Q = np.zeros((d, r))
+    R = np.zeros((r, r))
+    for j in range(r):
+        v = A[:, j].copy()
+        for i in range(j):
+            R[i, j] = Q[:, i] @ v
+            v -= R[i, j] * Q[:, i]
+        R[j, j] = np.linalg.norm(v)
+        if R[j, j] == 0.0:
+            raise ZeroDivisionError("rank-deficient column in Gram-Schmidt oracle")
+        Q[:, j] = v / R[j, j]
+    return Q, R
+
+
+def taylor_expm(A):
+    """Matrix exponential by a scaled, squared Taylor series."""
+    A = np.asarray(A, dtype=float)
+    m = A.shape[0]
+    norm = np.linalg.norm(A, 1)
+    squarings = 0
+    while norm / (2 ** squarings) > TAYLOR_MAX_NORM:
+        squarings += 1
+    B = A / (2 ** squarings)
+    out = np.eye(m)
+    term = np.eye(m)
+    for k in range(1, TAYLOR_TERMS + 1):
+        term = term @ B / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def brute_force_expectation(grad_fn, n, batch_size):
+    """Exact first and second central moments over all ordered batches.
+
+    grad_fn(batch) maps a tuple of component indices (0-based, sampled with
+    replacement, so ordered tuples with repeats) to a matrix.  Returns the
+    mean matrix and the mean squared Frobenius deviation from it.  Raises
+    ValueError past ENUMERATION_LIMIT batches.
+    """
+    total = n ** batch_size
+    if total > ENUMERATION_LIMIT:
+        raise ValueError(f"{total} ordered batches exceed the enumeration guard "
+                         f"{ENUMERATION_LIMIT}")
+    batches = list(itertools.product(range(n), repeat=batch_size))
+    mean = sum(grad_fn(b) for b in batches) / total
+    second = sum(np.linalg.norm(grad_fn(b) - mean) ** 2 for b in batches) / total
+    return mean, second
+
+
+def estimate_l1_l2(kind, trials, seed):
+    """Empirical suprema of the two retraction-deviation ratios.
+
+    Samples random (X, direction, t in (0, 10]) at d = 50, r = 5 and returns
+
+        L1_hat = sup ||R(t) - X|| / (t ||R'(0)||)
+        L2_hat = sup ||R(t) - X - t R'(0)|| / (t^2 ||R'(0)||^2)
+
+    For the polar and QR retractions these never exceed (1, 1/2) and
+    (1 + sqrt(2)/2, sqrt(10)/2).  kind="line" measures the Euclidean
+    straight-line baseline (L1 = 1, L2 = 0).
+    """
+    rng = np.random.default_rng(seed)
+    l1 = 0.0
+    l2 = 0.0
+    for _ in range(trials):
+        X, _ = np.linalg.qr(rng.standard_normal((50, 5)))
+        Z = rng.standard_normal((50, 5))
+        t = rng.uniform(1e-3, 10.0)
+        if kind == "line":
+            E = Z
+            Rt = X + t * E
+            deriv = E
+        else:
+            if kind in GRADIENT_KINDS:
+                direction = Z
+            elif kind is RetractionKind.EXP2:
+                direction = Z - X @ (X.T @ Z)
+            else:
+                direction = Z - 0.5 * X @ (X.T @ Z + Z.T @ X)
+            deriv = declared_derivative(kind, X, direction)
+            Rt = retract_array(kind, X, direction, t)
+        nd = np.linalg.norm(deriv)
+        if nd < 1e-12:
+            continue
+        l1 = max(l1, np.linalg.norm(Rt - X) / (t * nd))
+        l2 = max(l2, np.linalg.norm(Rt - X - t * deriv) / (t * t * nd * nd))
+    return l1, l2

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 import manifold_svrg
 from manifold_svrg.errors import NonFiniteInput, RankDeficient
 from manifold_svrg.linalg import expm, polar_project, qr_positive, skew, sym
-from manifold_svrg.oracles import gram_schmidt_qr, taylor_expm
+from oracles import gram_schmidt_qr, taylor_expm
 
 rng = np.random.default_rng(42)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from manifold_svrg.errors import TooLarge
-from manifold_svrg.oracles import (brute_force_expectation, dense_pca_eig,
-                                   fd_derivative, gram_schmidt_qr, taylor_expm)
+from manifold_svrg.problems import PcaInstance
+from oracles import (brute_force_expectation, fd_derivative, gram_schmidt_qr,
+                     taylor_expm)
 
 rng = np.random.default_rng(99)
 
@@ -50,7 +50,7 @@ class TestTaylorExpm:
 
 class TestBruteForce:
     def test_enumeration_guard(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match="enumeration guard"):
             brute_force_expectation(lambda b: np.zeros((1, 1)), n=100, batch_size=4)
 
     def test_mean_of_single_draws(self):
@@ -68,25 +68,33 @@ class TestBruteForce:
 
 
 class TestDensePcaEig:
+    """PcaInstance.optimum: the dense eigensolver behind every PCA f*."""
+
     def test_diagonal_covariance(self):
-        # centered matrix chosen so B B^T is diagonal
-        B = np.diag([3.0, 1.0, 2.0])
-        w, V = dense_pca_eig(B, 1.0)
-        np.testing.assert_allclose(w, [9.0, 4.0, 1.0], atol=1e-12)
+        # columns +-3 e1, +-1 e2, +-2 e3 have mean zero and covariance
+        # diag(18, 2, 8) / 6; the top two directions are e1, then e3
+        A = np.hstack([np.diag([3.0, 1.0, 2.0]), -np.diag([3.0, 1.0, 2.0])])
+        f_star, V = PcaInstance(A, 2).optimum()
+        assert f_star == pytest.approx(-(18.0 + 8.0) / 6.0, rel=1e-14)
+        np.testing.assert_allclose(np.abs(V), np.eye(3)[:, [0, 2]], atol=1e-14)
 
     def test_reconstruction(self):
-        B = rng.standard_normal((6, 10))
-        w, V = dense_pca_eig(B, 0.1)
-        cov = 0.1 * B @ B.T
-        recon = (V * w) @ V.T
-        assert np.linalg.norm(recon - cov) <= 1e-10 * np.linalg.norm(cov)
+        # f* is minus the r largest squared singular values of B over n,
+        # and the subspace attains it
+        A = rng.standard_normal((6, 10))
+        inst = PcaInstance(A, 3)
+        f_star, V = inst.optimum()
+        s = np.linalg.svd(A - A.mean(axis=1, keepdims=True), compute_uv=False)
+        assert f_star == pytest.approx(-np.sum(s[:3] ** 2) / 10, rel=1e-12)
+        assert inst.value(V) == pytest.approx(f_star, rel=1e-12)
 
     def test_orthonormal_eigenvectors(self):
-        B = rng.standard_normal((7, 5))
-        _, V = dense_pca_eig(B, 1.0)
-        np.testing.assert_allclose(V.T @ V, np.eye(7), atol=1e-12)
+        _, V = PcaInstance(rng.standard_normal((7, 5)), 4).optimum()
+        np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-12)
 
     def test_descending_order(self):
-        B = rng.standard_normal((6, 20))
-        w, _ = dense_pca_eig(B, 1.0)
-        assert np.all(np.diff(w) <= 0)
+        # each column's explained variance is no larger than the one before
+        inst = PcaInstance(rng.standard_normal((6, 20)), 6)
+        _, V = inst.optimum()
+        explained = [-inst.value(V[:, [j]]) for j in range(6)]
+        assert np.all(np.diff(explained) <= 1e-12)

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from manifold_svrg.errors import InvalidObservation, NonFiniteInput, TooManySamples
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.oracles import fd_derivative
 from manifold_svrg.problems import (_BLOCK_BYTES, McInstance, PcaInstance, ProblemConstants,
                                     mc_generate, mc_load_observations,
                                     mc_save_observations, pca_generate, pca_load)
+from oracles import fd_derivative
 
 rng = np.random.default_rng(13)
 

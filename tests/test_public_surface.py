@@ -49,7 +49,7 @@ def test_package_exports_resolve():
 
 # defaulted keyword parameters and dataclass fields of every __all__ name,
 # plus the CLI flags; a change that adds or removes a knob updates this
-OPTION_BUDGET = 71
+OPTION_BUDGET = 66
 
 
 def _defaulted(obj):
@@ -65,6 +65,6 @@ def test_option_budget():
                   for name in getattr(module, "__all__", []))
     parser = cli._parser()
     flags = set()
-    for argv in (["run"], ["tune", "--grid", "1"], ["verify"]):
+    for argv in (["run"], ["tune", "--grid", "1"]):
         flags |= set(vars(parser.parse_args(argv))) - {"command", "func"}
     assert options + len(flags) == OPTION_BUDGET, f"{options} options, {len(flags)} flags"

@@ -6,12 +6,11 @@ from manifold_svrg.errors import RankDeficient, SingularStep
 from manifold_svrg.linalg import expm, qr_positive, skew
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
-from manifold_svrg.oracles import fd_derivative
 from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
-                                       estimate_l1_l2, phi_half_t,
-                                       retract_array, retract_gp_array,
-                                       retract_gr_array)
+                                       phi_half_t, retract_array,
+                                       retract_gp_array, retract_gr_array)
+from oracles import estimate_l1_l2, fd_derivative
 
 rng = np.random.default_rng(21)
 
