@@ -408,7 +408,9 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=No
     largest deviation of 100 single-sample Riemannian gradients from the
     full one at the start point.  Returns the iterate at an index drawn
     uniformly from {0, ..., N-1} up front, which is the estimator the
-    analysis speaks about.
+    analysis speaks about.  The trace records every record_every-th iterate
+    X_j, then a last row, indexed N, at that returned point after all N - 1
+    steps.  Recording is not charged to the IFO count.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -440,17 +442,21 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=No
     if record_every is None:
         record_every = max(1, N // 100)
 
+    def record(j, X, steps):
+        f, egrad = problem.full_value_egrad(X)
+        gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
+        if not (np.isfinite(f) and np.isfinite(gn)):
+            raise NonFiniteValue(f"objective or gradient diverged at step {j}")
+        trace.record(j, f, gn, tau, ifo + steps, steps, t0)
+
     # X_0 ... X_{N-1}: step j costs one IFO and one RO call
     path = _single_sample_path(problem, config, X, tau, N - 1, rng, trace.events)
     for j, X in enumerate(path):
         if j == j_bar:
             X_out = X
         if j % record_every == 0:
-            f, egrad = problem.full_value_egrad(X)
-            gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
-            if not (np.isfinite(f) and np.isfinite(gn)):
-                raise NonFiniteValue(f"objective or gradient diverged at step {j}")
-            trace.record(j, f, gn, tau, ifo + j, j, t0)
+            record(j, X, j)
+    record(N, X_out, N - 1)  # the returned point's row
     return StiefelPoint(X_out), trace
 
 

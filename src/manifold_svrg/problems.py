@@ -33,12 +33,6 @@ __all__ = [
 ]
 
 
-# bytes of B per column block in PcaInstance.full_value_egrad: small enough
-# that a block is still in cache for its second product (384 KiB to 768 KiB
-# measured equally fast at d = 200 and d = 1000, 1 MiB and up slower)
-_BLOCK_BYTES = 512 * 1024
-
-
 @dataclass(frozen=True)
 class ProblemConstants:
     """Component-gradient Lipschitz constant L and gradient bound C."""
@@ -59,13 +53,16 @@ class PcaInstance:
 
     The centered data B is the instance's one d x n array, stored
     column-major: B.T is then a contiguous B^T, so a minibatch is a gather
-    of contiguous rows of B^T rather than a strided gather of columns of B,
-    and a block of consecutive columns of B is one contiguous slab.
+    of contiguous rows of B^T rather than a strided gather of columns of B.
+    Minibatches, components and constants() read B.
 
-    The full gradient -(2/n) B (B^T X) reads B once, one column block at a
-    time (_BLOCK_BYTES per block), rather than once per product.  value(X)
-    is its f, so the two agree bit for bit: BLAS may round a block's rows
-    of B^T X differently from the same rows of the whole product.
+    The full value and gradient come from the covariance C = (1/n) B B^T,
+    built once at construction: d^2 n flops, and d^2 floats held next to B
+    (more than B itself when d > n).  f = -<X, C X> and grad f = -2 C X
+    then cost d^2 r flops per call instead of the 2 n d r of
+    -(2/n) B (B^T X); IFO still charges n per full gradient.  optimum()
+    solves the eigenproblem of the same C, and value(X) is the full
+    gradient's f, so the two agree bit for bit.
     """
 
     def __init__(self, A, r):
@@ -83,26 +80,16 @@ class PcaInstance:
         # differently, and L with it
         self._col_sq = np.sum(B ** 2, axis=0)
         self.B = np.asfortranarray(B)
+        # scaled in place: the bits of (1/n) * (B @ B.T) without a second d x d array
+        self.C = self.B @ self.B.T
+        self.C *= 1.0 / self.n
 
     def value(self, X):
         return self.full_value_egrad(X)[0]
 
     def full_value_egrad(self, X):
-        # one pass over B: each column block B_c gives its rows G_c = B_c^T X
-        # and adds B_c G_c while it is still in cache (Goto & van de Geijn,
-        # ACM TOMS 2008); the first block's product seeds the sum, so a B of
-        # one block gives the bits of the two whole-matrix products
-        w = max(1, _BLOCK_BYTES // (self.B.itemsize * self.d))
-        G = np.empty((self.n, X.shape[1]))
-        for s in range(0, self.n, w):
-            Bc = self.B[:, s:s + w]
-            P = Bc @ np.matmul(Bc.T, X, out=G[s:s + w])
-            if s:
-                BG += P
-            else:
-                BG = P
-        f = -float(np.sum(G ** 2)) / self.n
-        return f, (-2.0 / self.n) * BG
+        CX = self.C @ X
+        return -float(np.sum(X * CX)), -2.0 * CX
 
     def component_value(self, X, i):
         g = self.B[:, i] @ X
@@ -128,7 +115,7 @@ class PcaInstance:
         covariance (1/n) B B^T, and the subspace their eigenvectors, in
         descending order.
         """
-        w, V = np.linalg.eigh((1.0 / self.n) * (self.B @ self.B.T))
+        w, V = np.linalg.eigh(self.C)
         top = np.argsort(w)[::-1][: self.r]
         return -float(np.sum(w[top])), V[:, top]
 

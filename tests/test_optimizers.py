@@ -383,20 +383,32 @@ class TestRunSgd:
         assert len(drawn) == 6
 
     def test_single_component_is_deterministic_gd(self):
-        # identical centered columns make every component gradient equal the
-        # full gradient; centering must be bypassed to keep B nonzero
-        inst = PcaInstance(np.zeros((10, 2)), r=2)
+        # the centered columns b and -b give every component gradient
+        # -2 b b^T X, which is the full gradient
         b = np.random.default_rng(2).standard_normal((10, 1))
-        inst.B = np.hstack([b, b])
-        inst._col_sq = np.sum(inst.B ** 2, axis=0)
+        inst = PcaInstance(np.hstack([b, -b]), r=2)
         cfg = SvrgConfig(seed=4, r=2)
         X0 = random_point(10, 2)
-        # X_0, ..., X_29 each way: s-sgd records N = 30 iterates, and rgd the
-        # starts of its 29 epochs and the point it returns
+        # X_0, ..., X_29 each way: s-sgd records N = 30 iterates and then
+        # the one it returns, and rgd the starts of its 29 epochs and the
+        # point it returns
         X1, t1 = run_s_sgd(inst, cfg, N=30, X0=X0, tau=0.05, record_every=1)
         X2, t2 = run_rgd(inst, replace(cfg, step_mode=Fixed(0.05), max_epochs=29,
                                        grad_tol=0.0), X0=X0)
-        np.testing.assert_allclose(t1.f, t2.f, rtol=1e-12)
+        assert len(t1.f) == len(t2.f) + 1
+        np.testing.assert_allclose(t1.f[:-1], t2.f, rtol=1e-12)
+        assert t1.f[-1] == inst.value(X1.X)
+
+    def test_last_row_is_the_returned_point(self):
+        # N = 200 records X_0, X_2, ..., X_198 and then the returned X_j_bar
+        # as step N, after N - 1 steps
+        inst = PcaInstance(pca_generate(30, 60, 0), 3)
+        X, tr = run_s_sgd(inst, SvrgConfig(seed=0, r=3), N=200, tau=0.05)
+        assert tr.epoch[-2:] == [198, 200]
+        assert tr.ifo_calls[-1] == tr.ro_calls[-1] == 199
+        f, egrad = inst.full_value_egrad(X.X)
+        assert tr.f[-1] == f
+        assert tr.grad_norm[-1] == float(np.linalg.norm(d_rho_array(X.X, egrad, 0.0)))
 
     def test_theory_step_rule_applied(self):
         inst = small_pca(15, 40, 2, seed=5)

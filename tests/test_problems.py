@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from manifold_svrg.errors import InvalidObservation, NonFiniteInput, TooManySamples
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.problems import (_BLOCK_BYTES, McInstance, PcaInstance, ProblemConstants,
-                                    mc_generate, mc_load_observations,
-                                    mc_save_observations, pca_generate, pca_load)
+from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
+                                    mc_load_observations, mc_save_observations,
+                                    pca_generate, pca_load)
 from oracles import fd_derivative
 
 rng = np.random.default_rng(13)
@@ -112,9 +112,9 @@ class TestPcaInstance:
             assert np.linalg.norm(inst.component_egrad(X, i)) == 0.0
 
     def test_hand_computed_component(self):
-        # B_i = e1, X = e1 in R^2: grad = -2 e1 (e1^T e1) = -2 e1
-        inst = PcaInstance(np.zeros((2, 2)), r=1)
-        inst.B = np.array([[1.0, 0.0], [0.0, 0.0]])
+        # B_i = e1, X = e1 in R^2: grad = -2 e1 (e1^T e1) = -2 e1; the
+        # columns +-e1 have mean zero, so centering keeps them
+        inst = PcaInstance(np.array([[1.0, -1.0], [0.0, 0.0]]), r=1)
         X = np.array([[1.0], [0.0]])
         np.testing.assert_allclose(inst.component_egrad(X, 0), [[-2.0], [0.0]])
 
@@ -128,11 +128,13 @@ class TestPcaInstance:
         np.testing.assert_allclose(fused, generic, atol=1e-12)
 
     def test_data_is_one_column_major_array(self):
-        # B.T is a contiguous B^T, and B is the only d x n array kept
+        # B.T is a contiguous B^T; the instance keeps B as its only d x n
+        # array and the covariance C as its only d x d one
         inst = PcaInstance(pca_generate(15, 40, seed=9), r=3)
         assert inst.B.flags.f_contiguous
-        held = [v for v in vars(inst).values() if isinstance(v, np.ndarray) and v.size == 15 * 40]
-        assert len(held) == 1
+        held = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
+        assert [v is inst.B for v in held if v.shape == (15, 40)] == [True]
+        assert [v is inst.C for v in held if v.shape == (15, 15)] == [True]
 
     @settings(deadline=None, max_examples=200)
     @given(d=st.integers(1, 80), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
@@ -150,14 +152,13 @@ class TestPcaInstance:
         want = (-2.0 / b) * (C[:, idx] @ (C[:, idx].T @ (Xk - X0)))
         assert np.array_equal(inst.batch_egrad_diff(Xk, X0, idx), want)
 
-    @settings(deadline=None, max_examples=60)
-    @given(d=st.one_of(st.integers(1, 60), st.integers(1000, 1100)),
-           blocks=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-    def test_blocked_full_gradient(self, d, blocks, seed, data):
-        # n = blocks whole column blocks plus a ragged rest, so that d >= 1000
-        # gives one block, several and a ragged last one (of one column, too)
-        w = max(1, _BLOCK_BYTES // (8 * d))
-        n = blocks * w + data.draw(st.integers(0 if blocks else 1, w - 1))
+    @settings(deadline=None, max_examples=200)
+    @given(d=st.integers(1, 60), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           data=st.data())
+    def test_covariance_full_gradient(self, d, n, seed, data):
+        # the covariance oracle against the two products -(2/n) B (B^T X).
+        # f cancels on small centered data, so the bound is the rounding of
+        # both paths, relative to |B|^2 |X|^2 / n rather than to f
         r = data.draw(st.integers(1, min(d, 6)))
         local = np.random.default_rng(seed)
         inst = PcaInstance(local.standard_normal((d, n)), r)
@@ -165,11 +166,20 @@ class TestPcaInstance:
         f, egrad = inst.full_value_egrad(X)
         G = inst.B.T @ X
         want_f, want = -float(np.sum(G ** 2)) / n, (-2.0 / n) * (inst.B @ G)
-        assert np.linalg.norm(egrad - want) <= 1e-13 * np.linalg.norm(want)
-        assert abs(f - want_f) <= 1e-13 * abs(want_f)
+        tol = 4.0 * (n + d * r) * np.finfo(float).eps * np.linalg.norm(inst.B) ** 2 / n
+        nX = np.linalg.norm(X)
+        assert np.linalg.norm(egrad - want) <= tol * nX
+        assert abs(f - want_f) <= tol * nX ** 2
         assert f == inst.value(X)
-        if n <= w:
-            assert f == want_f and np.array_equal(egrad, want)
+
+    def test_optimum_solves_the_covariance(self):
+        # optimum() factors the stored C, which is (1/n) B B^T bit for bit
+        B, n = self.inst.B, self.inst.n
+        w, V = np.linalg.eigh((1.0 / n) * (B @ B.T))
+        top = np.argsort(w)[::-1][:3]
+        f_star, X_star = self.inst.optimum()
+        assert f_star == -float(np.sum(w[top]))
+        assert np.array_equal(X_star, V[:, top])
 
     @pytest.mark.parametrize("d, n, r", [(200, 2000, 5), (1000, 10000, 10)])
     def test_value_is_full_gradient_f(self, d, n, r):
@@ -228,9 +238,8 @@ class TestPcaInstance:
             PcaInstance(pca_generate(6, 8, seed=0), r=r)
 
     def test_single_unit_column_L(self):
-        inst = PcaInstance(np.zeros((3, 1)), r=1)
-        inst.B = np.array([[1.0], [0.0], [0.0]])
-        inst._col_sq = np.sum(inst.B ** 2, axis=0)
+        # the centered columns are +-e1, each of unit norm
+        inst = PcaInstance(np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]), r=1)
         assert inst.constants().L == 2.0
 
 
