@@ -45,6 +45,10 @@ class ProblemConstants:
             raise ValueError("constants must be positive")
 
 
+# rows of B squared at a time when PcaInstance sums its column norms
+_COL_SQ_ROWS = 64
+
+
 class PcaInstance:
     """Leading-subspace estimation of a d x n data matrix.
 
@@ -74,12 +78,15 @@ class PcaInstance:
         self.r = int(r)
         if not 1 <= self.r <= self.d:
             raise ValueError(f"r = {self.r} outside [1, d = {self.d}]")
-        B = A - A.mean(axis=1, keepdims=True)
-        # summed over the row-major copy, each column adds row by row; along
-        # the contiguous axis of the column-major B it would round
-        # differently, and L with it
-        self._col_sq = np.sum(B ** 2, axis=0)
-        self.B = np.asfortranarray(B)
+        self.B = np.subtract(A, A.mean(axis=1, keepdims=True), order="F")
+        # each column of squares adds row by row, as np.sum(B**2, axis=0)
+        # does over a row-major B; summed along the contiguous axis of the
+        # column-major B it would round differently, and L with it.  Row
+        # blocks keep the squares' copy small
+        self._col_sq = np.zeros(self.n)
+        for j in range(0, self.d, _COL_SQ_ROWS):
+            for row in np.square(self.B[j:j + _COL_SQ_ROWS], order="C"):
+                self._col_sq += row
         # scaled in place: the bits of (1/n) * (B @ B.T) without a second d x d array
         self.C = self.B @ self.B.T
         self.C *= 1.0 / self.n

@@ -136,6 +136,18 @@ class TestPcaInstance:
         assert [v is inst.B for v in held if v.shape == (15, 40)] == [True]
         assert [v is inst.C for v in held if v.shape == (15, 15)] == [True]
 
+    def test_column_norms_summed_row_by_row(self):
+        # the squares of the column-major B add row by row, in blocks, as
+        # np.sum adds them over a row-major B, so L keeps its bits; d = 130
+        # is not a multiple of the block, and the data is left unchanged
+        A = pca_generate(130, 77, seed=4)
+        A_before = A.copy()
+        inst = PcaInstance(A, r=3)
+        B_rows = A_before - A_before.mean(axis=1, keepdims=True)
+        assert np.array_equal(inst._col_sq, np.sum(B_rows ** 2, axis=0))
+        assert np.array_equal(inst.B, B_rows)
+        assert np.array_equal(A, A_before)
+
     @settings(deadline=None, max_examples=200)
     @given(d=st.integers(1, 80), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())

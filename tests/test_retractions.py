@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from manifold_svrg.errors import RankDeficient, SingularStep
-from manifold_svrg.linalg import expm, qr_positive, skew
+from manifold_svrg.errors import NonFiniteInput, RankDeficient, SingularStep
+from manifold_svrg.linalg import expm, polar_project, qr_positive, skew
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
-from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
+from manifold_svrg.retractions import (_PD_NS_BOUND, FREE_KINDS, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
                                        phi_half_t, retract_array,
                                        retract_gp_array, retract_gr_array)
@@ -55,6 +55,20 @@ def _exp1_sign_fixed(X, E, t):
     return np.hstack([X, Q]) @ expm(t * blk)[:, :r]
 
 
+def _unit_tangents(local, d, r, count):
+    """Stiefel tangents X Omega + K of unit spectral norm, cycling through a
+    generic normal part K, a (nearly) vanishing one and one of rank one."""
+    for k in range(count):
+        X = qr_positive(local.standard_normal((d, r)))[0]
+        K = (np.eye(d) - X @ X.T) @ local.standard_normal((d, r))
+        if k % 3 == 1:
+            K *= (0.0, 1e-14, 1e-8)[k % 9 // 3]
+        elif k % 3 == 2:
+            K = np.outer(K[:, 0], local.standard_normal(r))
+        E = X @ skew(local.standard_normal((r, r))) + K
+        yield X, E / np.linalg.norm(E, 2)
+
+
 class TestFreeRetractions:
     @pytest.mark.parametrize("kind", FREE_KINDS)
     def test_zero_step_returns_x(self, kind):
@@ -80,6 +94,56 @@ class TestFreeRetractions:
         Y = retract_array(RetractionKind.PD, X, E, 1.0)
         np.testing.assert_allclose(Y, np.array([[1.0], [1.0]]) / np.sqrt(2.0),
                                    atol=1e-14)
+
+    def test_pd_is_the_polar_factor_up_to_large_steps(self):
+        # the eigensolve route against the SVD polar factor of X + tE, on
+        # unit tangents of every shape; both round like eps (1 + t ||E||)^2.
+        # The scan crosses the Newton-Schulz bound, so both branches run
+        local = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        corrected = set()
+        for step in (1.0, 1e2, 1e3, 1e4):
+            for X, E in _unit_tangents(local, 9, 3, 60):
+                Y = retract_array(RetractionKind.PD, X, E, step)
+                assert feasibility_error(Y) <= 1e-10
+                want = polar_project(X + step * E)
+                assert np.linalg.norm(Y - want) <= 16 * eps * (1 + step) ** 2
+                lam = np.linalg.eigvalsh((X + step * E).T @ (X + step * E))
+                corrected.add(lam[-1] > _PD_NS_BOUND * lam[0])
+        assert corrected == {False, True}
+
+    def test_pd_repairs_the_drift_of_x(self):
+        # the polar factor of the step is orthonormal whatever X's own
+        # drift off the manifold; a step that carried the drift along would
+        # compound it over a run
+        X, Z = random_instance(30, 4)
+        X = X + 1e-11 * rng.standard_normal(X.shape)
+        assert feasibility_error(X) > 1e-12
+        E = tangent_project_array(X, Z, TangentSpace.STIEFEL)
+        Y = retract_array(RetractionKind.PD, X, E, 0.5 / np.linalg.norm(E, 2))
+        assert feasibility_error(Y) <= 1e-13
+
+    def test_pd_rank_deficient_step(self):
+        # a non-tangent direction can cancel a column of X
+        X, _ = random_instance()
+        E = np.zeros_like(X)
+        E[:, 0] = -X[:, 0]
+        with pytest.raises(RankDeficient):
+            retract_array(RetractionKind.PD, X, E, 1.0)
+
+    def test_pd_takes_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("pd called an SVD")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        X, E = random_instance(50, 4)
+        for t in (0.1, 1e3):
+            assert feasibility_error(retract_array(RetractionKind.PD, X, E, t)) <= 1e-10
+
+    def test_pd_rejects_a_non_finite_step(self):
+        X, E = random_instance()
+        E[0, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            retract_array(RetractionKind.PD, X, E, 0.5)
 
     def test_exp1_matches_exp2_on_horizontal(self):
         for _ in range(10):
