@@ -171,11 +171,12 @@ def build_config(spec: ExperimentSpec, run_seed):
 def reference_value(spec: ExperimentSpec, problem):
     """Target objective for the relative-error column.
 
-    PCA has an exact eigen-oracle optimum; completion of exact-rank data
-    has optimum 0 on the observed objective.
+    PCA's f* is exact, from the covariance's eigenvalues (PcaInstance.optimum,
+    solved once per instance); completion of exact-rank data has optimum 0
+    on the observed objective.
     """
     if isinstance(problem, PcaInstance):
-        return problem.optimum()[0]
+        return problem.optimum()
     return 0.0
 
 

@@ -45,8 +45,8 @@ class ProblemConstants:
             raise ValueError("constants must be positive")
 
 
-# rows of B squared at a time when PcaInstance sums its column norms
-_COL_SQ_ROWS = 64
+# rows of A that PcaInstance checks, centres, transposes and squares at a time
+_INGEST_ROWS = 64
 
 
 class PcaInstance:
@@ -60,36 +60,51 @@ class PcaInstance:
     of contiguous rows of B^T rather than a strided gather of columns of B.
     Minibatches, components and constants() read B.
 
+    Construction reads A once, in blocks of _INGEST_ROWS rows: each block
+    takes its row means, which are finite exactly when its entries are (and
+    their sums do not overflow), is centred by them, written transposed into
+    B^T, and its squares added row by row into the column norms that
+    constants() takes L from.
+
     The full value and gradient come from the covariance C = (1/n) B B^T,
     built once at construction: d^2 n flops, and d^2 floats held next to B
     (more than B itself when d > n).  f = -<X, C X> and grad f = -2 C X
     then cost d^2 r flops per call instead of the 2 n d r of
     -(2/n) B (B^T X); IFO still charges n per full gradient.  optimum()
-    solves the eigenproblem of the same C, and value(X) is the full
-    gradient's f, so the two agree bit for bit.
+    takes the eigenvalues of the same C.
     """
 
     def __init__(self, A, r):
         A = np.asarray(A, dtype=float)
-        # min/max propagate NaN and expose Inf without a full-size mask
-        if not (np.isfinite(A.min()) and np.isfinite(A.max())):
-            raise NonFiniteInput("data matrix has NaN or Inf entries")
+        if A.ndim != 2 or A.size == 0:
+            raise ValueError(f"data matrix must be 2-D and non-empty, got shape {A.shape}")
         self.d, self.n = A.shape
         self.r = int(r)
         if not 1 <= self.r <= self.d:
             raise ValueError(f"r = {self.r} outside [1, d = {self.d}]")
-        self.B = np.subtract(A, A.mean(axis=1, keepdims=True), order="F")
+        BT = np.empty((self.n, self.d))
         # each column of squares adds row by row, as np.sum(B**2, axis=0)
         # does over a row-major B; summed along the contiguous axis of the
-        # column-major B it would round differently, and L with it.  Row
-        # blocks keep the squares' copy small
+        # column-major B it would round differently, and L with it
         self._col_sq = np.zeros(self.n)
-        for j in range(0, self.d, _COL_SQ_ROWS):
-            for row in np.square(self.B[j:j + _COL_SQ_ROWS], order="C"):
+        for j in range(0, self.d, _INGEST_ROWS):
+            block = A[j:j + _INGEST_ROWS]
+            mean = block.mean(axis=1, keepdims=True)
+            # a NaN or Inf entry makes its row's sum, and so its mean, non-finite;
+            # so does a finite row whose sum overflows, which centring could not use
+            if not np.isfinite(mean).all():
+                raise NonFiniteInput("data matrix has NaN or Inf entries, or a row sum "
+                                     "beyond the float range")
+            block = block - mean
+            BT[:, j:j + _INGEST_ROWS] = block.T
+            np.square(block, out=block)
+            for row in block:
                 self._col_sq += row
+        self.B = BT.T
         # scaled in place: the bits of (1/n) * (B @ B.T) without a second d x d array
         self.C = self.B @ self.B.T
         self.C *= 1.0 / self.n
+        self._f_star = None  # optimum(), solved on the first call
 
     def value(self, X):
         return self.full_value_egrad(X)[0]
@@ -116,15 +131,16 @@ class PcaInstance:
         return ProblemConstants(L=2.0 * m, C=2.0 * m * math.sqrt(self.r))
 
     def optimum(self):
-        """Optimal value and a maximizing subspace from the dense eigensolver.
+        """Optimal value f*: minus the sum of the r largest eigenvalues of C.
 
-        The value is minus the sum of the r largest eigenvalues of the
-        covariance (1/n) B B^T, and the subspace their eigenvectors, in
-        descending order.
+        The eigenvalues alone come from the dense symmetric solver, with no
+        eigenvectors; the first call solves and later calls return the same
+        value.
         """
-        w, V = np.linalg.eigh(self.C)
-        top = np.argsort(w)[::-1][: self.r]
-        return -float(np.sum(w[top])), V[:, top]
+        if self._f_star is None:
+            w = np.linalg.eigvalsh(self.C)  # ascending
+            self._f_star = -float(np.sum(w[::-1][: self.r]))
+        return self._f_star
 
 
 def _lsq_normal(Xi, v):

@@ -5,7 +5,9 @@ numpy arithmetic: the QR oracle is modified Gram-Schmidt, the exponential
 oracle is a scaled Taylor series, derivatives come from Richardson-
 extrapolated central differences, and stochastic-gradient moments come from
 exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
-package's own retractions to measure their deviation constants.
+package's own retractions to measure their deviation constants, and
+pca_top_subspace factors a PCA instance's stored covariance with the full
+dense eigensolver.
 """
 
 import itertools
@@ -127,3 +129,15 @@ def estimate_l1_l2(kind, trials, seed):
         l1 = max(l1, np.linalg.norm(Rt - X) / (t * nd))
         l2 = max(l2, np.linalg.norm(Rt - X - t * deriv) / (t * t * nd * nd))
     return l1, l2
+
+
+def pca_top_subspace(inst):
+    """Optimal value and a maximizing subspace of a PcaInstance from eigh.
+
+    The value is minus the sum of the r largest eigenvalues of the stored
+    covariance C = (1/n) B B^T, and the subspace their eigenvectors, in
+    descending order.
+    """
+    w, V = np.linalg.eigh(inst.C)
+    top = np.argsort(w)[::-1][: inst.r]
+    return -float(np.sum(w[top])), V[:, top]

@@ -244,6 +244,18 @@ class TestGridTune:
             # full-gradient steps: one retraction per epoch
             assert result.trace.ro_calls == result.trace.epoch
 
+    def test_solves_the_optimum_once(self, monkeypatch):
+        # every grid point reads f* from the one instance, which solves it once
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        grid_tune(tiny_spec(method="rgd", runs=1, max_epochs=150), [1.0, 2.0, 4.0])
+        assert len(calls) == 1
+
     def test_method_without_fixed_steps_rejected(self, monkeypatch):
         def no_data(spec):
             raise AssertionError("data generated for an untunable method")

@@ -321,7 +321,7 @@ class TestRunSvrg:
                          batch=10, max_epochs=200, grad_tol=1e-6, seed=5, r=2)
         X, tr = run_s_svrg(inst, cfg, X0=warm_start(inst, cfg))
         assert tr.status == "GradTol"
-        f_star, _ = inst.optimum()
+        f_star = inst.optimum()
         assert abs(tr.f[-1] - f_star) <= 1e-8 * abs(f_star)
 
     def test_theorem1_returns_sampled_iterate(self):

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from manifold_svrg.problems import PcaInstance
 from oracles import (brute_force_expectation, fd_derivative, gram_schmidt_qr,
-                     taylor_expm)
+                     pca_top_subspace, taylor_expm)
 
 rng = np.random.default_rng(99)
 
@@ -68,13 +68,13 @@ class TestBruteForce:
 
 
 class TestDensePcaEig:
-    """PcaInstance.optimum: the dense eigensolver behind every PCA f*."""
+    """pca_top_subspace: the dense eigensolver behind the reference PCA subspaces."""
 
     def test_diagonal_covariance(self):
         # columns +-3 e1, +-1 e2, +-2 e3 have mean zero and covariance
         # diag(18, 2, 8) / 6; the top two directions are e1, then e3
         A = np.hstack([np.diag([3.0, 1.0, 2.0]), -np.diag([3.0, 1.0, 2.0])])
-        f_star, V = PcaInstance(A, 2).optimum()
+        f_star, V = pca_top_subspace(PcaInstance(A, 2))
         assert f_star == pytest.approx(-(18.0 + 8.0) / 6.0, rel=1e-14)
         np.testing.assert_allclose(np.abs(V), np.eye(3)[:, [0, 2]], atol=1e-14)
 
@@ -83,18 +83,18 @@ class TestDensePcaEig:
         # and the subspace attains it
         A = rng.standard_normal((6, 10))
         inst = PcaInstance(A, 3)
-        f_star, V = inst.optimum()
+        f_star, V = pca_top_subspace(inst)
         s = np.linalg.svd(A - A.mean(axis=1, keepdims=True), compute_uv=False)
         assert f_star == pytest.approx(-np.sum(s[:3] ** 2) / 10, rel=1e-12)
         assert inst.value(V) == pytest.approx(f_star, rel=1e-12)
 
     def test_orthonormal_eigenvectors(self):
-        _, V = PcaInstance(rng.standard_normal((7, 5)), 4).optimum()
+        _, V = pca_top_subspace(PcaInstance(rng.standard_normal((7, 5)), 4))
         np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-12)
 
     def test_descending_order(self):
         # each column's explained variance is no larger than the one before
         inst = PcaInstance(rng.standard_normal((6, 20)), 6)
-        _, V = inst.optimum()
+        _, V = pca_top_subspace(inst)
         explained = [-inst.value(V[:, [j]]) for j in range(6)]
         assert np.all(np.diff(explained) <= 1e-12)

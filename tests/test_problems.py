@@ -10,7 +10,7 @@ from manifold_svrg.linalg import qr_positive
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
                                     mc_load_observations, mc_save_observations,
                                     pca_generate, pca_load)
-from oracles import fd_derivative
+from oracles import fd_derivative, pca_top_subspace
 
 rng = np.random.default_rng(13)
 
@@ -136,16 +136,24 @@ class TestPcaInstance:
         assert [v is inst.B for v in held if v.shape == (15, 40)] == [True]
         assert [v is inst.C for v in held if v.shape == (15, 15)] == [True]
 
-    def test_column_norms_summed_row_by_row(self):
-        # the squares of the column-major B add row by row, in blocks, as
-        # np.sum adds them over a row-major B, so L keeps its bits; d = 130
-        # is not a multiple of the block, and the data is left unchanged
-        A = pca_generate(130, 77, seed=4)
+    @settings(deadline=None, max_examples=100)
+    @given(d=st.sampled_from([1, 63, 64, 65, 130, 200]), n=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_column_norms_summed_row_by_row(self, d, n, seed):
+        # the one blocked pass gives the bits of whole-array centring, of
+        # np.sum over a row-major B (row by row, so L keeps its bits) and of
+        # the covariance product; d straddles the 64-row ingest block, and
+        # the data is left unchanged
+        local = np.random.default_rng(seed)
+        A = local.standard_normal((d, n)) + local.standard_normal((d, 1))
         A_before = A.copy()
-        inst = PcaInstance(A, r=3)
-        B_rows = A_before - A_before.mean(axis=1, keepdims=True)
+        inst = PcaInstance(A, r=1)
+        B = np.subtract(A_before, A_before.mean(axis=1, keepdims=True), order="F")
+        B_rows = np.ascontiguousarray(B)
+        assert np.array_equal(inst.B, B)
+        assert inst.B.flags.f_contiguous
         assert np.array_equal(inst._col_sq, np.sum(B_rows ** 2, axis=0))
-        assert np.array_equal(inst.B, B_rows)
+        assert np.array_equal(inst.C, (B @ B.T) * (1.0 / n))
         assert np.array_equal(A, A_before)
 
     @settings(deadline=None, max_examples=200)
@@ -185,13 +193,30 @@ class TestPcaInstance:
         assert f == inst.value(X)
 
     def test_optimum_solves_the_covariance(self):
-        # optimum() factors the stored C, which is (1/n) B B^T bit for bit
+        # the reference subspace factors the stored C, which is (1/n) B B^T
+        # bit for bit, and optimum() takes the eigenvalues of the same C
         B, n = self.inst.B, self.inst.n
         w, V = np.linalg.eigh((1.0 / n) * (B @ B.T))
         top = np.argsort(w)[::-1][:3]
-        f_star, X_star = self.inst.optimum()
+        f_star, X_star = pca_top_subspace(self.inst)
         assert f_star == -float(np.sum(w[top]))
         assert np.array_equal(X_star, V[:, top])
+        assert self.inst.optimum() == pytest.approx(f_star, rel=1e-14)
+
+    def test_optimum_takes_no_eigenvectors(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("optimum() called eigh")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert self.inst.optimum() < 0.0
+
+    @pytest.mark.parametrize("d, n, r", [(200, 2000, 5), (1000, 10000, 10)])
+    def test_optimum_is_the_top_eigenvalue_sum(self, d, n, r):
+        # at the pca-desk and pca-rgd shapes: eigvalsh's f* against the
+        # full eigh's eigenvalues, which may differ in the last bits
+        inst = PcaInstance(pca_generate(d, n, seed=0), r)
+        w = np.linalg.eigh(inst.C)[0]
+        want = -float(np.sum(np.sort(w)[::-1][:r]))
+        assert abs(inst.optimum() - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("d, n, r", [(200, 2000, 5), (1000, 10000, 10)])
     def test_value_is_full_gradient_f(self, d, n, r):
@@ -218,7 +243,7 @@ class TestPcaInstance:
         assert abs(val[0, 0] - np.sum(g * probe)) <= 1e-6 * max(1.0, abs(val[0, 0]))
 
     def test_optimum(self):
-        f_star, X_star = self.inst.optimum()
+        f_star, X_star = pca_top_subspace(self.inst)
         f_at = self.inst.value(X_star)
         assert abs(f_at - f_star) <= 1e-12
         # any other feasible point can only be worse for the minimization
@@ -239,10 +264,25 @@ class TestPcaInstance:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):
-        A = pca_generate(6, 8, seed=0)
-        A[2, 3] = bad
-        with pytest.raises(NonFiniteInput):
+        # d = 2 * 64 + 3: the bad entry in the first, a middle and the tail
+        # ingest block
+        for row in (2, 64 + 17, 2 * 64 + 2):
+            A = pca_generate(2 * 64 + 3, 8, seed=0)
+            A[row, 3] = bad
+            with pytest.raises(NonFiniteInput):
+                PcaInstance(A, r=2)
+
+    def test_overflowing_row_sum_rejected(self):
+        # finite entries whose row sum overflows would centre to -Inf
+        A = pca_generate(4, 8, seed=0)
+        A[1] = 1e308
+        with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
             PcaInstance(A, r=2)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (3, 0), (0, 4)])
+    def test_malformed_data_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            PcaInstance(np.ones(shape), r=1)
 
     @pytest.mark.parametrize("r", [0, 7])
     def test_rank_outside_dimension_rejected(self, r):
