@@ -32,28 +32,19 @@ def read_config(path):
     return out
 
 
-def _add_run_flags(p):
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--problem", choices=PROBLEMS)
-    p.add_argument("--method", choices=METHOD_STEPS)
-    p.add_argument("--retraction", choices=[kind.value for kind in RetractionKind])
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--step", help="fixed:<tau> | bb | thm1:<mu>,<kappa>")
-    p.add_argument("--batch-frac", type=float, dest="batch_frac")
-    p.add_argument("--inner-k", dest="inner_k",
-                   help="inner iterations per epoch, or 'auto' = 5/batch-frac")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cond", type=float)
-    p.add_argument("--out")
-
-
 _SPEC_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
+_CHOICES = {"problem": PROBLEMS, "method": METHOD_STEPS,
+            "retraction": [kind.value for kind in RetractionKind]}
+_HELP = {"step": "fixed:<tau> | bb | thm1:<mu>,<kappa>",
+         "inner_k": "inner iterations per epoch, or 'auto' = 5/batch-frac"}
+
+
+def _add_run_flags(p):
+    """--config, then one flag per ExperimentSpec field, typed as the field."""
+    p.add_argument("--config", help="key=value config file; flags override")
+    for name, kind in _SPEC_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def build_spec(args):

@@ -164,7 +164,6 @@ def build_config(spec: ExperimentSpec, run_seed):
         grad_tol=spec.grad_tol,
         seed=run_seed,
         r=spec.r,
-        bb_double=(spec.problem == "mc"),
     )
 
 

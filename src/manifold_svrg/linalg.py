@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 
-def check_finite(A, name="matrix"):
+def check_finite(A, name):
     """Raise NonFiniteInput if A holds NaN or Inf."""
     if not np.isfinite(A).all():
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
@@ -61,7 +61,8 @@ def polar_project(A):
 # scaling and squaring method for the matrix exponential revisited", SIAM
 # J. Matrix Anal. Appl. 2005): theta_m is the largest 1-norm for which the
 # degree-m approximant is accurate to unit roundoff, b the coefficients of
-# its numerator p(A) = sum b_k A^k; the denominator is p(-A).
+# its numerator p(A) = sum b_k A^k; the denominator is p(-A).  The last
+# row, degree 13, also serves every larger norm after scaling.
 _PADE = (
     (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
     (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
@@ -69,15 +70,15 @@ _PADE = (
                             1512.0, 56.0, 1.0)),
     (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
                            30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                           7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                           10559470521600.0, 670442572800.0, 33522128640.0,
+                           1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
 )
-_THETA_13 = 5.371920351148152
-_B_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-         33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 
 
 def _pade_odd_even(A, I, b):
-    """U = odd and V = even part of the degree-m numerator, m = len(b) - 1 <= 9."""
+    """U = odd and V = even part of the degree-m numerator, m = len(b) - 1."""
     A2 = A @ A
     P = A2
     u = b[1] * I + b[3] * A2
@@ -86,17 +87,6 @@ def _pade_odd_even(A, I, b):
         P = P @ A2
         u += b[k + 1] * P
         v += b[k] * P
-    return A @ u, v
-
-
-def _pade13_odd_even(A, I):
-    """U and V of the degree-13 numerator, from A^2, A^4 and A^6 alone."""
-    b = _B_13
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    u = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I
-    v = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     return A @ u, v
 
 
@@ -117,10 +107,9 @@ def expm(A):
     norm = np.abs(A).sum(axis=0).max(initial=0.0)
     for theta, b in _PADE:
         if norm <= theta:
-            U, V = _pade_odd_even(A, I, b)
-            return np.linalg.solve(V - U, V + U)
-    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
-    U, V = _pade13_odd_even(np.ldexp(A, -s), I)
+            break
+    s = 0 if norm <= theta else int(np.ceil(np.log2(norm / theta)))
+    U, V = _pade_odd_even(np.ldexp(A, -s), I, b)
     E = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         E = E @ E

@@ -76,8 +76,9 @@ class Fixed:
 class BB:
     """Safeguarded long BB step divided by the inner iteration count.
 
-    The raw estimate is clipped to [1e-8, 1e8]; the first epoch, which has
-    no difference pair yet, takes 1 / K.
+    The raw estimate, times the problem's BB_SCALE, is clipped to
+    [1e-8, 1e8]; the first epoch, which has no difference pair yet, takes
+    1 / K.
     """
 
 
@@ -106,7 +107,6 @@ class SvrgConfig:
     grad_tol: float = 1e-6
     seed: int = 0
     r: int = 5
-    bb_double: bool = False  # Grassmann completion doubles the raw BB value
 
     def __post_init__(self):
         if self.rho < 0:
@@ -246,11 +246,12 @@ def select_output(iterates, p_sk, rng):
 # ---------------------------------------------------------------------------
 # gradient estimators and steps
 
-def bb_step(X_s, X_prev, grad_s, grad_prev, K, double):
+def bb_step(X_s, X_prev, grad_s, grad_prev, K, scale):
     """Safeguarded long BB estimate over outer iterates, divided by K.
 
-    double (Grassmann runs) doubles the raw estimate before safeguarding; a
-    vanishing curvature pairing falls back to the upper safeguard.
+    The raw estimate is multiplied by scale, the problem's BB_SCALE, before
+    safeguarding; a vanishing curvature pairing falls back to the upper
+    safeguard.
     """
     S = X_s - X_prev
     Y = grad_s - grad_prev
@@ -258,9 +259,7 @@ def bb_step(X_s, X_prev, grad_s, grad_prev, K, double):
     if sy <= 1e-300:
         tau_lbb = _BB_TAU_MAX
     else:
-        tau_lbb = float(np.sum(S * S)) / sy
-        if double:
-            tau_lbb *= 2.0
+        tau_lbb = float(np.sum(S * S)) / sy * scale
     return max(_BB_TAU_MIN, min(tau_lbb, _BB_TAU_MAX)) / K
 
 
@@ -304,6 +303,9 @@ def _single_sample_path(problem, config, X, tau, N, rng, events):
 
 def _start_point(problem, config, X0, rng):
     """The start array: a validated copy of X0, or a random draw from rng."""
+    if config.r != problem.r:
+        raise ValueError(f"config rank r = {config.r} does not match the problem's "
+                         f"r = {problem.r}")
     if X0 is None:
         return qr_positive(rng.standard_normal((problem.d, config.r)))[0]
     if not isinstance(X0, StiefelPoint):
@@ -367,7 +369,7 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
             if X_prev is None:
                 tau = _BB_TAU_INIT / K
             else:
-                tau = bb_step(X, X_prev, grad0, grad_prev, K, config.bb_double)
+                tau = bb_step(X, X_prev, grad0, grad_prev, K, problem.BB_SCALE)
         else:
             tau = schedule.tau
 

@@ -74,6 +74,8 @@ class PcaInstance:
     takes the eigenvalues of the same C.
     """
 
+    BB_SCALE = 1.0  # factor on the raw BB estimate (see optimizers.bb_step)
+
     def __init__(self, A, r):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.size == 0:
@@ -182,6 +184,8 @@ class McInstance:
     including the key's array mutated in place, is refit.  The cache makes
     an instance stateful: share one across threads only with a lock.
     """
+
+    BB_SCALE = 2.0  # Grassmann completion doubles the raw BB estimate
 
     def __init__(self, d, n, r, rows, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)

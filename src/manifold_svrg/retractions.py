@@ -23,7 +23,6 @@ from .manifold import d_rho_array
 
 __all__ = [
     "RetractionKind",
-    "FREE_KINDS",
     "GRADIENT_KINDS",
     "phi_half_t",
     "retract_array",
@@ -51,8 +50,6 @@ class RetractionKind(enum.Enum):
         raise ValueError(f"unknown retraction {name!r}")
 
 
-FREE_KINDS = (RetractionKind.EXP1, RetractionKind.QR, RetractionKind.PD,
-              RetractionKind.WY, RetractionKind.JD, RetractionKind.EXP2)
 GRADIENT_KINDS = (RetractionKind.GP, RetractionKind.GR)
 
 

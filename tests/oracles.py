@@ -22,6 +22,9 @@ TAYLOR_TERMS = 60           # terms of taylor_expm's series
 TAYLOR_MAX_NORM = 0.5       # 1-norm taylor_expm scales its argument below
 ENUMERATION_LIMIT = 10 ** 6  # most ordered batches brute_force_expectation visits
 
+# the retractions that take a tangent direction, in RetractionKind order
+FREE_KINDS = tuple(kind for kind in RetractionKind if kind not in GRADIENT_KINDS)
+
 
 def fd_derivative(curve):
     """Richardson-extrapolated derivative of a matrix-valued curve at 0.

@@ -19,10 +19,10 @@ from manifold_svrg.optimizers import (gamma_fn, loj_ratio_probe,
                                       recursion_lemma_check, run_s_sgd,
                                       SvrgConfig, theorem1_schedule)
 from manifold_svrg.problems import PcaInstance, pca_generate
-from manifold_svrg.retractions import (FREE_KINDS, GRADIENT_KINDS,
-                                       RetractionKind, declared_derivative,
-                                       retract_array)
-from oracles import brute_force_expectation, estimate_l1_l2, fd_derivative
+from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
+                                       declared_derivative, retract_array)
+from oracles import (FREE_KINDS, brute_force_expectation, estimate_l1_l2,
+                     fd_derivative)
 
 rng = np.random.default_rng(2024)
 

@@ -1,20 +1,23 @@
+import argparse
 import io
 import os
 from contextlib import redirect_stdout, redirect_stderr
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from manifold_svrg import harness
-from manifold_svrg.cli import build_spec, main, read_config
+from manifold_svrg.cli import _parser, build_spec, main, read_config
 from manifold_svrg.errors import NoConvergentTau, NonFiniteValue
-from manifold_svrg.harness import (ExperimentSpec, SummaryRow, TRACE_COLUMNS,
-                                   build_config, build_problem, emit_table,
-                                   grid_tune, parse_step, parse_summary_csv,
-                                   resolve_inner_k, run_experiment)
+from manifold_svrg.harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, SummaryRow,
+                                   TRACE_COLUMNS, build_config, build_problem,
+                                   emit_table, grid_tune, parse_step,
+                                   parse_summary_csv, resolve_inner_k, run_experiment)
 from manifold_svrg.manifold import d_rho_array
-from manifold_svrg.optimizers import BB, Fixed, Theorem1
+from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_s_svrg,
+                                      warm_start)
+from manifold_svrg.retractions import RetractionKind
 
 
 def tiny_spec(**overrides):
@@ -80,9 +83,6 @@ class TestSpec:
         cfg = build_config(tiny_spec(batch_frac=0.5, n=20), run_seed=3)
         assert cfg.batch == 10
         assert cfg.seed == 3
-        assert cfg.bb_double is False
-        cfg_mc = build_config(tiny_spec(problem="mc", d=30, n=25, r=2), run_seed=0)
-        assert cfg_mc.bb_double is True
 
 
 class TestRunExperiment:
@@ -204,6 +204,19 @@ class TestRunExperiment:
         _, (b,) = run_experiment(tiny_spec(method="s-svrg-bb", runs=1))
         assert a.trace.f == b.trace.f
 
+    def test_library_bb_run_is_the_cell_run_on_mc(self):
+        # completion scales the raw BB estimate itself, so a library run
+        # with a plain SvrgConfig takes the steps of the same CLI cell
+        spec = tiny_spec(problem="mc", d=30, n=24, max_epochs=6, grad_tol=0.0, runs=1)
+        result, X_cell = harness._single_run(build_problem(spec), spec, 0)
+        inst = build_problem(spec)
+        cfg = SvrgConfig(retraction=RetractionKind.QR, step_mode=BB(), K=10, batch=12,
+                         max_epochs=6, grad_tol=0.0, seed=spec.seed, r=2)
+        X, trace = run_s_svrg(inst, cfg, X0=warm_start(inst, cfg))
+        for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
+            assert getattr(trace, col) == getattr(result.trace, col)
+        assert np.array_equal(X.X, X_cell.X)
+
     def test_s_sgd_takes_a_fixed_step(self):
         row, (result,) = run_experiment(tiny_spec(method="s-sgd", step="fixed:0.05",
                                                   runs=1, max_epochs=3))
@@ -310,7 +323,6 @@ class TestConfigFile:
     def _spec_from(self, tmp_path, config_text, argv_extra=()):
         p = tmp_path / "cfg"
         p.write_text(config_text)
-        import argparse
         from manifold_svrg.cli import _add_run_flags
         parser = argparse.ArgumentParser()
         _add_run_flags(parser)
@@ -349,6 +361,19 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "tau_star=0.5" in out
+
+    @pytest.mark.parametrize("command, extra", [("run", set()), ("tune", {"--grid"})])
+    def test_one_flag_per_spec_field(self, command, extra):
+        (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.option_strings[0]: a for a in sub.choices[command]._actions
+                 if a.dest != "help"}
+        want = {"--" + f.name.replace("_", "-"): f for f in fields(ExperimentSpec)}
+        assert set(flags) == set(want) | {"--config"} | extra
+        for flag, f in want.items():
+            assert (flags[flag].dest, flags[flag].type) == (f.name, f.type)
+        assert flags["--problem"].choices == PROBLEMS
+        assert flags["--method"].choices == METHOD_STEPS
+        assert flags["--retraction"].choices == [kind.value for kind in RetractionKind]
 
     def test_error_exit_code(self, capsys):
         code = main(["run", "--problem", "pca", "--step", "warp"])

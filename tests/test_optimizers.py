@@ -14,7 +14,7 @@ from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, bb_step,
                                       recursion_lemma_check, run_rgd, run_s_sgd,
                                       run_s_svrg, select_output,
                                       theorem1_schedule, warm_start, _step)
-from manifold_svrg.problems import PcaInstance, mc_generate, pca_generate
+from manifold_svrg.problems import McInstance, PcaInstance, mc_generate, pca_generate
 from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
                                        declared_derivative)
 from oracles import brute_force_expectation, fd_derivative
@@ -91,30 +91,32 @@ class TestBBStep:
     def test_identical_differences(self):
         S = rng.standard_normal((5, 2))
         assert bb_step(S, np.zeros_like(S), S, np.zeros_like(S), K=4,
-                       double=False) == pytest.approx(0.25)
+                       scale=1.0) == pytest.approx(0.25)
 
     def test_quadratic_curvature_two(self):
         S = rng.standard_normal((5, 2))
         got = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                      double=False)
+                      scale=1.0)
         assert got == pytest.approx(0.5)
 
     def test_clamped_to_tau_max(self):
         S = rng.standard_normal((4, 2))
         Y = 1e-12 * S
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1, double=False)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1, scale=1.0)
         assert got == 1e8
 
     def test_zero_denominator_fallback(self):
         S = rng.standard_normal((4, 2))
         Y = np.zeros_like(S)
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2, double=False)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2, scale=1.0)
         assert got == 1e8 / 2
 
     def test_grassmann_doubling_before_safeguard(self):
         S = rng.standard_normal((4, 2))
-        st = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1, double=False)
-        gr = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1, double=True)
+        st = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
+                     scale=PcaInstance.BB_SCALE)
+        gr = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
+                     scale=McInstance.BB_SCALE)
         assert gr == pytest.approx(2.0 * st)
 
 
@@ -299,7 +301,7 @@ class TestRunSvrg:
         class Poisoned:
             def __init__(self, base):
                 self.base = base
-                self.n, self.d = base.n, base.d
+                self.n, self.d, self.r = base.n, base.d, base.r
                 self.calls = 0
 
             def full_value_egrad(self, X):
@@ -361,6 +363,27 @@ def test_start_point_validated(solve):
     for X0 in (random_point(10, 2), random_point(10, 2).X):
         X, _ = solve(inst, cfg, X0=X0)
         assert isinstance(X, StiefelPoint) and X.shape == (10, 2)
+
+
+@pytest.mark.parametrize("solve", [
+    run_s_svrg, lambda inst, cfg: run_s_sgd(inst, cfg, N=5), warm_start],
+    ids=["s-svrg", "s-sgd", "warm-start"])
+@pytest.mark.parametrize("make", [lambda: PcaInstance(pca_generate(10, 20, 0), 2),
+                                  lambda: mc_generate(10, 20, 2, 10.0, seed=3)],
+                         ids=["pca", "mc"])
+def test_rank_mismatch_rejected(make, solve):
+    # a config whose r is not the problem's is refused on entry, naming
+    # both ranks, before any oracle call
+    inst = make()
+    calls = []
+    for name in ("full_value_egrad", "component_egrad", "batch_egrad_diff", "constants"):
+        oracle = getattr(inst, name)
+        setattr(inst, name, lambda *a, oracle=oracle, name=name:
+                calls.append(name) or oracle(*a))
+    cfg = SvrgConfig(step_mode=Fixed(0.01), K=2, batch=2, max_epochs=2, r=3)
+    with pytest.raises(ValueError, match="r = 3 does not match the problem's r = 2"):
+        solve(inst, cfg)
+    assert calls == []
 
 
 class TestRunSgd:

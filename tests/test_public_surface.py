@@ -49,22 +49,30 @@ def test_package_exports_resolve():
 
 # defaulted keyword parameters and dataclass fields of every __all__ name,
 # plus the CLI flags; a change that adds or removes a knob updates this
-OPTION_BUDGET = 66
+OPTION_BUDGET = 64
 
 
 def _defaulted(obj):
+    """Names of obj's parameters (or dataclass fields) that have a default."""
     if not callable(obj) or isinstance(obj, enum.EnumMeta):
-        return 0
-    return sum(p.default is not p.empty for p in inspect.signature(obj).parameters.values())
+        return []
+    return [p.name for p in inspect.signature(obj).parameters.values()
+            if p.default is not p.empty]
 
 
 def test_option_budget():
-    options = sum(_defaulted(getattr(module, name))
-                  for module in map(importlib.import_module,
-                                    (f"manifold_svrg.{m}" for m in MODULES))
-                  for name in getattr(module, "__all__", []))
+    options = {}
+    for m in MODULES:
+        module = importlib.import_module(f"manifold_svrg.{m}")
+        for name in getattr(module, "__all__", []):
+            params = _defaulted(getattr(module, name))
+            if params:
+                options[f"{m}.{name}"] = params
     parser = cli._parser()
     flags = set()
     for argv in (["run"], ["tune", "--grid", "1"]):
         flags |= set(vars(parser.parse_args(argv))) - {"command", "func"}
-    assert options + len(flags) == OPTION_BUDGET, f"{options} options, {len(flags)} flags"
+    count = sum(map(len, options.values()))
+    listing = "".join(f"\n  {name}: {', '.join(params)}" for name, params in options.items())
+    assert count + len(flags) == OPTION_BUDGET, (
+        f"{count} options, {len(flags)} flags{listing}\n  flags: {', '.join(sorted(flags))}")

@@ -6,11 +6,11 @@ from manifold_svrg.errors import NonFiniteInput, RankDeficient, SingularStep
 from manifold_svrg.linalg import expm, polar_project, qr_positive, skew
 from manifold_svrg.manifold import (TangentSpace, feasibility_error,
                                     tangent_project_array)
-from manifold_svrg.retractions import (_PD_NS_BOUND, FREE_KINDS, GRADIENT_KINDS,
+from manifold_svrg.retractions import (_PD_NS_BOUND, GRADIENT_KINDS,
                                        RetractionKind, declared_derivative,
                                        phi_half_t, retract_array,
                                        retract_gp_array, retract_gr_array)
-from oracles import estimate_l1_l2, fd_derivative
+from oracles import FREE_KINDS, estimate_l1_l2, fd_derivative
 
 rng = np.random.default_rng(21)
 
