@@ -34,7 +34,6 @@ __all__ = [
     "run_experiment",
     "grid_tune",
     "emit_table",
-    "parse_summary_csv",
     "TRACE_COLUMNS",
 ]
 
@@ -43,11 +42,11 @@ TRACE_COLUMNS = ("run_id", "epoch", "f", "grad_norm", "step_size",
 
 PROBLEMS = ("pca", "mc")
 
-# the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd is
-# s-svrg with one full-batch step per epoch (thm1 would set its own inner
-# count and batch), and s-sgd takes a fixed step as given and otherwise its
-# analysis step.  The rule also picks the output: thm1 runs return an
-# iterate sampled with p ~ Delta, the other rules the last iterate
+# the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd
+# takes one full-gradient step per epoch (thm1 sizes an inner loop and a
+# batch it does not have), and s-sgd takes a fixed step as given and
+# otherwise its analysis step.  The rule also picks the output: thm1 runs
+# return an iterate sampled with p ~ Delta, the other rules the last iterate
 METHOD_STEPS = {"s-svrg": (Fixed, BB, Theorem1), "s-svrg-bb": (BB,),
                 "rgd": (Fixed, BB), "s-sgd": (Fixed, BB)}
 
@@ -213,12 +212,11 @@ def _numerics():
 
 
 def _write_csv(fh, spec, seed, columns, rows):
-    """Every CSV the harness writes: given a spec, five '#' reproducibility
-    lines, then the column row and the rows, with floats in full (repr)."""
-    if spec is not None:
-        fh.write(f"# generator={GENERATOR}\n# seed={seed}\n"
-                 f"# config_hash={spec.config_hash()}\n# version={__version__}\n"
-                 f"# {_numerics()}\n")
+    """Every CSV the harness writes: five '#' reproducibility lines, then
+    the column row and the rows, with floats in full (repr)."""
+    fh.write(f"# generator={GENERATOR}\n# seed={seed}\n"
+             f"# config_hash={spec.config_hash()}\n# version={__version__}\n"
+             f"# {_numerics()}\n")
     writer = csv.writer(fh)
     writer.writerow(columns)
     for row in rows:
@@ -313,13 +311,13 @@ def grid_tune(spec: ExperimentSpec, tau_grid):
     return best
 
 
-def emit_table(rows, spec=None):
+def emit_table(rows, spec):
     """Render summary rows as an aligned text table plus CSV text.
 
     The error column uses one-significant-digit scientific notation; the
-    CSV keeps full precision and round-trips through parse_summary_csv.
-    Given the spec, the CSV opens with the trace files' '#' header; that
-    text is what run_experiment writes as summary.csv.
+    CSV keeps every value in full (floats by repr) and opens with the
+    trace files' '#' header for spec.  That text is what run_experiment
+    writes as summary.csv.
     """
     if not rows:
         raise ValueError("need at least one summary row")
@@ -340,13 +338,7 @@ def emit_table(rows, spec=None):
 
     names = [f.name for f in fields(SummaryRow)]
     buf = io.StringIO()
-    _write_csv(buf, spec, None if spec is None else spec.seed, names,
+    _write_csv(buf, spec, spec.seed, names,
                ([getattr(row, k) for k in names] for row in rows))
     return text, buf.getvalue()
 
-
-def parse_summary_csv(text):
-    """Read summary rows back from CSV text (skipping '#' header lines)."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    return [SummaryRow(**{f.name: f.type(rec[f.name]) for f in fields(SummaryRow)})
-            for rec in csv.DictReader(lines)]

@@ -16,7 +16,6 @@ __all__ = [
     "polar_project",
     "expm",
     "skew",
-    "sym",
 ]
 
 
@@ -121,8 +120,3 @@ def skew(A):
     A = np.asarray(A, dtype=float)
     return 0.5 * (A - A.T)
 
-
-def sym(A):
-    """Symmetric part (A + A^T)/2 of a square matrix."""
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A + A.T)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoFeasibleC, NonFiniteValue
 from .linalg import qr_positive
-from .manifold import StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
+from .manifold import FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
 # retract_gp_array and retract_gr_array are reached through retract_array;
 # they stay importable here because perfbench/spans.py wraps the names
 # this module exposes
@@ -41,12 +41,7 @@ __all__ = [
     "gamma_fn",
     "select_output",
     "warm_start",
-    "recursion_lemma_check",
-    "loj_ratio_probe",
-    "DRIFT_TOL",
 ]
-
-DRIFT_TOL = 1e-10
 
 # stream namespaces keep optimizer draws disjoint from data-generator draws
 # (both are keyed by the same user seed)
@@ -278,8 +273,8 @@ def _inner_step(problem, kind, X, X0, egrad0, idx, tau, rho):
     if tau == 0.0:
         return X  # exact stationarity, no retraction roundoff
     # at the anchor itself (each epoch's first step, every step of rgd) the
-    # batch correction is exactly zero, so its oracle calls are skipped; the
-    # caller still charges them to the IFO count
+    # batch correction is exactly zero, so its oracle calls are skipped;
+    # run_s_svrg still charges them to the IFO count
     G = egrad0 if X is X0 else egrad0 + problem.batch_egrad_diff(X, X0, idx)
     return _step(kind, X, G, tau, rho)
 
@@ -295,7 +290,7 @@ def _single_sample_path(problem, config, X, tau, N, rng, events):
     for j in range(N):
         i = int(rng.integers(problem.n))
         X = _step(config.retraction, X, problem.component_egrad(X, i), tau, config.rho)
-        if feasibility_error(X) > DRIFT_TOL:
+        if feasibility_error(X) > FEAS_TOL:
             X = qr_positive(X)[0]
             events.append(("reorthonormalized", j))
         yield X
@@ -333,6 +328,12 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     2|batch| per inner step, also for the first step of an epoch, whose
     zero correction is never evaluated; RO counts one per retraction.
     """
+    return _run_anchored(problem, config, X0, rgd=False)
+
+
+def _run_anchored(problem, config, X0, rgd):
+    # run_s_svrg's epoch loop; with rgd set, run_rgd's, whose epochs take
+    # one step at the anchor in place of the K minibatch steps
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))
     X = _start_point(problem, config, X0, rng)
@@ -381,38 +382,41 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
             break  # the returned point's row; status stays MaxEpochs
 
         X_prev, grad_prev = X, grad0
-        anchor = X
-        iterates = [X]
-        # one draw for the epoch's K batches: numpy's PCG64 generator gives
-        # the same indices, and the same state after them, as K draws of
-        # one batch each (TestMinibatchDraw pins this)
-        for idx in rng.integers(n, size=(K, batch)):
-            X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
-            ifo += 2 * batch
+        if rgd:
+            X = _inner_step(problem, kind, X, X, egrad0, None, tau, rho)
             ro += 1
+        else:
+            anchor = X
+            iterates = [X]
+            # one draw for the epoch's K batches: numpy's PCG64 generator
+            # gives the same indices, and the same state after them, as K
+            # draws of one batch each (TestMinibatchDraw pins this)
+            for idx in rng.integers(n, size=(K, batch)):
+                X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
+                ifo += 2 * batch
+                ro += 1
+                if schedule is not None:
+                    iterates.append(X)
             if schedule is not None:
-                iterates.append(X)
+                X = select_output(iterates, schedule.p, rng)
 
-        if schedule is not None:
-            X = select_output(iterates, schedule.p, rng)
-
-        if feasibility_error(X) > DRIFT_TOL:
+        if feasibility_error(X) > FEAS_TOL:
             X = qr_positive(X)[0]
             trace.events.append(("reorthonormalized", s))
 
     return StiefelPoint(X), trace
 
 
-def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=None):
+def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None):
     """Single-sample stochastic descent with a constant theory step.
 
     tau defaults to min(nu / L_hat, 1 / (sigma sqrt(N))), where sigma is the
     largest deviation of 100 single-sample Riemannian gradients from the
     full one at the start point.  Returns the iterate at an index drawn
     uniformly from {0, ..., N-1} up front, which is the estimator the
-    analysis speaks about.  The trace records every record_every-th iterate
-    X_j, then a last row, indexed N, at that returned point after all N - 1
-    steps.  Recording is not charged to the IFO count.
+    analysis speaks about.  The trace records every max(1, N // 100)-th
+    iterate X_j, then a last row, indexed N, at that returned point after
+    all N - 1 steps.  Recording is not charged to the IFO count.
     """
     t0 = time.perf_counter()
     if N < 1:
@@ -441,8 +445,7 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=No
             sigma = max(sigma, float(np.linalg.norm(gi - g_full)))
         tau = min(nu_of_rho(rho) / L_hat, 1.0 / (sigma * math.sqrt(N)))
 
-    if record_every is None:
-        record_every = max(1, N // 100)
+    every = max(1, N // 100)
 
     def record(j, X, steps):
         f, egrad = problem.full_value_egrad(X)
@@ -456,16 +459,21 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None, record_every=No
     for j, X in enumerate(path):
         if j == j_bar:
             X_out = X
-        if j % record_every == 0:
+        if j % every == 0:
             record(j, X, j)
     record(N, X_out, N - 1)  # the returned point's row
     return StiefelPoint(X_out), trace
 
 
 def run_rgd(problem, config: SvrgConfig, X0=None):
-    """Deterministic full-gradient baseline under the same retraction."""
-    cfg = replace(config, K=1, batch=problem.n)
-    return run_s_svrg(problem, cfg, X0=X0)
+    """Deterministic full-gradient baseline under the same retraction.
+
+    run_s_svrg's epochs with one step each, along the anchor's full
+    gradient: the BB step takes K = 1, and config.batch is not read.  That
+    step evaluates nothing past the full gradient and draws nothing, so IFO
+    counts n per full gradient and nothing else.
+    """
+    return _run_anchored(problem, replace(config, K=1), X0, rgd=True)
 
 
 def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
@@ -481,40 +489,3 @@ def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     *_, X = _single_sample_path(problem, config, X, tau, config.K, rng, [])
     return StiefelPoint(X)
 
-
-def recursion_lemma_check(a_seq, b, c, d, a_coef, f0=0.0):
-    """Numeric check of the telescoped decrease bound.
-
-    Builds the recursions with equality,
-
-        f_{k+1} = f_k - c a_k + d b_k,   b_{k+1} = (1 + b) b_k + a_coef a_k,
-
-    from b_0 = 0 over K = len(a_seq) steps, and tests f_K <= f_0 - sum_k
-    Delta_k a_k with Delta_k = c - a_coef d Gamma(b, K - k).  Returns
-    (holds, f_K, bound).
-    """
-    a_seq = np.asarray(a_seq, dtype=float)
-    K = len(a_seq)
-    fk = f0
-    bk = 0.0
-    for k in range(K):
-        fk_next = fk - c * a_seq[k] + d * bk
-        bk = (1.0 + b) * bk + a_coef * a_seq[k]
-        fk = fk_next
-    bound = f0 - sum((c - a_coef * d * gamma_fn(b, K - k)) * a_seq[k]
-                     for k in range(K))
-    return fk <= bound + 1e-9 * max(1.0, abs(bound)), fk, bound
-
-
-def loj_ratio_probe(f_values, grad_norms, f_limit):
-    """Ratios |f - f_limit|^(1/2) / ||grad f||, NaN where ||grad f|| < 1e-12.
-
-    A bounded tail is consistent with a local gradient-dominance inequality;
-    no constant is asserted because none is computable from a single run.
-    """
-    f_values = np.asarray(f_values, dtype=float)
-    grad_norms = np.asarray(grad_norms, dtype=float)
-    out = np.full(len(f_values), np.nan)
-    ok = grad_norms >= 1e-12
-    out[ok] = np.sqrt(np.abs(f_values[ok] - f_limit)) / grad_norms[ok]
-    return out

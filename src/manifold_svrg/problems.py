@@ -115,10 +115,6 @@ class PcaInstance:
         CX = self.C @ X
         return -float(np.sum(X * CX)), -2.0 * CX
 
-    def component_value(self, X, i):
-        g = self.B[:, i] @ X
-        return -float(g @ g)
-
     def component_egrad(self, X, i):
         b = self.B[:, i]
         return -2.0 * np.outer(b, b @ X)
@@ -297,9 +293,6 @@ class McInstance:
         egrad = np.zeros_like(X)
         egrad[rows] = 2.0 * np.outer(resid, a[0, :, 0])
         return float(resid @ resid), egrad
-
-    def component_value(self, X, i):
-        return self.component_value_grad(X, i)[0]
 
     def component_egrad(self, X, i):
         return self.component_value_grad(X, i)[1]

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import RankDeficient, SingularStep
 from .linalg import check_finite, expm, polar_project, qr_positive
-from .manifold import d_rho_array
 
 __all__ = [
     "RetractionKind",
@@ -28,7 +27,6 @@ __all__ = [
     "retract_array",
     "retract_gp_array",
     "retract_gr_array",
-    "declared_derivative",
 ]
 
 
@@ -171,10 +169,11 @@ def retract_array(kind, X, E, t):
     """Retraction on raw arrays: a feasible point with R(0) = X.
 
     E is a tangent direction for the free kinds, where R'(0) = E, and the
-    Euclidean gradient for gp and gr, where R'(0) is declared_derivative.
-    Raises RankDeficient when the qr, pd or gp step loses column rank, and
-    SingularStep when the wy or jd inner solve is singular.  Only the qr
-    and gp steps can lose rank along the directions the optimizers take.
+    Euclidean gradient g for gp and gr, where R'(0) is -d_{1/4}(X, g) and
+    -2 d_0(X, g) respectively.  Raises RankDeficient when the qr, pd or gp
+    step loses column rank, and SingularStep when the wy or jd inner solve
+    is singular.  Only the qr and gp steps can lose rank along the
+    directions the optimizers take.
 
     Domain of pd: E must be tangent, X^T E + E^T X = 0, as every optimizer
     direction -d_rho(X, G) is.  Then (X + tE)^T (X + tE) = I + t^2 E^T E:
@@ -192,15 +191,3 @@ def retract_array(kind, X, E, t):
     """
     return _RETRACTIONS[kind](X, E, t)
 
-
-def declared_derivative(kind, X, direction):
-    """The analytic R'(0) for a given kind and direction array.
-
-    Free retractions return the direction itself; the gradient-coupled maps
-    return -d_{1/4}(X, g) (gp) and -2 d_0(X, g) (gr).
-    """
-    if kind is RetractionKind.GP:
-        return -d_rho_array(X, direction, 0.25)
-    if kind is RetractionKind.GR:
-        return -2.0 * d_rho_array(X, direction, 0.0)
-    return direction

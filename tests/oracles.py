@@ -8,14 +8,21 @@ exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
 package's own retractions to measure their deviation constants, and
 pca_top_subspace factors a PCA instance's stored covariance with the full
 dense eigensolver.
+
+The rest state what the analysis and the retractions' contracts say, for
+the tests to hold the package to: the tangent-space projection that makes
+test directions, each retraction's declared R'(0), the telescoped
+recursion lemma behind Theorem 1, and the Lojasiewicz ratio probe.
 """
 
+import enum
 import itertools
 
 import numpy as np
 
-from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
-                                       declared_derivative, retract_array)
+from manifold_svrg.manifold import d_rho_array
+from manifold_svrg.optimizers import gamma_fn
+from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
 
 FD_STEP = 1e-6              # h of fd_derivative
 TAYLOR_TERMS = 60           # terms of taylor_expm's series
@@ -144,3 +151,76 @@ def pca_top_subspace(inst):
     w, V = np.linalg.eigh(inst.C)
     top = np.argsort(w)[::-1][: inst.r]
     return -float(np.sum(w[top])), V[:, top]
+
+
+def sym(A):
+    """Symmetric part (A + A^T)/2 of a square matrix."""
+    A = np.asarray(A, dtype=float)
+    return 0.5 * (A + A.T)
+
+
+class TangentSpace(enum.Enum):
+    STIEFEL = "stiefel"
+    GRASSMANN = "grassmann"
+
+
+def tangent_project_array(X, Z, space):
+    """Orthogonal projection of an arbitrary matrix onto the tangent space.
+
+    Stiefel: Z - X sym(X^T Z).  Grassmann horizontal: (I - X X^T) Z.
+    Idempotent; used to canonicalize probes in tests and finite differences.
+    """
+    if space is TangentSpace.STIEFEL:
+        return Z - X @ sym(X.T @ Z)
+    return Z - X @ (X.T @ Z)
+
+
+def declared_derivative(kind, X, direction):
+    """The analytic R'(0) for a given kind and direction array.
+
+    Free retractions return the direction itself; the gradient-coupled maps
+    return -d_{1/4}(X, g) (gp) and -2 d_0(X, g) (gr).
+    """
+    if kind is RetractionKind.GP:
+        return -d_rho_array(X, direction, 0.25)
+    if kind is RetractionKind.GR:
+        return -2.0 * d_rho_array(X, direction, 0.0)
+    return direction
+
+
+def recursion_lemma_check(a_seq, b, c, d, a_coef, f0=0.0):
+    """Numeric check of the telescoped decrease bound.
+
+    Builds the recursions with equality,
+
+        f_{k+1} = f_k - c a_k + d b_k,   b_{k+1} = (1 + b) b_k + a_coef a_k,
+
+    from b_0 = 0 over K = len(a_seq) steps, and tests f_K <= f_0 - sum_k
+    Delta_k a_k with Delta_k = c - a_coef d Gamma(b, K - k).  Returns
+    (holds, f_K, bound).
+    """
+    a_seq = np.asarray(a_seq, dtype=float)
+    K = len(a_seq)
+    fk = f0
+    bk = 0.0
+    for k in range(K):
+        fk_next = fk - c * a_seq[k] + d * bk
+        bk = (1.0 + b) * bk + a_coef * a_seq[k]
+        fk = fk_next
+    bound = f0 - sum((c - a_coef * d * gamma_fn(b, K - k)) * a_seq[k]
+                     for k in range(K))
+    return fk <= bound + 1e-9 * max(1.0, abs(bound)), fk, bound
+
+
+def loj_ratio_probe(f_values, grad_norms, f_limit):
+    """Ratios |f - f_limit|^(1/2) / ||grad f||, NaN where ||grad f|| < 1e-12.
+
+    A bounded tail is consistent with a local gradient-dominance inequality;
+    no constant is asserted because none is computable from a single run.
+    """
+    f_values = np.asarray(f_values, dtype=float)
+    grad_norms = np.asarray(grad_norms, dtype=float)
+    out = np.full(len(f_values), np.nan)
+    ok = grad_norms >= 1e-12
+    out[ok] = np.sqrt(np.abs(f_values[ok] - f_limit)) / grad_norms[ok]
+    return out

@@ -13,16 +13,13 @@ import pytest
 
 from manifold_svrg.harness import ExperimentSpec, run_experiment
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.manifold import (TangentSpace, d_rho_array, nu_of_rho,
-                                    tangent_project_array)
-from manifold_svrg.optimizers import (gamma_fn, loj_ratio_probe,
-                                      recursion_lemma_check, run_s_sgd,
-                                      SvrgConfig, theorem1_schedule)
+from manifold_svrg.manifold import d_rho_array, nu_of_rho
+from manifold_svrg.optimizers import run_s_sgd, SvrgConfig, theorem1_schedule
 from manifold_svrg.problems import PcaInstance, pca_generate
-from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
-                                       declared_derivative, retract_array)
-from oracles import (FREE_KINDS, brute_force_expectation, estimate_l1_l2,
-                     fd_derivative)
+from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
+from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation,
+                     declared_derivative, estimate_l1_l2, fd_derivative,
+                     loj_ratio_probe, recursion_lemma_check, tangent_project_array)
 
 rng = np.random.default_rng(2024)
 
@@ -340,6 +337,6 @@ def test_sgd_sibling_decreasing_trend():
     inst = PcaInstance(pca_generate(200, 2000, seed=0), 5)
     cfg = SvrgConfig(retraction=RetractionKind.QR, seed=0, r=5)
     X0 = qr_positive(np.random.default_rng(3).standard_normal((200, 5)))[0]
-    _, trace = run_s_sgd(inst, cfg, N=2000, X0=X0, record_every=200)
+    _, trace = run_s_sgd(inst, cfg, N=2000, X0=X0)
     assert trace.f[-1] < trace.f[0]
     assert np.mean(trace.f[-3:]) < np.mean(trace.f[:3])

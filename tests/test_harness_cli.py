@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import os
 from contextlib import redirect_stdout, redirect_stderr
@@ -12,8 +13,8 @@ from manifold_svrg.cli import _parser, build_spec, main, read_config
 from manifold_svrg.errors import NoConvergentTau, NonFiniteValue
 from manifold_svrg.harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, SummaryRow,
                                    TRACE_COLUMNS, build_config, build_problem,
-                                   emit_table, grid_tune, parse_step,
-                                   parse_summary_csv, resolve_inner_k, run_experiment)
+                                   emit_table, grid_tune, parse_step, resolve_inner_k,
+                                   run_experiment)
 from manifold_svrg.manifold import d_rho_array
 from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_s_svrg,
                                       warm_start)
@@ -26,6 +27,13 @@ def tiny_spec(**overrides):
                 max_epochs=100, grad_tol=1e-6, runs=2, seed=7, out=None)
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def parse_summary_csv(text):
+    """Read summary rows back from CSV text (skipping '#' header lines)."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    return [SummaryRow(**{f.name: f.type(rec[f.name]) for f in fields(SummaryRow)})
+            for rec in csv.DictReader(lines)]
 
 
 class TestSpec:
@@ -285,7 +293,7 @@ class TestEmitTable:
                      t_bar=1.75)
 
     def test_text_formatting(self):
-        text, _ = emit_table([self.ROW])
+        text, _ = emit_table([self.ROW], tiny_spec())
         assert "3e-07" in text and "5e-11" in text
         assert "10/12.5/18/2.2" in text
         lines = text.splitlines()
@@ -293,14 +301,14 @@ class TestEmitTable:
         assert lines[0].startswith("method")
 
     def test_csv_round_trip(self):
-        _, csv_text = emit_table([self.ROW])
+        _, csv_text = emit_table([self.ROW], tiny_spec())
         (parsed,) = parse_summary_csv(csv_text)
         assert parsed == replace(self.ROW, tau_star=parsed.tau_star)
         assert np.isnan(parsed.tau_star)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            emit_table([])
+            emit_table([], tiny_spec())
 
     def test_stats_order_invariant(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import manifold_svrg
 from manifold_svrg.errors import NonFiniteInput, RankDeficient
-from manifold_svrg.linalg import expm, polar_project, qr_positive, skew, sym
-from oracles import gram_schmidt_qr, taylor_expm
+from manifold_svrg.linalg import expm, polar_project, qr_positive, skew
+from oracles import gram_schmidt_qr, sym, taylor_expm
 
 rng = np.random.default_rng(42)
 

@@ -1,14 +1,35 @@
 import numpy as np
 import pytest
 
-from manifold_svrg.linalg import qr_positive, sym
-from manifold_svrg.manifold import (StiefelPoint, TangentSpace, d_rho_array,
-                                    feasibility_error, gamma_of_rho, inner_x,
-                                    nu_of_rho, tangent_project_array)
+from manifold_svrg.linalg import qr_positive
+from manifold_svrg.manifold import StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
 from manifold_svrg.problems import PcaInstance, pca_generate
-from oracles import pca_top_subspace
+from oracles import TangentSpace, pca_top_subspace, sym, tangent_project_array
 
 rng = np.random.default_rng(7)
+
+
+def gamma_of_rho(rho):
+    """Upper norm-equivalence constant max(1, 1/(4 rho)); gamma = 1 at rho = 0.
+
+    For a tangent E = X Omega + X_perp K the metric energy is
+    ||Omega||^2/(4 rho) + ||K||^2, so the constant exceeds 1 whenever
+    rho < 1/4 (the commonly quoted gamma = 1 only covers rho >= 1/4).
+    """
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if rho == 0.0:
+        return 1.0
+    return max(1.0, 1.0 / (4.0 * rho))
+
+
+def inner_x(X, E1, E2, rho):
+    """Metric inner product <E1, P E2> at X; Euclidean for rho = 0."""
+    base = float(np.sum(E1 * E2))
+    if rho == 0.0:
+        return base
+    coeff = 1.0 - 1.0 / (4.0 * rho)
+    return base - coeff * float(np.sum((X.T @ E1) * (X.T @ E2)))
 
 
 def random_point(d=8, r=3):

@@ -10,14 +10,14 @@ from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (StiefelPoint, d_rho_array, feasibility_error,
                                     nu_of_rho)
 from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, bb_step,
-                                      gamma_fn, loj_ratio_probe,
-                                      recursion_lemma_check, run_rgd, run_s_sgd,
-                                      run_s_svrg, select_output,
-                                      theorem1_schedule, warm_start, _step)
-from manifold_svrg.problems import McInstance, PcaInstance, mc_generate, pca_generate
-from manifold_svrg.retractions import (GRADIENT_KINDS, RetractionKind,
-                                       declared_derivative)
-from oracles import brute_force_expectation, fd_derivative
+                                      gamma_fn, run_rgd, run_s_sgd, run_s_svrg,
+                                      select_output, theorem1_schedule, warm_start,
+                                      _step)
+from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
+                                    pca_generate)
+from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind
+from oracles import (brute_force_expectation, declared_derivative, fd_derivative,
+                     loj_ratio_probe, recursion_lemma_check)
 
 rng = np.random.default_rng(31)
 
@@ -266,6 +266,17 @@ class TestRunSvrg:
         assert tr.ifo_calls[-1] == S * (20 + 2 * K * B) + 20
         assert tr.ro_calls[-1] == S * K
 
+    def test_rgd_charged_for_its_full_gradients(self):
+        # an rgd step sits at the anchor and evaluates nothing past the full
+        # gradient, whatever the config's K and batch: n IFO calls and one
+        # RO call per iteration
+        inst = small_pca(12, 20, 2, seed=3)
+        cfg = SvrgConfig(step_mode=Fixed(0.01), K=5, batch=3, max_epochs=4,
+                         grad_tol=0.0, seed=1, r=2)
+        _, tr = run_rgd(inst, cfg, X0=random_point(12, 2))
+        assert tr.ifo_calls == [(s + 1) * 20 for s in range(5)]
+        assert tr.ro_calls == list(range(5))
+
     @pytest.mark.parametrize("make", [lambda: small_pca(12, 20, 2, seed=3),
                                       lambda: mc_generate(12, 20, 2, 10.0, seed=3)],
                              ids=["pca", "mc"])
@@ -386,6 +397,45 @@ def test_rank_mismatch_rejected(make, solve):
     assert calls == []
 
 
+class HalvedPca(PcaInstance):
+    """The PCA objective times 1/2: every oracle a run calls, halved."""
+
+    def full_value_egrad(self, X):
+        f, egrad = super().full_value_egrad(X)
+        return 0.5 * f, 0.5 * egrad
+
+    def component_egrad(self, X, i):
+        return 0.5 * super().component_egrad(X, i)
+
+    def batch_egrad_diff(self, Xk, X0, idx):
+        return 0.5 * super().batch_egrad_diff(Xk, X0, idx)
+
+    def constants(self):
+        c = super().constants()
+        return ProblemConstants(L=0.5 * c.L, C=0.5 * c.C)
+
+
+@pytest.mark.parametrize("kind", list(RetractionKind), ids=lambda k: k.value)
+def test_halved_objective_is_halved_step(kind):
+    # criterion 8's cell fails at its step 1.2 and passes at 0.6, or at 1.2
+    # on f/2: those two are one run.  Halving is exact in floating point,
+    # each step is linear in the gradient, and warm_start's step 1/(2L)
+    # doubles as L halves, so the iterates agree bit for bit while f and
+    # grad_norm are exactly half
+    A = pca_generate(30, 200, seed=4)
+    plain, half = PcaInstance(A, 3), HalvedPca(A, 3)
+    cfg = SvrgConfig(retraction=kind, step_mode=Fixed(0.6), K=10, batch=5,
+                     max_epochs=2, grad_tol=0.0, seed=4, r=3)
+    cfg_half = replace(cfg, step_mode=Fixed(1.2))
+    X0, X0_half = warm_start(plain, cfg), warm_start(half, cfg_half)
+    assert np.array_equal(X0_half.X, X0.X)
+    X, tr = run_s_svrg(plain, cfg, X0=X0)
+    X_half, tr_half = run_s_svrg(half, cfg_half, X0=X0_half)
+    assert np.array_equal(X_half.X, X.X)
+    assert tr_half.f == [0.5 * f for f in tr.f]
+    assert tr_half.grad_norm == [0.5 * g for g in tr.grad_norm]
+
+
 class TestRunSgd:
     def test_n1_returns_start(self):
         inst = small_pca(10, 8, 2, seed=1)
@@ -415,7 +465,7 @@ class TestRunSgd:
         # X_0, ..., X_29 each way: s-sgd records N = 30 iterates and then
         # the one it returns, and rgd the starts of its 29 epochs and the
         # point it returns
-        X1, t1 = run_s_sgd(inst, cfg, N=30, X0=X0, tau=0.05, record_every=1)
+        X1, t1 = run_s_sgd(inst, cfg, N=30, X0=X0, tau=0.05)
         X2, t2 = run_rgd(inst, replace(cfg, step_mode=Fixed(0.05), max_epochs=29,
                                        grad_tol=0.0), X0=X0)
         assert len(t1.f) == len(t2.f) + 1

@@ -19,6 +19,12 @@ def random_stiefel(d, r):
     return qr_positive(rng.standard_normal((d, r)))[0]
 
 
+def pca_component_value(inst, X, i):
+    """f_i(X) = -||X^T b_i||^2 from the instance's centered column b_i."""
+    g = inst.B[:, i] @ X
+    return -float(g @ g)
+
+
 @st.composite
 def mc_cases(draw):
     """A small completion instance, two points and a batch.
@@ -95,7 +101,7 @@ class TestPcaInstance:
     def test_finite_sum_consistency(self):
         X = random_stiefel(15, 3)
         f, egrad = self.inst.full_value_egrad(X)
-        comp_f = np.mean([self.inst.component_value(X, i) for i in range(40)])
+        comp_f = np.mean([pca_component_value(self.inst, X, i) for i in range(40)])
         comp_g = np.mean([self.inst.component_egrad(X, i) for i in range(40)], axis=0)
         assert abs(f - comp_f) <= 1e-10
         np.testing.assert_allclose(egrad, comp_g, atol=1e-10)
@@ -239,7 +245,8 @@ class TestPcaInstance:
         i = 11
         g = self.inst.component_egrad(X, i)
         probe = rng.standard_normal((15, 3))
-        val = fd_derivative(lambda t: np.array([[self.inst.component_value(X + t * probe, i)]]))
+        val = fd_derivative(
+            lambda t: np.array([[pca_component_value(self.inst, X + t * probe, i)]]))
         assert abs(val[0, 0] - np.sum(g * probe)) <= 1e-6 * max(1.0, abs(val[0, 0]))
 
     def test_optimum(self):
@@ -350,7 +357,7 @@ class TestMcInstance:
         inst = McInstance(6, 1, 2, rows=[np.arange(6)], vals=[m])
         np.testing.assert_allclose(inst.fitted_matrix(X)[:, 0], X @ (X.T @ m), atol=1e-12)
         want = np.linalg.norm(m - X @ (X.T @ m)) ** 2
-        assert inst.component_value(X, 0) == pytest.approx(want, rel=1e-12)
+        assert inst.component_value_grad(X, 0)[0] == pytest.approx(want, rel=1e-12)
 
     def test_component_grad_vs_finite_differences(self):
         X = random_stiefel(30, 3)
@@ -358,13 +365,13 @@ class TestMcInstance:
             g = self.inst.component_egrad(X, i)
             probe = rng.standard_normal((30, 3))
             val = fd_derivative(
-                lambda t: np.array([[self.inst.component_value(X + t * probe, i)]]))
+                lambda t: np.array([[self.inst.component_value_grad(X + t * probe, i)[0]]]))
             assert abs(val[0, 0] - np.sum(g * probe)) <= 1e-5 * max(1.0, abs(val[0, 0]))
 
     def test_finite_sum_consistency(self):
         X = random_stiefel(30, 3)
         f, egrad = self.inst.full_value_egrad(X)
-        fs = [self.inst.component_value(X, i) for i in range(25)]
+        fs = [self.inst.component_value_grad(X, i)[0] for i in range(25)]
         gs = [self.inst.component_egrad(X, i) for i in range(25)]
         assert abs(f - np.mean(fs)) <= 1e-10
         np.testing.assert_allclose(egrad, np.mean(gs, axis=0), atol=1e-10)
@@ -393,7 +400,7 @@ class TestMcInstance:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(X[[2, 3, 4]].T @ X[[2, 3, 4]], np.zeros(2))
         assert_matches_lstsq(inst, X, random_stiefel(5, 2), np.array([1, 0, 1]))
-        assert inst.component_value(X, 1) == 11.0
+        assert inst.component_value_grad(X, 1)[0] == 11.0
 
     def test_short_column_leaves_other_fits_alone(self):
         # only the short column takes the minimum-norm branch: the full-rank

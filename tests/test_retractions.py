@@ -4,13 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from manifold_svrg.errors import NonFiniteInput, RankDeficient, SingularStep
 from manifold_svrg.linalg import expm, polar_project, qr_positive, skew
-from manifold_svrg.manifold import (TangentSpace, feasibility_error,
-                                    tangent_project_array)
-from manifold_svrg.retractions import (_PD_NS_BOUND, GRADIENT_KINDS,
-                                       RetractionKind, declared_derivative,
-                                       phi_half_t, retract_array,
-                                       retract_gp_array, retract_gr_array)
-from oracles import FREE_KINDS, estimate_l1_l2, fd_derivative
+from manifold_svrg.manifold import feasibility_error
+from manifold_svrg.retractions import (_PD_NS_BOUND, GRADIENT_KINDS, RetractionKind,
+                                       phi_half_t, retract_array, retract_gp_array,
+                                       retract_gr_array)
+from oracles import (FREE_KINDS, TangentSpace, declared_derivative, estimate_l1_l2,
+                     fd_derivative, tangent_project_array)
 
 rng = np.random.default_rng(21)
 
