@@ -142,7 +142,7 @@ def parse_step(step):
 
 def build_problem(spec: ExperimentSpec):
     if spec.problem == "pca":
-        return PcaInstance(pca_generate(spec.d, spec.n, spec.seed), spec.r)
+        return pca_generate(spec.d, spec.n, spec.r, spec.seed)
     return mc_generate(spec.d, spec.n, spec.r, spec.cond, spec.seed)
 
 

@@ -486,6 +486,7 @@ def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_WARM)))
     X = _start_point(problem, config, None, rng)
     tau = 0.5 / problem.constants().L
-    *_, X = _single_sample_path(problem, config, X, tau, config.K, rng, [])
+    for X in _single_sample_path(problem, config, X, tau, config.K, rng, []):
+        pass  # keeps the last iterate alone, not all K + 1
     return StiefelPoint(X)
 

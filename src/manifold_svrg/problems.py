@@ -45,8 +45,17 @@ class ProblemConstants:
             raise ValueError("constants must be positive")
 
 
-# rows of A that PcaInstance checks, centres, transposes and squares at a time
+# rows of the data that are drawn, centred, checked and squared at a time
 _INGEST_ROWS = 64
+# columns per slice of a block's gather out of a column-major array: a whole
+# 64 x n block gathered at once misses the cache on every column, 3-4x
+# slower at n = 10000
+_GATHER_COLS = 512
+
+
+def _check_rank(r, d):
+    if not 1 <= r <= d:
+        raise ValueError(f"r = {r} outside [1, d = {d}]")
 
 
 class PcaInstance:
@@ -58,13 +67,17 @@ class PcaInstance:
     The centered data B is the instance's one d x n array, stored
     column-major: B.T is then a contiguous B^T, so a minibatch is a gather
     of contiguous rows of B^T rather than a strided gather of columns of B.
-    Minibatches, components and constants() read B.
+    Minibatches, components and constants() read B.  The instance holds
+    d n + d^2 floats, B and C, and no second d x n array.
 
-    Construction reads A once, in blocks of _INGEST_ROWS rows: each block
-    takes its row means, which are finite exactly when its entries are (and
-    their sums do not overflow), is centred by them, written transposed into
-    B^T, and its squares added row by row into the column norms that
-    constants() takes L from.
+    Construction reads A once, in blocks of _INGEST_ROWS rows, into a fresh
+    column-major B; A is never written.  Each block is gathered into a
+    row-major copy, whose row means are those of the row-major A whatever
+    A's layout, and which are finite exactly when its entries are (and their
+    sums do not overflow).  The block is centred by them, written into B,
+    and its squares added row by row into the column norms that constants()
+    takes L from.  pca_generate runs the same pass over its own column-major
+    draw, which then becomes B: the data is centred where it was drawn.
 
     The full value and gradient come from the covariance C = (1/n) B B^T,
     built once at construction: d^2 n flops, and d^2 floats held next to B
@@ -80,29 +93,41 @@ class PcaInstance:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.size == 0:
             raise ValueError(f"data matrix must be 2-D and non-empty, got shape {A.shape}")
+        self._ingest(A, np.empty(A.shape, order="F"), r)
+
+    @classmethod
+    def _centred_in_place(cls, A, r):
+        """An instance whose B is A, a column-major data array it takes over."""
+        inst = cls.__new__(cls)
+        inst._ingest(A, A, r)
+        return inst
+
+    def _ingest(self, A, B, r):
+        # A and B may be one array: each block is read whole before it is written
         self.d, self.n = A.shape
         self.r = int(r)
-        if not 1 <= self.r <= self.d:
-            raise ValueError(f"r = {self.r} outside [1, d = {self.d}]")
-        BT = np.empty((self.n, self.d))
+        _check_rank(self.r, self.d)
         # each column of squares adds row by row, as np.sum(B**2, axis=0)
         # does over a row-major B; summed along the contiguous axis of the
         # column-major B it would round differently, and L with it
         self._col_sq = np.zeros(self.n)
+        rows = np.empty((min(_INGEST_ROWS, self.d), self.n))
         for j in range(0, self.d, _INGEST_ROWS):
-            block = A[j:j + _INGEST_ROWS]
+            block = rows[:min(_INGEST_ROWS, self.d - j)]
+            for c in range(0, self.n, _GATHER_COLS):
+                block[:, c:c + _GATHER_COLS] = A[j:j + _INGEST_ROWS, c:c + _GATHER_COLS]
             mean = block.mean(axis=1, keepdims=True)
             # a NaN or Inf entry makes its row's sum, and so its mean, non-finite;
             # so does a finite row whose sum overflows, which centring could not use
             if not np.isfinite(mean).all():
                 raise NonFiniteInput("data matrix has NaN or Inf entries, or a row sum "
                                      "beyond the float range")
-            block = block - mean
-            BT[:, j:j + _INGEST_ROWS] = block.T
+            block -= mean
+            B[j:j + _INGEST_ROWS] = block
             np.square(block, out=block)
             for row in block:
                 self._col_sq += row
-        self.B = BT.T
+        self.B = B
         # scaled in place: the bits of (1/n) * (B @ B.T) without a second d x d array
         self.C = self.B @ self.B.T
         self.C *= 1.0 / self.n
@@ -341,15 +366,34 @@ class McInstance:
         return ProblemConstants(L=2.0 * max(lip, 1e-12), C=2.0 * max(bound, 1e-12))
 
 
-def pca_generate(d, n, seed):
-    """Synthetic data: row i scaled by i^0.618, normalized by the max entry."""
+def pca_generate(d, n, r, seed):
+    """Synthetic PCA instance of rank r on d x n data.
+
+    Row i of the data is a standard normal draw scaled by i^0.618, and the
+    whole is normalized by its largest entry in absolute value.  The draw
+    fills a column-major d x n array 64 rows at a time, the values of one
+    (d, n) draw in the same order; it is normalized in place, and the
+    instance centres it in place and keeps it as B, so the instance's B is
+    the only d x n array made.  d, n and r are checked before any draw.
+    """
+    for name, value in (("d", d), ("n", n)):
+        if value < 1:
+            raise ValueError(f"{name} = {value} must be at least 1")
+    _check_rank(r, d)
     rng = np.random.default_rng(seed)
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
-    # in place throughout: the only d x n array made is the draw itself
-    A = rng.standard_normal((d, n))
-    A *= scale[:, None]
-    A /= max(A.max(), -A.min())
-    return A
+    A = np.empty((d, n), order="F")
+    rows = np.empty((min(_INGEST_ROWS, d), n))
+    top = 0.0
+    for j in range(0, d, _INGEST_ROWS):
+        block = rows[:min(_INGEST_ROWS, d - j)]
+        rng.standard_normal(out=block)
+        block *= scale[j:j + _INGEST_ROWS, None]
+        top = max(top, block.max(), -block.min())
+        A[j:j + _INGEST_ROWS] = block
+    del rows, block  # freed before the ingest takes its own block buffer
+    A /= top
+    return PcaInstance._centred_in_place(A, r)
 
 
 def pca_load(path, r):

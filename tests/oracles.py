@@ -7,7 +7,7 @@ extrapolated central differences, and stochastic-gradient moments come from
 exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
 package's own retractions to measure their deviation constants, and
 pca_top_subspace factors a PCA instance's stored covariance with the full
-dense eigensolver.
+dense eigensolver, and pca_data draws pca_generate's raw data in one piece.
 
 The rest state what the analysis and the retractions' contracts say, for
 the tests to hold the package to: the tangent-space projection that makes
@@ -151,6 +151,20 @@ def pca_top_subspace(inst):
     w, V = np.linalg.eigh(inst.C)
     top = np.argsort(w)[::-1][: inst.r]
     return -float(np.sum(w[top])), V[:, top]
+
+
+def pca_data(d, n, seed):
+    """pca_generate's data before centring, from one (d, n) draw.
+
+    Row i scaled by i^0.618, normalized by the max entry: the reference for
+    pca_generate's blocked draw, and raw data for tests that need a d x n A.
+    """
+    rng = np.random.default_rng(seed)
+    scale = np.arange(1, d + 1, dtype=float) ** 0.618
+    A = rng.standard_normal((d, n))
+    A *= scale[:, None]
+    A /= max(A.max(), -A.min())
+    return A
 
 
 def sym(A):

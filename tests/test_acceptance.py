@@ -15,7 +15,7 @@ from manifold_svrg.harness import ExperimentSpec, run_experiment
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import d_rho_array, nu_of_rho
 from manifold_svrg.optimizers import run_s_sgd, SvrgConfig, theorem1_schedule
-from manifold_svrg.problems import PcaInstance, pca_generate
+from manifold_svrg.problems import pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
 from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation,
                      declared_derivative, estimate_l1_l2, fd_derivative,
@@ -89,7 +89,7 @@ def test_criterion_3_wy_jd_equivalence(capfd):
 
 def test_criterion_4_variance_reduction_brute_force(capfd):
     d, r, n = 10, 2, 6
-    inst = PcaInstance(pca_generate(d, n, seed=11), r)
+    inst = pca_generate(d, n, r, seed=11)
     L = inst.constants().L
     worst_mean = 0.0
     worst_margin = -np.inf
@@ -334,7 +334,7 @@ def test_criterion_11_lojasiewicz_probe(capfd, desk_pca_runs):
 def test_sgd_sibling_decreasing_trend():
     # non-gating companion to criterion 7: the plain stochastic method
     # trends downward on the same problem even though it plateaus early
-    inst = PcaInstance(pca_generate(200, 2000, seed=0), 5)
+    inst = pca_generate(200, 2000, 5, seed=0)
     cfg = SvrgConfig(retraction=RetractionKind.QR, seed=0, r=5)
     X0 = qr_positive(np.random.default_rng(3).standard_normal((200, 5)))[0]
     _, trace = run_s_sgd(inst, cfg, N=2000, X0=X0)

@@ -3,7 +3,7 @@ import pytest
 
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
-from manifold_svrg.problems import PcaInstance, pca_generate
+from manifold_svrg.problems import pca_generate
 from oracles import TangentSpace, pca_top_subspace, sym, tangent_project_array
 
 rng = np.random.default_rng(7)
@@ -116,7 +116,7 @@ class TestRiemannianGrad:
         assert np.linalg.norm(d_rho_array(X, np.zeros(X.shape), 0.5)) == 0.0
 
     def test_pca_stationary_at_eigenspace(self):
-        inst = PcaInstance(pca_generate(12, 30, seed=5), r=3)
+        inst = pca_generate(12, 30, 3, seed=5)
         _, X_star = pca_top_subspace(inst)
         _, egrad = inst.full_value_egrad(X_star)
         assert np.linalg.norm(d_rho_array(X_star, egrad, 0.0)) <= 1e-10
@@ -124,7 +124,7 @@ class TestRiemannianGrad:
     def test_rho_invariance_under_symmetry(self):
         # X^T egrad symmetric for the quadratic objective, so the skew term
         # vanishes and every rho gives the same gradient
-        inst = PcaInstance(pca_generate(10, 20, seed=2), r=2)
+        inst = pca_generate(10, 20, 2, seed=2)
         X = random_point(10, 2)
         _, egrad = inst.full_value_egrad(X)
         g0 = d_rho_array(X, egrad, 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +18,13 @@ from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, m
                                     pca_generate)
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind
 from oracles import (brute_force_expectation, declared_derivative, fd_derivative,
-                     loj_ratio_probe, recursion_lemma_check)
+                     loj_ratio_probe, pca_data, recursion_lemma_check)
 
 rng = np.random.default_rng(31)
 
 
 def small_pca(d=10, n=6, r=2, seed=0):
-    return PcaInstance(pca_generate(d, n, seed), r)
+    return pca_generate(d, n, r, seed)
 
 
 def random_point(d, r):
@@ -364,7 +365,7 @@ class TestRunSvrg:
 def test_start_point_validated(solve):
     # X0 is checked for orthonormality and for shape (d, r) on entry, as an
     # array or a StiefelPoint, and the solver returns a StiefelPoint
-    inst = PcaInstance(pca_generate(10, 20, 0), 2)
+    inst = pca_generate(10, 20, 2, 0)
     cfg = SvrgConfig(step_mode=Fixed(0.01), K=2, batch=2, max_epochs=2, r=2)
     with pytest.raises(ValueError, match="orthonormal"):
         solve(inst, cfg, X0=5.0 * random_point(10, 2).X)
@@ -379,7 +380,7 @@ def test_start_point_validated(solve):
 @pytest.mark.parametrize("solve", [
     run_s_svrg, lambda inst, cfg: run_s_sgd(inst, cfg, N=5), warm_start],
     ids=["s-svrg", "s-sgd", "warm-start"])
-@pytest.mark.parametrize("make", [lambda: PcaInstance(pca_generate(10, 20, 0), 2),
+@pytest.mark.parametrize("make", [lambda: pca_generate(10, 20, 2, 0),
                                   lambda: mc_generate(10, 20, 2, 10.0, seed=3)],
                          ids=["pca", "mc"])
 def test_rank_mismatch_rejected(make, solve):
@@ -422,7 +423,7 @@ def test_halved_objective_is_halved_step(kind):
     # each step is linear in the gradient, and warm_start's step 1/(2L)
     # doubles as L halves, so the iterates agree bit for bit while f and
     # grad_norm are exactly half
-    A = pca_generate(30, 200, seed=4)
+    A = pca_data(30, 200, seed=4)
     plain, half = PcaInstance(A, 3), HalvedPca(A, 3)
     cfg = SvrgConfig(retraction=kind, step_mode=Fixed(0.6), K=10, batch=5,
                      max_epochs=2, grad_tol=0.0, seed=4, r=3)
@@ -475,7 +476,7 @@ class TestRunSgd:
     def test_last_row_is_the_returned_point(self):
         # N = 200 records X_0, X_2, ..., X_198 and then the returned X_j_bar
         # as step N, after N - 1 steps
-        inst = PcaInstance(pca_generate(30, 60, 0), 3)
+        inst = pca_generate(30, 60, 3, 0)
         X, tr = run_s_sgd(inst, SvrgConfig(seed=0, r=3), N=200, tau=0.05)
         assert tr.epoch[-2:] == [198, 200]
         assert tr.ifo_calls[-1] == tr.ro_calls[-1] == 199
@@ -521,6 +522,19 @@ class TestWarmStart:
             warm = warm_start(inst, cfg)
             wins += inst.value(warm.X) <= inst.value(raw)
         assert wins >= 40
+
+    def test_keeps_one_iterate(self):
+        # K = 500 steps at d = 400, r = 10: holding all K + 1 iterates of
+        # 32 KB each peaked at about 16 MB
+        inst = small_pca(400, 100, 10, seed=0)
+        cfg = SvrgConfig(seed=1, K=500, r=10)
+        tracemalloc.start()
+        try:
+            warm_start(inst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestRecursionLemma:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from manifold_svrg.linalg import qr_positive
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
                                     mc_load_observations, mc_save_observations,
                                     pca_generate, pca_load)
-from oracles import fd_derivative, pca_top_subspace
+from oracles import fd_derivative, pca_data, pca_top_subspace
 
 rng = np.random.default_rng(13)
 
@@ -78,25 +79,68 @@ def assert_matches_lstsq(inst, X0, Xk, idx):
         close(gi, gk[i])
 
 
+def _constants_or_error(inst):
+    try:
+        return inst.constants()
+    except ValueError as exc:  # all-zero centred data (n = 1) has no positive L
+        return str(exc)
+
+
 class TestPcaGenerate:
     def test_normalization(self):
-        A = pca_generate(1, 50, seed=0)
+        A = pca_data(1, 50, seed=0)
         assert np.abs(A).max() == 1.0
         assert np.all(np.abs(A) <= 1.0)
 
     def test_determinism(self):
-        assert np.array_equal(pca_generate(20, 30, seed=4), pca_generate(20, 30, seed=4))
+        assert np.array_equal(pca_data(20, 30, seed=4), pca_data(20, 30, seed=4))
 
     def test_row_scaling_profile(self):
         # later rows carry the i^0.618 weight, so their variance grows
-        A = pca_generate(100, 2000, seed=1)
+        A = pca_data(100, 2000, seed=1)
         v = (A ** 2).mean(axis=1)
         assert v[-1] > v[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 2 * 64 + 3])
+    def test_blocked_draw_is_the_one_shot_draw(self, d, n):
+        # drawn 64 rows at a time into column-major memory and centred
+        # there: the bits of the instance built from one (d, n) draw; d
+        # straddles the 64-row block
+        r = min(d, 3)
+        got, want = pca_generate(d, n, r, seed=7), PcaInstance(pca_data(d, n, seed=7), r)
+        assert got.B.flags.f_contiguous
+        for name in ("B", "C", "_col_sq"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert _constants_or_error(got) == _constants_or_error(want)
+        assert got.optimum() == want.optimum()
+
+    @pytest.mark.parametrize("d, n, r, named", [
+        (0, 5, 1, "d = 0"), (-2, 5, 1, "d = -2"), (5, 0, 1, "n = 0"),
+        (5, 5, 0, "r = 0"), (5, 5, 6, "r = 6")])
+    def test_bad_shape_rejected_before_drawing(self, d, n, r, named, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the shape")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            pca_generate(d, n, r, seed=0)
+
+    def test_peak_memory_is_the_instance(self):
+        # the draw is the instance's B: no second d x n array is ever alive
+        # (generating A and then constructing from it peaked at 2.44x)
+        d, n = 256, 4096
+        tracemalloc.start()
+        try:
+            pca_generate(d, n, 8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (d * n + d * d) * 8
 
 
 class TestPcaInstance:
     def setup_method(self):
-        self.inst = PcaInstance(pca_generate(15, 40, seed=9), r=3)
+        self.inst = pca_generate(15, 40, 3, seed=9)
 
     def test_finite_sum_consistency(self):
         X = random_stiefel(15, 3)
@@ -136,7 +180,7 @@ class TestPcaInstance:
     def test_data_is_one_column_major_array(self):
         # B.T is a contiguous B^T; the instance keeps B as its only d x n
         # array and the covariance C as its only d x d one
-        inst = PcaInstance(pca_generate(15, 40, seed=9), r=3)
+        inst = pca_generate(15, 40, 3, seed=9)
         assert inst.B.flags.f_contiguous
         held = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
         assert [v is inst.B for v in held if v.shape == (15, 40)] == [True]
@@ -161,6 +205,23 @@ class TestPcaInstance:
         assert np.array_equal(inst._col_sq, np.sum(B_rows ** 2, axis=0))
         assert np.array_equal(inst.C, (B @ B.T) * (1.0 / n))
         assert np.array_equal(A, A_before)
+
+    @pytest.mark.parametrize("layout", ["row-major", "column-major", "transposed view"])
+    def test_data_never_written(self, layout):
+        # the public constructor reads A into a fresh B, whatever A's
+        # layout, and B's bits do not depend on that layout
+        A = pca_data(2 * 64 + 3, 50, seed=2)
+        want = PcaInstance(A.copy(), r=2).B
+        if layout == "column-major":
+            A = np.asfortranarray(A)
+        elif layout == "transposed view":
+            M = np.ascontiguousarray(A.T)
+            A = M.T
+        before = A.copy()
+        inst = PcaInstance(A, r=2)
+        assert np.array_equal(A, before)
+        assert np.array_equal(inst.B, want)
+        assert not np.shares_memory(inst.B, A)
 
     @settings(deadline=None, max_examples=200)
     @given(d=st.integers(1, 80), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
@@ -219,7 +280,7 @@ class TestPcaInstance:
     def test_optimum_is_the_top_eigenvalue_sum(self, d, n, r):
         # at the pca-desk and pca-rgd shapes: eigvalsh's f* against the
         # full eigh's eigenvalues, which may differ in the last bits
-        inst = PcaInstance(pca_generate(d, n, seed=0), r)
+        inst = pca_generate(d, n, r, seed=0)
         w = np.linalg.eigh(inst.C)[0]
         want = -float(np.sum(np.sort(w)[::-1][:r]))
         assert abs(inst.optimum() - want) <= 1e-14 * abs(want)
@@ -228,7 +289,7 @@ class TestPcaInstance:
     def test_value_is_full_gradient_f(self, d, n, r):
         # at the pca-desk and pca-rgd shapes: the trace's f column comes from
         # full_value_egrad and the benchmark's result check from value
-        inst = PcaInstance(pca_generate(d, n, seed=0), r)
+        inst = pca_generate(d, n, r, seed=0)
         local = np.random.default_rng(3)
         for _ in range(20):
             X = qr_positive(local.standard_normal((d, r)))[0]
@@ -274,14 +335,14 @@ class TestPcaInstance:
         # d = 2 * 64 + 3: the bad entry in the first, a middle and the tail
         # ingest block
         for row in (2, 64 + 17, 2 * 64 + 2):
-            A = pca_generate(2 * 64 + 3, 8, seed=0)
+            A = pca_data(2 * 64 + 3, 8, seed=0)
             A[row, 3] = bad
             with pytest.raises(NonFiniteInput):
                 PcaInstance(A, r=2)
 
     def test_overflowing_row_sum_rejected(self):
         # finite entries whose row sum overflows would centre to -Inf
-        A = pca_generate(4, 8, seed=0)
+        A = pca_data(4, 8, seed=0)
         A[1] = 1e308
         with pytest.raises(NonFiniteInput), np.errstate(over="ignore"):
             PcaInstance(A, r=2)
@@ -294,7 +355,7 @@ class TestPcaInstance:
     @pytest.mark.parametrize("r", [0, 7])
     def test_rank_outside_dimension_rejected(self, r):
         with pytest.raises(ValueError):
-            PcaInstance(pca_generate(6, 8, seed=0), r=r)
+            PcaInstance(pca_data(6, 8, seed=0), r=r)
 
     def test_single_unit_column_L(self):
         # the centered columns are +-e1, each of unit norm
@@ -584,7 +645,7 @@ class TestMcIO:
             mc_load_observations(path, r=1)
 
     def test_pca_load_csv_and_npy(self, tmp_path):
-        A = pca_generate(6, 8, seed=0)
+        A = pca_data(6, 8, seed=0)
         np.save(tmp_path / "a.npy", A)
         np.savetxt(tmp_path / "a.csv", A, delimiter=",")
         i1 = pca_load(tmp_path / "a.npy", r=2)
