@@ -10,6 +10,7 @@ std, mean final gradient norm, mean relative error, mean seconds).
 import csv
 import hashlib
 import io
+import math
 import os
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
@@ -45,8 +46,8 @@ PROBLEMS = ("pca", "mc")
 # the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd
 # takes one full-gradient step per epoch (thm1 sizes an inner loop and a
 # batch it does not have), and s-sgd takes a fixed step as given and
-# otherwise its analysis step.  The rule also picks the output: thm1 runs
-# return an iterate sampled with p ~ Delta, the other rules the last iterate
+# otherwise its analysis step.  The rule also picks the output: a thm1 epoch
+# stops at X_k, k < K drawn with p ~ Delta, the others return the last iterate
 METHOD_STEPS = {"s-svrg": (Fixed, BB, Theorem1), "s-svrg-bb": (BB,),
                 "rgd": (Fixed, BB), "s-sgd": (Fixed, BB)}
 
@@ -77,6 +78,8 @@ class ExperimentSpec:
             raise ValueError(f"d, n and r must be at least 1, got {self.d}, {self.n}, {self.r}")
         if self.r > self.d:
             raise ValueError(f"r = {self.r} exceeds d = {self.d}")
+        if not (math.isfinite(self.cond) and self.cond >= 1):
+            raise ValueError(f"cond = {self.cond} must be finite and at least 1")
         if not 0.0 < self.batch_frac <= 1.0:
             raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
         if self.problem not in PROBLEMS:

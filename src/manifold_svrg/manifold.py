@@ -11,6 +11,7 @@ turns a Euclidean gradient into the Riemannian gradient under that metric.
 Everything past StiefelPoint, the boundary validator, works on raw arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,9 @@ class StiefelPoint:
 
 def nu_of_rho(rho):
     """Lower norm-equivalence constant nu = min(1, 1/(4 rho)); nu = 1 at rho = 0."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho == 0.0:
-        return 1.0
-    return min(1.0, 1.0 / (4.0 * rho))
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    return 1.0 if rho <= 0.25 else 1.0 / (4.0 * rho)
 
 
 def d_rho_array(X, Y, rho):

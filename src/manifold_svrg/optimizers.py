@@ -13,7 +13,7 @@ is never formed.
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ _STREAM_WARM = 3
 _BB_TAU_MIN = 1e-8
 _BB_TAU_MAX = 1e8
 _BB_TAU_INIT = 1.0
+
+# the pd retraction's bound constants (L1, L2): Theorem1's and s-sgd's steps
+_PD_L1, _PD_L2 = 1.0, 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +107,15 @@ class SvrgConfig:
     r: int = 5
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
-        if self.batch < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+        for name in ("rho", "grad_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        for name in ("K", "batch", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not isinstance(self.step_mode, (Fixed, BB, Theorem1)):
+            raise ValueError(f"unknown step mode {self.step_mode!r}")
 
 
 @dataclass
@@ -197,6 +201,7 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     K = ceil((kappa n)^(1/(3(1-mu)))), batch = ceil(K^(2-3mu)),
     beta = sqrt(L_tilde) L / nu * K^(mu-1), tau = c nu / (sqrt(L_tilde) L) * K^(-mu),
     with c the largest feasible root of the exponential side condition.
+    p ~ Delta weights the epoch's K candidate outputs X_0, ..., X_{K-1}.
     Raises NoFeasibleC when the constants leave no feasible c or when the
     resulting per-step decrease table is not positive (step too large for
     the theory; clipping would hide the inconsistency).
@@ -221,21 +226,17 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
         Delta[k] = tau * (nu - 0.5 * L_hat * tau * (1.0 + amp * var_term * gk))
     if np.any(Delta <= 0.0):
         raise NoFeasibleC("decrease table has nonpositive entries; constants inconsistent")
-    p = np.zeros(K + 1)
-    p[:K] = Delta / Delta.sum()
+    p = Delta / Delta.sum()
     return Schedule(K=K, batch=batch, beta=beta, tau=tau, c=c,
                     Delta=Delta, p=p, L_tilde=L_tilde, L_hat=L_hat)
 
 
-def select_output(iterates, p_sk, rng):
-    """Draw the epoch's output from its iterates X_0, ..., X_K with weights p_sk."""
+def select_output(p_sk, rng):
+    """Draw the index k of the epoch's output X_k, k in 0..len(p_sk)-1, with weights p_sk."""
     p = np.asarray(p_sk, dtype=float)
-    if len(p) != len(iterates):
-        raise ValueError("need one probability per stored iterate")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
-    k = int(rng.choice(len(p), p=p / p.sum()))
-    return iterates[k]
+    return int(rng.choice(len(p), p=p / p.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -319,36 +320,38 @@ def run_s_svrg(problem, config: SvrgConfig, X0=None):
     Per epoch: full Euclidean gradient at the anchor, a step size from the
     configured mode, then K minibatch steps sampled with replacement.  The
     step rule picks the epoch's output: Theorem1 draws one of the epoch's
-    iterates X_0, ..., X_K with the schedule's p ~ Delta, the iterate its
-    guarantee speaks about; Fixed and BB keep the last one.  The trace
+    iterates X_0, ..., X_{K-1} with the schedule's p ~ Delta, the iterate
+    its guarantee speaks about, and the epoch stops there; Fixed and BB
+    keep the last one, X_K.  The trace
     records the state at each epoch start; the loop stops once the
     Riemannian gradient norm at an anchor falls below grad_tol, or after
     max_epochs epochs with one more full gradient, so that the last row
     describes the returned point.  IFO counts n per full gradient and
-    2|batch| per inner step, also for the first step of an epoch, whose
-    zero correction is never evaluated; RO counts one per retraction.
+    2|batch| per inner step, RO one per step: all K steps of an epoch are
+    charged, also the first, whose zero correction is never evaluated, and
+    under Theorem1 those past the drawn iterate, which are never taken.
     """
-    return _run_anchored(problem, config, X0, rgd=False)
+    return _run_anchored(problem, config, X0, config.K, config.batch)
 
 
-def _run_anchored(problem, config, X0, rgd):
-    # run_s_svrg's epoch loop; with rgd set, run_rgd's, whose epochs take
-    # one step at the anchor in place of the K minibatch steps
+def _run_anchored(problem, config, X0, K, batch):
+    # run_s_svrg's epoch loop, and run_rgd's with K = 1 and an empty batch:
+    # its one step is at the anchor, where the correction is exactly zero
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))
     X = _start_point(problem, config, X0, rng)
     n = problem.n
-    kind = config.retraction
     rho = config.rho
     mode = config.step_mode
 
-    K, batch = config.K, config.batch
+    # one step for the whole run, except BB's, re-estimated after the first epoch
+    tau = mode.tau if isinstance(mode, Fixed) else _BB_TAU_INIT / K
     schedule = None
     if isinstance(mode, Theorem1):
         consts = problem.constants()
         schedule = theorem1_schedule(n, mode.mu, mode.kappa, consts.L, consts.C,
-                                     L1=1.0, L2=0.5, r=config.r, nu=nu_of_rho(rho))
-        K, batch = schedule.K, schedule.batch
+                                     L1=_PD_L1, L2=_PD_L2, r=config.r, nu=nu_of_rho(rho))
+        K, batch, tau = schedule.K, schedule.batch, schedule.tau
 
     trace = RunTrace()
     ifo = 0
@@ -364,16 +367,8 @@ def _run_anchored(problem, config, X0, rgd):
         if not (np.isfinite(f0) and np.isfinite(gnorm)):
             raise NonFiniteValue(f"objective or gradient diverged at epoch {s}")
 
-        if isinstance(mode, Fixed):
-            tau = mode.tau
-        elif isinstance(mode, BB):
-            if X_prev is None:
-                tau = _BB_TAU_INIT / K
-            else:
-                tau = bb_step(X, X_prev, grad0, grad_prev, K, problem.BB_SCALE)
-        else:
-            tau = schedule.tau
-
+        if isinstance(mode, BB) and X_prev is not None:
+            tau = bb_step(X, X_prev, grad0, grad_prev, K, problem.BB_SCALE)
         trace.record(s, f0, gnorm, tau, ifo, ro, t0)
         if gnorm <= config.grad_tol:
             trace.status = "GradTol"
@@ -382,23 +377,17 @@ def _run_anchored(problem, config, X0, rgd):
             break  # the returned point's row; status stays MaxEpochs
 
         X_prev, grad_prev = X, grad0
-        if rgd:
-            X = _inner_step(problem, kind, X, X, egrad0, None, tau, rho)
-            ro += 1
-        else:
-            anchor = X
-            iterates = [X]
-            # one draw for the epoch's K batches: numpy's PCG64 generator
-            # gives the same indices, and the same state after them, as K
-            # draws of one batch each (TestMinibatchDraw pins this)
-            for idx in rng.integers(n, size=(K, batch)):
-                X = _inner_step(problem, kind, X, anchor, egrad0, idx, tau, rho)
-                ifo += 2 * batch
-                ro += 1
-                if schedule is not None:
-                    iterates.append(X)
-            if schedule is not None:
-                X = select_output(iterates, schedule.p, rng)
+        anchor = X
+        # one draw for the epoch's K batches: numpy's PCG64 generator gives
+        # the same indices, and the same state after them, as K draws of one
+        # batch each (TestMinibatchDraw pins this); an empty batch draws nothing
+        batches = rng.integers(n, size=(K, batch))
+        ifo += 2 * batch * K
+        ro += K
+        # Theorem1's output X_k: the steps past it are charged above, not taken
+        out = K if schedule is None else select_output(schedule.p, rng)
+        for idx in batches[:out]:
+            X = _inner_step(problem, config.retraction, X, anchor, egrad0, idx, tau, rho)
 
         if feasibility_error(X) > FEAS_TOL:
             X = qr_positive(X)[0]
@@ -433,7 +422,7 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None):
 
     if tau is None:
         consts = problem.constants()
-        L_hat = 2.0 * 0.5 * consts.C + 1.0 * consts.L  # polar-style (L1, L2) = (1, 1/2)
+        L_hat = 2.0 * _PD_L2 * consts.C + _PD_L1 * _PD_L1 * consts.L
         _, egrad_full = problem.full_value_egrad(X)
         g_full = d_rho_array(X, egrad_full, rho)
         ifo += n
@@ -471,9 +460,11 @@ def run_rgd(problem, config: SvrgConfig, X0=None):
     run_s_svrg's epochs with one step each, along the anchor's full
     gradient: the BB step takes K = 1, and config.batch is not read.  That
     step evaluates nothing past the full gradient and draws nothing, so IFO
-    counts n per full gradient and nothing else.
+    counts n per full gradient and nothing else.  Theorem1 raises ValueError.
     """
-    return _run_anchored(problem, replace(config, K=1), X0, rgd=True)
+    if isinstance(config.step_mode, Theorem1):
+        raise ValueError("rgd has no inner loop or batch for the Theorem1 rule to size")
+    return _run_anchored(problem, config, X0, K=1, batch=0)
 
 
 def warm_start(problem, config: SvrgConfig) -> StiefelPoint:

@@ -53,9 +53,15 @@ _INGEST_ROWS = 64
 _GATHER_COLS = 512
 
 
-def _check_rank(r, d):
+def _check_dims(d, n):
+    for name, value in (("d", d), ("n", n)):
+        if value < 1:
+            raise ValueError(f"{name} = {value} must be at least 1")
+
+
+def _check_rank(r, d, bound="d"):
     if not 1 <= r <= d:
-        raise ValueError(f"r = {r} outside [1, d = {d}]")
+        raise ValueError(f"r = {r} outside [1, {bound} = {d}]")
 
 
 class PcaInstance:
@@ -210,6 +216,7 @@ class McInstance:
 
     def __init__(self, d, n, r, rows, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)
+        _check_rank(self.r, self.d)
         self.rows = [np.asarray(ri, dtype=np.intp) for ri in rows]
         self.vals = [np.asarray(vi, dtype=float) for vi in vals]
         if len(self.rows) != self.n or len(self.vals) != self.n:
@@ -376,9 +383,7 @@ def pca_generate(d, n, r, seed):
     instance centres it in place and keeps it as B, so the instance's B is
     the only d x n array made.  d, n and r are checked before any draw.
     """
-    for name, value in (("d", d), ("n", n)):
-        if value < 1:
-            raise ValueError(f"{name} = {value} must be at least 1")
+    _check_dims(d, n)
     _check_rank(r, d)
     rng = np.random.default_rng(seed)
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
@@ -397,10 +402,10 @@ def pca_generate(d, n, r, seed):
 
 
 def pca_load(path, r):
-    """Load a dense d x n data matrix from .npy or CSV and wrap it."""
+    """Wrap a dense d x n data matrix from CSV or a .npy file, which is mapped, not read whole."""
     path = str(path)
     if path.endswith(".npy"):
-        A = np.load(path)
+        A = np.load(path, mmap_mode="r")
     else:
         A = np.loadtxt(path, delimiter=",", ndmin=2)
     return PcaInstance(A, r)
@@ -411,18 +416,19 @@ def mc_generate(d, n, r, cond, seed):
 
     Singular values are geometrically spaced from 1 down to 1/cond; the
     observation set has exactly (n + d - r) r^2 entries drawn uniformly
-    without replacement.
+    without replacement.  d, n, r and cond are checked before any draw.
     """
+    _check_dims(d, n)
+    _check_rank(r, min(d, n), "min(d, n)")
+    if not (math.isfinite(cond) and cond >= 1):
+        raise ValueError(f"cond = {cond} must be finite and at least 1")
     num = (n + d - r) * r * r
     if num > d * n:
         raise TooManySamples(f"|Omega| = {num} exceeds the {d * n} entries available")
     rng = np.random.default_rng(seed)
     U = qr_positive(rng.standard_normal((d, r)))[0]
     V = qr_positive(rng.standard_normal((n, r)))[0]
-    if r == 1:
-        sigma = np.array([1.0])
-    else:
-        sigma = cond ** (-np.arange(r) / (r - 1.0))
+    sigma = cond ** (-np.arange(r) / max(r - 1.0, 1.0))  # [1.0] at r = 1
     M = (U * sigma) @ V.T
     flat = rng.choice(d * n, size=num, replace=False)
     flat.sort()
@@ -430,10 +436,8 @@ def mc_generate(d, n, r, cond, seed):
     jj = flat % n
     # group by column; the stable sort keeps each column's rows ascending
     order = np.argsort(jj, kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(jj, minlength=n)).tolist()]
-    by_col, val_by_col = ii[order], M[ii, jj][order]
-    rows = [by_col[a:b] for a, b in zip(bounds, bounds[1:])]
-    vals = [val_by_col[a:b] for a, b in zip(bounds, bounds[1:])]
+    cuts = np.cumsum(np.bincount(jj, minlength=n))[:-1]
+    rows, vals = np.split(ii[order], cuts), np.split(M[ii, jj][order], cuts)
     return McInstance(d, n, r, rows, vals, M_true=M)
 
 

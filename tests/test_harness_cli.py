@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import math
 import os
 from contextlib import redirect_stdout, redirect_stderr
 from dataclasses import asdict, fields, replace
@@ -59,7 +60,11 @@ class TestSpec:
                                      # fields every run would reject
                                      dict(inner_k="x"), dict(inner_k="0"),
                                      dict(max_epochs=0), dict(rho=-1.0),
-                                     dict(step="fixed:nan")])
+                                     dict(step="fixed:nan"),
+                                     dict(rho=math.nan), dict(rho=math.inf),
+                                     dict(grad_tol=math.nan), dict(grad_tol=-1e-6),
+                                     dict(cond=-3.0), dict(cond=0.0), dict(cond=0.5),
+                                     dict(cond=math.nan), dict(cond=math.inf)])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_spec(**bad)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,9 @@ def test_nu_of_rho():
     assert nu_of_rho(0.25) == 1.0
     assert nu_of_rho(1.0) == 0.25
     assert nu_of_rho(0.1) == 1.0
-    with pytest.raises(ValueError):
-        nu_of_rho(-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            nu_of_rho(bad)
 
 
 def test_metric_params_invariant():

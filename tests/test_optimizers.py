@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from manifold_svrg import optimizers
 from manifold_svrg.errors import NoFeasibleC, NonFiniteValue
 from manifold_svrg.linalg import qr_positive
-from manifold_svrg.manifold import (StiefelPoint, d_rho_array, feasibility_error,
+from manifold_svrg.manifold import (FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error,
                                     nu_of_rho)
 from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, bb_step,
                                       gamma_fn, run_rgd, run_s_sgd, run_s_svrg,
@@ -163,7 +164,7 @@ class TestSchedule:
     def test_probability_row(self):
         s = theorem1_schedule(1000, 0.5, 2.0, L=1.0, C=1.0, L1=1.0, L2=0.0,
                               r=4, nu=1.0)
-        assert s.p[-1] == 0.0
+        assert len(s.p) == s.K  # one weight per candidate output X_0..X_{K-1}
         assert s.p.sum() == pytest.approx(1.0)
 
     def test_no_feasible_c(self):
@@ -187,13 +188,20 @@ class TestSchedule:
         with pytest.raises(ValueError):
             rule(*args)
 
+    @pytest.mark.parametrize("bad", [dict(step_mode=0.1), dict(rho=math.nan),
+                                     dict(rho=math.inf), dict(grad_tol=math.nan),
+                                     dict(grad_tol=-1.0)])
+    def test_config_values_validated(self, bad):
+        # an unknown step mode has no step rule; a NaN rho fails every run at
+        # its first step, and a NaN grad_tol never stops one
+        with pytest.raises(ValueError):
+            SvrgConfig(**bad)
+
 
 class TestSelectOutput:
     def test_degenerate_mass(self):
-        items = list(range(5))
         p = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-        got = select_output(items, p, np.random.default_rng(0))
-        assert got == 3
+        assert select_output(p, np.random.default_rng(0)) == 3
 
     def test_uniform_frequencies(self):
         K = 5
@@ -202,9 +210,22 @@ class TestSelectOutput:
         counts = np.zeros(K)
         draws = 100_000
         for _ in range(draws):
-            counts[select_output(list(range(K)), p, r2)] += 1
+            counts[select_output(p, r2)] += 1
         sd = math.sqrt(draws * (1 / K) * (1 - 1 / K))
         assert np.all(np.abs(counts - draws / K) <= 3.0 * sd)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 300))
+    def test_trailing_zero_weight_draws_alike(self, seed, K):
+        # the schedule once padded p with p[K] = 0 for the never-returned X_K;
+        # numpy's generator draws the same index, and leaves the same state,
+        # over the K weights alone, so thm1 traces do not depend on the pad
+        delta = np.random.default_rng(seed).uniform(0.1, 1.0, size=K)
+        p = delta / delta.sum()
+        padded = np.append(p, 0.0)
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        assert select_output(p, a) == int(b.choice(K + 1, p=padded / padded.sum()))
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestMinibatchDraw:
@@ -339,8 +360,9 @@ class TestRunSvrg:
         assert abs(tr.f[-1] - f_star) <= 1e-8 * abs(f_star)
 
     def test_theorem1_returns_sampled_iterate(self):
-        # kappa n = 0.5 < 1 gives K = 1 and p = [1, 0]: each epoch steps to
-        # X_1 and then returns its anchor X_0, so the run never moves
+        # kappa n = 0.5 < 1 gives K = 1 and p = [1]: each epoch returns its
+        # anchor X_0 and takes no step, though the one step is charged, so
+        # the run never moves
         inst = small_pca(12, 50, 2, seed=3)
         cfg = SvrgConfig(step_mode=Theorem1(0.0, 0.01), max_epochs=4,
                          grad_tol=0.0, seed=3, r=2)
@@ -357,6 +379,111 @@ class TestRunSvrg:
         X, tr = run_s_svrg(inst, cfg, X0=random_point(12, 2))
         assert len(tr.f) == 6  # five epoch starts and the returned point
         assert tr.f[-1] <= tr.f[0] + 1e-12
+
+
+def reference_theorem1_run(problem, config, X0):
+    """run_s_svrg under Theorem1 with every epoch's K steps taken.
+
+    Each epoch keeps X_0, ..., X_K and draws its output from them with p
+    padded by p[K] = 0, so X_K is computed but never returned.
+    """
+    mode, rho = config.step_mode, config.rho
+    consts = problem.constants()
+    s = theorem1_schedule(problem.n, mode.mu, mode.kappa, consts.L, consts.C,
+                          L1=1.0, L2=0.5, r=config.r, nu=nu_of_rho(rho))
+    p = np.append(s.p, 0.0)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, optimizers._STREAM_SVRG)))
+    X = X0.X.copy()
+    rows, events = [], []
+    ifo = ro = 0
+    for e in range(config.max_epochs + 1):
+        f0, egrad0 = problem.full_value_egrad(X)
+        ifo += problem.n
+        gnorm = float(np.linalg.norm(d_rho_array(X, egrad0, rho)))
+        rows.append((e, f0, gnorm, s.tau, ifo, ro))
+        if gnorm <= config.grad_tol or e == config.max_epochs:
+            break
+        iterates = [X]
+        for idx in rng.integers(problem.n, size=(s.K, s.batch)):
+            Xk = iterates[-1]
+            G = egrad0 if Xk is X else egrad0 + problem.batch_egrad_diff(Xk, X, idx)
+            iterates.append(_step(config.retraction, Xk, G, s.tau, rho))
+            ifo += 2 * s.batch
+            ro += 1
+        X = iterates[int(rng.choice(s.K + 1, p=p / p.sum()))]
+        if feasibility_error(X) > FEAS_TOL:
+            X = qr_positive(X)[0]
+            events.append(("reorthonormalized", e))
+    return X, rows, events
+
+
+class TestTheorem1Epoch:
+    # a Theorem1 epoch returns X_k, k drawn with p ~ Delta, and takes only
+    # the k steps that reach it
+    @pytest.mark.parametrize("kind, rho", [("pd", 0.0), ("exp", 0.0), ("gp", 0.0),
+                                           ("qr", 0.5)])
+    def test_matches_the_all_steps_loop(self, kind, rho):
+        inst = small_pca(30, 300, 3, seed=1)
+        cfg = SvrgConfig(retraction=RetractionKind.from_name(kind), rho=rho,
+                         step_mode=Theorem1(0.5, 1.0), max_epochs=6, grad_tol=0.0,
+                         seed=2, r=3)
+        X0 = random_point(30, 3)
+        X, tr = run_s_svrg(inst, cfg, X0=X0)
+        X_ref, rows, events = reference_theorem1_run(inst, cfg, X0)
+        assert np.array_equal(X.X, X_ref)
+        got = list(zip(tr.epoch, tr.f, tr.grad_norm, tr.step_size, tr.ifo_calls,
+                       tr.ro_calls))
+        assert got == rows
+        assert tr.events == events
+
+    def test_steps_stop_at_the_drawn_iterate(self, monkeypatch):
+        inst = small_pca(30, 300, 3, seed=1)
+        cfg = SvrgConfig(step_mode=Theorem1(0.5, 1.0), max_epochs=6, grad_tol=0.0,
+                         seed=2, r=3)
+        retractions, draws = [0], []
+        retract, select = optimizers.retract_array, optimizers.select_output
+
+        def counted_retract(*args):
+            retractions[0] += 1
+            return retract(*args)
+
+        def counted_select(p, rng):
+            # retractions before this epoch's steps, the drawn k, and K
+            draws.append((retractions[0], select(p, rng), len(p)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(optimizers, "retract_array", counted_retract)
+        monkeypatch.setattr(optimizers, "select_output", counted_select)
+        _, tr = run_s_svrg(inst, cfg, X0=random_point(30, 3))
+        before, drawn, K = zip(*draws)
+        assert list(np.diff([*before, retractions[0]])) == list(drawn)
+        assert sum(drawn) < 6 * K[0]
+        # RO stays nominal: all K steps of each epoch are charged
+        assert tr.ro_calls == [e * K[0] for e in range(7)]
+
+    def test_keeps_one_iterate(self):
+        # K = 100 steps at d = 400, r = 10: holding all K + 1 iterates of
+        # 32 KB each peaked at about 3.3 MB
+        inst = small_pca(400, 100, 10, seed=0)
+        cfg = SvrgConfig(step_mode=Theorem1(0.5, 10.0), max_epochs=2, grad_tol=0.0,
+                         seed=1, r=10)
+        consts = inst.constants()
+        assert theorem1_schedule(100, 0.5, 10.0, consts.L, consts.C, 1.0, 0.5, 10, 1.0).K >= 100
+        X0 = random_point(400, 10)
+        tracemalloc.start()
+        try:
+            run_s_svrg(inst, cfg, X0=X0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def test_rgd_rejects_theorem1():
+    # the schedule sizes an inner loop and a batch that rgd does not have
+    cfg = SvrgConfig(step_mode=Theorem1(0.0, 1.0), r=2)
+    with pytest.raises(ValueError, match="Theorem1"):
+        run_rgd(small_pca(12, 50, 2, seed=3), cfg, X0=random_point(12, 2))
 
 
 @pytest.mark.parametrize("solve", [

@@ -396,10 +396,28 @@ class TestMcGenerate:
         with pytest.raises(TooManySamples):
             mc_generate(10, 10, 5, 10.0, seed=0)
 
+    @pytest.mark.parametrize("d, n, r, cond, named", [
+        (0, 5, 1, 10.0, "d = 0"), (5, 0, 1, 10.0, "n = 0"), (5, 5, 0, 10.0, "r = 0"),
+        (6, 2, 3, 10.0, "r = 3"), (2, 6, 3, 10.0, "r = 3"),
+        (5, 5, 2, -3.0, "cond = -3.0"), (5, 5, 2, 0.0, "cond = 0.0"),
+        (5, 5, 2, 0.5, "cond = 0.5"), (5, 5, 2, math.nan, "cond = nan"),
+        (5, 5, 2, math.inf, "cond = inf")])
+    def test_bad_input_rejected_before_drawing(self, d, n, r, cond, named, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the input")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            mc_generate(d, n, r, cond, seed=0)
+
 
 class TestMcInstance:
     def setup_method(self):
         self.inst = mc_generate(30, 25, 3, cond=10.0, seed=8)
+
+    @pytest.mark.parametrize("d, r", [(2, 0), (2, 3)])
+    def test_rank_outside_dimension_rejected(self, d, r):
+        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [1, d = {d}]")):
+            McInstance(d, 1, r, rows=[[0, 1]], vals=[[1.0, 2.0]])
 
     def test_full_observation_exact_fit(self):
         # every row observed and M_i in span(X): residual and gradient vanish
@@ -654,3 +672,27 @@ class TestMcIO:
         B = PcaInstance(A, r=2).B
         np.testing.assert_array_equal(i1.B, B)
         np.testing.assert_allclose(i2.B, B, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_pca_load_npy_is_the_in_memory_instance(self, tmp_path, order):
+        # read block by block from the file map: the bits of the instance
+        # built from the loaded array, whatever the file's layout
+        A = np.asarray(pca_data(70, 40, seed=2), order=order)
+        np.save(tmp_path / "a.npy", A)
+        got, want = pca_load(tmp_path / "a.npy", r=3), PcaInstance(A, r=3)
+        for name in ("B", "C", "_col_sq"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.optimum() == want.optimum()
+
+    def test_pca_load_npy_peak_memory_is_the_instance(self, tmp_path):
+        # the file is mapped, not read whole: no raw A next to B (reading it
+        # into memory first peaked at 2.18x)
+        d, n = 256, 4096
+        np.save(tmp_path / "a.npy", pca_data(d, n, seed=0))
+        tracemalloc.start()
+        try:
+            pca_load(tmp_path / "a.npy", r=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (d * n + d * d) * 8
