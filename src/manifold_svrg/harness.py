@@ -10,7 +10,6 @@ std, mean final gradient norm, mean relative error, mean seconds).
 import csv
 import hashlib
 import io
-import math
 import os
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
@@ -21,7 +20,8 @@ from . import __version__
 from .errors import NoConvergentTau
 from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
                          run_s_svrg, warm_start)
-from .problems import McInstance, PcaInstance, mc_generate, pca_generate
+from .problems import (McInstance, PcaInstance, check_cond, mc_check, mc_generate,
+                       pca_check, pca_generate)
 from .retractions import RetractionKind
 
 GENERATOR = "numpy.random.PCG64"
@@ -74,16 +74,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
-        if min(self.d, self.n, self.r) < 1:
-            raise ValueError(f"d, n and r must be at least 1, got {self.d}, {self.n}, {self.r}")
-        if self.r > self.d:
-            raise ValueError(f"r = {self.r} exceeds d = {self.d}")
-        if not (math.isfinite(self.cond) and self.cond >= 1):
-            raise ValueError(f"cond = {self.cond} must be finite and at least 1")
-        if not 0.0 < self.batch_frac <= 1.0:
-            raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
+        # the checks build_problem's generator makes before it draws, with its
+        # messages; cond, which only mc reads, is checked for every problem
+        check_cond(self.cond)
+        (pca_check if self.problem == "pca" else mc_check)(self.d, self.n, self.r)
+        if not 0.0 < self.batch_frac <= 1.0:
+            raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
         if self.method not in METHOD_STEPS:
             raise ValueError(f"unknown method {self.method!r}")
         # decodes the retraction, step rule and inner count, and runs
@@ -191,12 +189,11 @@ def _single_run(problem, spec, run_id):
         X, trace = run_s_sgd(problem, cfg, N=cfg.K * cfg.max_epochs, X0=X0, tau=tau)
     else:
         X, trace = run_s_svrg(problem, cfg, X0=X0)
-    converged = trace.status == "GradTol"
     return RunResult(
         run_id=run_id,
         seed=cfg.seed,
         status=trace.status,
-        epochs=trace.epochs_run if converged else cfg.max_epochs,
+        epochs=trace.epoch[-1] if trace.status == "GradTol" else cfg.max_epochs,
         final_f=trace.f[-1],
         final_grad=trace.grad_norm[-1],
         seconds=trace.seconds[-1],

@@ -141,10 +141,6 @@ class RunTrace:
         self.ro_calls.append(ro)
         self.seconds.append(time.perf_counter() - t0)
 
-    @property
-    def epochs_run(self):
-        return self.epoch[-1] if self.epoch else 0
-
 
 # ---------------------------------------------------------------------------
 # schedule machinery
@@ -269,14 +265,15 @@ def _step(kind, X, G, tau, rho):
     return retract_array(kind, X, E, tau)
 
 
-def _inner_step(problem, kind, X, X0, egrad0, idx, tau, rho):
-    # one variance-reduced update; returns the new iterate array
+def _inner_step(diff, kind, X, X0, egrad0, idx, tau, rho):
+    # one variance-reduced update; diff(X, idx) is the batch difference
+    # against the anchor X0.  Returns the new iterate array
     if tau == 0.0:
         return X  # exact stationarity, no retraction roundoff
     # at the anchor itself (each epoch's first step, every step of rgd) the
     # batch correction is exactly zero, so its oracle calls are skipped;
     # run_s_svrg still charges them to the IFO count
-    G = egrad0 if X is X0 else egrad0 + problem.batch_egrad_diff(X, X0, idx)
+    G = egrad0 if X is X0 else egrad0 + diff(X, idx)
     return _step(kind, X, G, tau, rho)
 
 
@@ -360,7 +357,8 @@ def _run_anchored(problem, config, X0, K, batch):
     grad_prev = None
 
     for s in range(config.max_epochs + 1):
-        f0, egrad0 = problem.full_value_egrad(X)
+        # the epoch's anchor: f, its gradient and the batch difference bound to it
+        f0, egrad0, diff = problem.anchored(X)
         ifo += n
         grad0 = d_rho_array(X, egrad0, rho)
         gnorm = float(np.linalg.norm(grad0))
@@ -387,7 +385,7 @@ def _run_anchored(problem, config, X0, K, batch):
         # Theorem1's output X_k: the steps past it are charged above, not taken
         out = K if schedule is None else select_output(schedule.p, rng)
         for idx in batches[:out]:
-            X = _inner_step(problem, config.retraction, X, anchor, egrad0, idx, tau, rho)
+            X = _inner_step(diff, config.retraction, X, anchor, egrad0, idx, tau, rho)
 
         if feasibility_error(X) > FEAS_TOL:
             X = qr_positive(X)[0]

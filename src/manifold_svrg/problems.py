@@ -25,8 +25,11 @@ __all__ = [
     "ProblemConstants",
     "PcaInstance",
     "McInstance",
+    "pca_check",
     "pca_generate",
     "pca_load",
+    "check_cond",
+    "mc_check",
     "mc_generate",
     "mc_save_observations",
     "mc_load_observations",
@@ -51,12 +54,6 @@ _INGEST_ROWS = 64
 # 64 x n block gathered at once misses the cache on every column, 3-4x
 # slower at n = 10000
 _GATHER_COLS = 512
-
-
-def _check_dims(d, n):
-    for name, value in (("d", d), ("n", n)):
-        if value < 1:
-            raise ValueError(f"{name} = {value} must be at least 1")
 
 
 def _check_rank(r, d, bound="d"):
@@ -146,6 +143,10 @@ class PcaInstance:
         CX = self.C @ X
         return -float(np.sum(X * CX)), -2.0 * CX
 
+    def anchored(self, X):
+        """f and grad f at the anchor X, and the batch difference bound to X."""
+        return (*self.full_value_egrad(X), lambda Xk, idx: self.batch_egrad_diff(Xk, X, idx))
+
     def component_egrad(self, X, i):
         b = self.B[:, i]
         return -2.0 * np.outer(b, b @ X)
@@ -204,12 +205,12 @@ class McInstance:
     construction; padding lands in a sentinel row that is dropped.
     component_value_grad fits its one column unpadded.
 
-    Anchor cache: full_value_egrad(X) keeps those per-observation rows of
-    all n columns, keyed on an exact copy of X.  batch_egrad_diff(Xk, X0,
-    idx) gathers them when X0 equals the key bit for bit, so an inner step
-    of the variance-reduced loop fits only the batch at Xk; any other X0,
-    including the key's array mutated in place, is refit.  The cache makes
-    an instance stateful: share one across threads only with a lock.
+    anchored(X) fits all n columns at X once; its batch difference gathers
+    the anchor's per-observation rows from that fit, so an inner step of the
+    variance-reduced loop fits only the batch at Xk.  batch_egrad_diff(Xk,
+    X0, idx) refits X0 on the batch.  No oracle writes the instance: it is
+    fixed after construction, except for the constants() sampled on the
+    first call.
     """
 
     BB_SCALE = 2.0  # Grassmann completion doubles the raw BB estimate
@@ -230,8 +231,7 @@ class McInstance:
         flat_vals = np.concatenate(self.vals)
         self._check_observations(lengths, flat_rows, flat_vals)
         self._build_padded(lengths, flat_rows, flat_vals)
-        self._anchor = (None, None)  # (copy of X, its per-observation gradient rows)
-        self._constants = None       # constants(), sampled on the first call
+        self._constants = None  # constants(), sampled on the first call
 
     def _check_observations(self, lengths, flat_rows, flat_vals):
         counts = np.fromiter(map(len, self.vals), np.intp, self.n)
@@ -297,7 +297,7 @@ class McInstance:
         # index machinery: about 5 against 18 us at the mc-desk shape
         return self._fit(Xp.take(self._pad_rows.take(idx, axis=0), axis=0),
                          self._pad_vals.take(idx, axis=0)[:, :, None],
-                         self._short[idx] if self._has_short else None)
+                         self._short.take(idx) if self._has_short else None)
 
     def _contrib(self, X, idx):
         """Per-observation gradient rows 2 resid a^T, shape (b, m_max, r), and residuals."""
@@ -310,11 +310,9 @@ class McInstance:
                            minlength=(self.d + 1) * self.r)
         return flat[: self.d * self.r].reshape(self.d, self.r)
 
-    def _anchor_contrib(self, X0, idx):
-        key, contrib = self._anchor
-        if key is not None and np.array_equal(X0, key):
-            return contrib.take(idx, axis=0)
-        return self._contrib(X0, idx)[0]
+    def _batch_diff(self, Xk, idx, c0):
+        """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx."""
+        return self._scatter(idx, self._contrib(Xk, idx)[0] - c0) / len(idx)
 
     def component_value_grad(self, X, i):
         # the column's own rows, unpadded: zero-row padding would change the
@@ -332,16 +330,22 @@ class McInstance:
     def value(self, X):
         return self.full_value_egrad(X)[0]
 
+    def _full(self, X):
+        """f and grad f at X, and the per-observation gradient rows of all n columns."""
+        every = np.arange(self.n)
+        c0, resid = self._contrib(X, every)
+        return float(np.sum(resid ** 2)) / self.n, self._scatter(every, c0) / self.n, c0
+
     def full_value_egrad(self, X):
-        idx = np.arange(self.n)
-        contrib, resid = self._contrib(X, idx)
-        self._anchor = (np.array(X, dtype=float), contrib)
-        return float(np.sum(resid ** 2)) / self.n, self._scatter(idx, contrib) / self.n
+        return self._full(X)[:2]
+
+    def anchored(self, X):
+        """f and grad f at the anchor X, and the batch difference bound to X."""
+        f, egrad, c0 = self._full(X)
+        return f, egrad, lambda Xk, idx: self._batch_diff(Xk, idx, c0.take(idx, axis=0))
 
     def batch_egrad_diff(self, Xk, X0, idx):
-        idx = np.asarray(idx, dtype=np.intp)
-        ck, _ = self._contrib(Xk, idx)
-        return self._scatter(idx, ck - self._anchor_contrib(X0, idx)) / len(idx)
+        return self._batch_diff(Xk, idx, self._contrib(X0, idx)[0])
 
     def fitted_matrix(self, X):
         """Column-wise least-squares reconstruction X a_i from observed rows."""
@@ -373,6 +377,13 @@ class McInstance:
         return ProblemConstants(L=2.0 * max(lip, 1e-12), C=2.0 * max(bound, 1e-12))
 
 
+def pca_check(d, n, r):
+    """The checks pca_generate makes before it draws: d, n >= 1, r in [1, d]."""
+    if min(d, n) < 1:
+        raise ValueError(f"d and n must be at least 1, got d = {d}, n = {n}")
+    _check_rank(r, d)
+
+
 def pca_generate(d, n, r, seed):
     """Synthetic PCA instance of rank r on d x n data.
 
@@ -383,8 +394,7 @@ def pca_generate(d, n, r, seed):
     instance centres it in place and keeps it as B, so the instance's B is
     the only d x n array made.  d, n and r are checked before any draw.
     """
-    _check_dims(d, n)
-    _check_rank(r, d)
+    pca_check(d, n, r)
     rng = np.random.default_rng(seed)
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
     A = np.empty((d, n), order="F")
@@ -411,6 +421,23 @@ def pca_load(path, r):
     return PcaInstance(A, r)
 
 
+def check_cond(cond):
+    """The ground-truth condition number mc_generate takes: finite and at least 1."""
+    if not (math.isfinite(cond) and cond >= 1):
+        raise ValueError(f"cond = {cond} must be finite and at least 1")
+
+
+def mc_check(d, n, r):
+    """mc_generate's checks of d, n and r before it draws: pca_check's, r at
+    most min(d, n), and |Omega| = (n + d - r) r^2 at most d n, which it returns."""
+    pca_check(d, n, r)
+    _check_rank(r, min(d, n), "min(d, n)")
+    num = (n + d - r) * r * r
+    if num > d * n:
+        raise TooManySamples(f"|Omega| = {num} exceeds the {d * n} entries available")
+    return num
+
+
 def mc_generate(d, n, r, cond, seed):
     """Random rank-r ground truth with the given condition number.
 
@@ -418,13 +445,8 @@ def mc_generate(d, n, r, cond, seed):
     observation set has exactly (n + d - r) r^2 entries drawn uniformly
     without replacement.  d, n, r and cond are checked before any draw.
     """
-    _check_dims(d, n)
-    _check_rank(r, min(d, n), "min(d, n)")
-    if not (math.isfinite(cond) and cond >= 1):
-        raise ValueError(f"cond = {cond} must be finite and at least 1")
-    num = (n + d - r) * r * r
-    if num > d * n:
-        raise TooManySamples(f"|Omega| = {num} exceeds the {d * n} entries available")
+    check_cond(cond)
+    num = mc_check(d, n, r)
     rng = np.random.default_rng(seed)
     U = qr_positive(rng.standard_normal((d, r)))[0]
     V = qr_positive(rng.standard_normal((n, r)))[0]

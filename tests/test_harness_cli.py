@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 from contextlib import redirect_stdout, redirect_stderr
 from dataclasses import asdict, fields, replace
 
@@ -11,12 +12,13 @@ import pytest
 
 from manifold_svrg import harness
 from manifold_svrg.cli import _parser, build_spec, main, read_config
-from manifold_svrg.errors import NoConvergentTau, NonFiniteValue
+from manifold_svrg.errors import NoConvergentTau, NonFiniteValue, TooManySamples
 from manifold_svrg.harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, SummaryRow,
                                    TRACE_COLUMNS, build_config, build_problem,
                                    emit_table, grid_tune, parse_step, resolve_inner_k,
                                    run_experiment)
 from manifold_svrg.manifold import d_rho_array
+from manifold_svrg.problems import mc_generate
 from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_s_svrg,
                                       warm_start)
 from manifold_svrg.retractions import RetractionKind
@@ -68,6 +70,18 @@ class TestSpec:
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_spec(**bad)
+
+    @pytest.mark.parametrize("d, n, r, error, message", [
+        (10, 3, 5, ValueError, "r = 5 outside [1, min(d, n) = 3]"),
+        (10, 10, 5, TooManySamples, "|Omega| = 375 exceeds the 100 entries available"),
+        (3, 2000, 3, TooManySamples, "|Omega| = 18000 exceeds the 6000 entries available")])
+    def test_completion_cell_rejected_at_the_spec(self, d, n, r, error, message):
+        # the spec runs mc_generate's own checks: the cell fails with the
+        # generator's error before any data is drawn
+        with pytest.raises(error, match=re.escape(message)):
+            mc_generate(d, n, r, 10.0, seed=7)
+        with pytest.raises(error, match=re.escape(message)):
+            tiny_spec(problem="mc", d=d, n=n, r=r)
 
     def test_config_hash_ignores_out(self):
         a = tiny_spec(out=None)

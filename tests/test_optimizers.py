@@ -304,15 +304,21 @@ class TestRunSvrg:
                              ids=["pca", "mc"])
     def test_anchor_correction_skipped(self, make):
         # the first inner step of an epoch sits at the anchor, where the
-        # correction is exactly zero and is not evaluated
+        # correction is exactly zero and is not evaluated: each epoch calls
+        # the batch difference its anchor returns K - 1 times
         S, K = 3, 4
         cfg = SvrgConfig(step_mode=Fixed(0.01), K=K, batch=3, max_epochs=S,
                          grad_tol=0.0, seed=1, r=2)
         X0 = random_point(12, 2)
         counted = make()
         calls = []
-        diff = counted.batch_egrad_diff
-        counted.batch_egrad_diff = lambda *a: calls.append(1) or diff(*a)
+        anchored = counted.anchored
+
+        def counted_anchored(X):
+            f, egrad, diff = anchored(X)
+            return f, egrad, lambda *a: calls.append(1) or diff(*a)
+
+        counted.anchored = counted_anchored
 
         _, plain = run_s_svrg(make(), cfg, X0=X0)
         _, tr = run_s_svrg(counted, cfg, X0=X0)
@@ -326,6 +332,25 @@ class TestRunSvrg:
         assert calls == []
         assert tr.f == plain.f and tr.ifo_calls == plain.ifo_calls
 
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: small_pca(12, 20, 2, seed=3), RetractionKind.PD),
+        (lambda: mc_generate(12, 20, 2, 10.0, seed=3), RetractionKind.JD)], ids=["pca", "mc"])
+    def test_anchored_runs_as_the_general_oracles(self, make, kind):
+        # the loop's per-epoch anchor against the oracles the method is
+        # stated with, the full gradient and a batch difference that refits
+        # the anchor: the same trace and final point, bit for bit
+        cfg = SvrgConfig(retraction=kind, step_mode=BB(), K=6, batch=3, max_epochs=15,
+                         grad_tol=0.0, seed=2, r=2)
+        general = make()
+        general.anchored = lambda X: (*general.full_value_egrad(X),
+                                      lambda Xk, idx: general.batch_egrad_diff(Xk, X, idx))
+        X0 = random_point(12, 2)
+        X, tr = run_s_svrg(make(), cfg, X0=X0)
+        X_ref, ref = run_s_svrg(general, cfg, X0=X0)
+        for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
+            assert getattr(tr, col) == getattr(ref, col), col
+        assert np.array_equal(X.X, X_ref.X)
+
     def test_divergence_detected(self):
         # a compact manifold keeps f finite under any step, so the guard is
         # exercised with an objective that goes non-finite
@@ -337,13 +362,10 @@ class TestRunSvrg:
                 self.n, self.d, self.r = base.n, base.d, base.r
                 self.calls = 0
 
-            def full_value_egrad(self, X):
+            def anchored(self, X):
                 self.calls += 1
-                f, g = self.base.full_value_egrad(X)
-                return (np.nan, g) if self.calls > 1 else (f, g)
-
-            def batch_egrad_diff(self, Xk, X0, idx):
-                return self.base.batch_egrad_diff(Xk, X0, idx)
+                f, g, diff = self.base.anchored(X)
+                return (np.nan, g, diff) if self.calls > 1 else (f, g, diff)
 
         cfg = SvrgConfig(step_mode=Fixed(0.01), K=2, batch=2, max_epochs=5,
                          grad_tol=0.0, seed=0, r=2)
@@ -515,7 +537,8 @@ def test_rank_mismatch_rejected(make, solve):
     # both ranks, before any oracle call
     inst = make()
     calls = []
-    for name in ("full_value_egrad", "component_egrad", "batch_egrad_diff", "constants"):
+    for name in ("anchored", "full_value_egrad", "component_egrad", "batch_egrad_diff",
+                 "constants"):
         oracle = getattr(inst, name)
         setattr(inst, name, lambda *a, oracle=oracle, name=name:
                 calls.append(name) or oracle(*a))

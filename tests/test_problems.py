@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -68,7 +69,7 @@ def assert_matches_lstsq(inst, X0, Xk, idx):
 
     f0, g0 = lstsq_components(inst, X0)
     fk, gk = lstsq_components(inst, Xk)
-    f, egrad = inst.full_value_egrad(X0)  # also sets the anchor cache at X0
+    f, egrad = inst.full_value_egrad(X0)
     close(f, f0.mean())
     close(egrad, g0.mean(axis=0))
     close(inst.batch_egrad_diff(Xk, X0, idx), (gk[idx] - g0[idx]).mean(axis=0))
@@ -497,25 +498,6 @@ class TestMcInstance:
         want = np.linalg.lstsq(X[short], vals[5], rcond=None)[0]
         np.testing.assert_allclose(a_with[1, :, 0], want, atol=1e-12)
 
-    def test_anchor_cache_matches_fresh_instance(self):
-        X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
-        idx = np.array([4, 4, 17, 0, 4, 24, 17])
-        fresh = mc_generate(30, 25, 3, cond=10.0, seed=8)
-        self.inst.full_value_egrad(X0)
-        assert np.array_equal(self.inst.batch_egrad_diff(Xk, X0, idx),
-                              fresh.batch_egrad_diff(Xk, X0, idx))
-
-    def test_anchor_cache_misses_after_in_place_change(self):
-        X0, Xk = random_stiefel(30, 3), random_stiefel(30, 3)
-        idx = rng.integers(25, size=6)
-        self.inst.full_value_egrad(X0)
-        stale = self.inst.batch_egrad_diff(Xk, X0, idx)
-        X0[:] = random_stiefel(30, 3)
-        fresh = mc_generate(30, 25, 3, cond=10.0, seed=8)
-        got = self.inst.batch_egrad_diff(Xk, X0, idx)
-        assert np.array_equal(got, fresh.batch_egrad_diff(Xk, X0, idx))
-        assert not np.array_equal(got, stale)
-
     @pytest.mark.parametrize("row", [-1, 6])
     def test_row_index_outside_matrix_rejected(self, row):
         # -1 would alias the last row of X and 6 = d the padding sentinel
@@ -557,6 +539,65 @@ class TestMcInstance:
         U = np.linalg.svd(self.inst.M_true, full_matrices=False)[0][:, :3]
         rec = self.inst.fitted_matrix(U)
         assert np.linalg.norm(rec - self.inst.M_true) <= 1e-10
+
+
+def mc_with_short_column():
+    # column 5 keeps 2 < r observations, so its fits take the minimum-norm branch
+    full = mc_generate(30, 25, 3, cond=10.0, seed=8)
+    rows, vals = list(full.rows), list(full.vals)
+    rows[5], vals[5] = rows[5][:2], vals[5][:2]
+    return McInstance(30, 25, 3, rows, vals)
+
+
+FAMILIES = pytest.mark.parametrize("make", [
+    lambda: pca_generate(15, 40, 3, seed=9),
+    lambda: mc_generate(30, 25, 3, cond=10.0, seed=8),
+    mc_with_short_column], ids=["pca", "mc", "mc-short"])
+
+
+@FAMILIES
+def test_oracles_leave_the_instance_alone(make):
+    # after its lazily solved constants and optimum, an instance is fixed:
+    # no oracle, anchored and its difference included, writes, adds or
+    # drops an attribute
+    inst = make()
+    inst.constants()
+    if isinstance(inst, PcaInstance):
+        inst.optimum()
+
+    def state():
+        return {name: pickle.dumps(value) for name, value in vars(inst).items()}
+
+    before = state()
+    X0, Xk = random_stiefel(inst.d, inst.r), random_stiefel(inst.d, inst.r)
+    idx = np.array([5, 0, 5, 7, 12, 5])
+    inst.value(Xk)
+    inst.full_value_egrad(X0)
+    inst.batch_egrad_diff(Xk, X0, idx)
+    _, _, diff = inst.anchored(X0)
+    diff(Xk, idx)
+    inst.component_egrad(Xk, 5)
+    if isinstance(inst, McInstance):
+        inst.fitted_matrix(Xk)
+    assert state() == before
+
+
+@FAMILIES
+def test_anchored_is_the_general_oracle_at_its_anchor(make):
+    # the anchor's value, gradient and batch difference are the general
+    # oracles' bits, repeated indices included; MC's difference gathers the
+    # anchor's rows from its full fit where batch_egrad_diff refits them.
+    # A later anchor leaves an earlier anchor's difference alone
+    inst = make()
+    X0, Xk = random_stiefel(inst.d, inst.r), random_stiefel(inst.d, inst.r)
+    f, egrad, diff = inst.anchored(X0)
+    inst.anchored(Xk)
+    want_f, want_egrad = inst.full_value_egrad(X0)
+    assert f == want_f and np.array_equal(egrad, want_egrad)
+    for idx in ([4, 4, 17, 0, 4, 24, 17], [5, 5], rng.integers(25, size=6)):
+        idx = np.asarray(idx)
+        assert np.array_equal(diff(Xk, idx), inst.batch_egrad_diff(Xk, X0, idx))
+        assert np.array_equal(diff(X0, idx), inst.batch_egrad_diff(X0, X0, idx))
 
 
 @st.composite
