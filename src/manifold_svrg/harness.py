@@ -43,13 +43,17 @@ TRACE_COLUMNS = ("run_id", "epoch", "f", "grad_norm", "step_size",
 
 PROBLEMS = ("pca", "mc")
 
-# the step rules each method runs: s-svrg-bb is s-svrg held to bb, rgd
-# takes one full-gradient step per epoch (thm1 sizes an inner loop and a
-# batch it does not have), and s-sgd takes a fixed step as given and
-# otherwise its analysis step.  The rule also picks the output: a thm1 epoch
-# stops at X_k, k < K drawn with p ~ Delta, the others return the last iterate
-METHOD_STEPS = {"s-svrg": (Fixed, BB, Theorem1), "s-svrg-bb": (BB,),
-                "rgd": (Fixed, BB), "s-sgd": (Fixed, BB)}
+# each method's runner, called as run(problem, config, X0), and the step
+# rules it runs.  s-svrg-bb is s-svrg held to bb; rgd takes one
+# full-gradient step per epoch; s-sgd takes K * max_epochs single-sample
+# steps, a fixed step as given and under bb its analysis step.  Only s-svrg
+# has the inner loop and batch that thm1 sizes.  The rule also picks the
+# output: a thm1 epoch stops at X_k, k < K drawn with p ~ Delta, the others
+# return the last iterate
+METHOD_STEPS = {"s-svrg": (run_s_svrg, (Fixed, BB, Theorem1)),
+                "s-svrg-bb": (run_s_svrg, (BB,)),
+                "rgd": (run_rgd, (Fixed, BB)),
+                "s-sgd": (run_s_sgd, (Fixed, BB))}
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class ExperimentSpec:
         # decodes the retraction, step rule and inner count, and runs
         # SvrgConfig's checks, so every run of a valid spec gets this far
         mode = build_config(self, self.seed).step_mode
-        if not isinstance(mode, METHOD_STEPS[self.method]):
+        if not isinstance(mode, METHOD_STEPS[self.method][1]):
             raise ValueError(f"{self.method} does not run step rule {self.step!r}")
 
     def config_hash(self):
@@ -181,14 +185,7 @@ def reference_value(spec: ExperimentSpec, problem):
 
 def _single_run(problem, spec, run_id):
     cfg = build_config(spec, spec.seed + run_id)
-    X0 = warm_start(problem, cfg)
-    if spec.method == "rgd":
-        X, trace = run_rgd(problem, cfg, X0=X0)
-    elif spec.method == "s-sgd":
-        tau = cfg.step_mode.tau if isinstance(cfg.step_mode, Fixed) else None
-        X, trace = run_s_sgd(problem, cfg, N=cfg.K * cfg.max_epochs, X0=X0, tau=tau)
-    else:
-        X, trace = run_s_svrg(problem, cfg, X0=X0)
+    X, trace = METHOD_STEPS[spec.method][0](problem, cfg, X0=warm_start(problem, cfg))
     return RunResult(
         run_id=run_id,
         seed=cfg.seed,

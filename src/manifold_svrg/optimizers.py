@@ -96,6 +96,14 @@ class Theorem1:
 
 @dataclass(frozen=True)
 class SvrgConfig:
+    """One run's settings; every method takes them as run(problem, config, X0).
+
+    run_s_svrg reads every field.  run_rgd ignores K and batch: its epoch
+    is one full-gradient step.  run_s_sgd runs for N = K * max_epochs
+    single-sample iterates and ignores batch and grad_tol.  warm_start
+    takes K refinement steps.
+    """
+
     retraction: RetractionKind = RetractionKind.PD
     rho: float = 0.0
     step_mode: object = Fixed(0.1)
@@ -198,13 +206,18 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     beta = sqrt(L_tilde) L / nu * K^(mu-1), tau = c nu / (sqrt(L_tilde) L) * K^(-mu),
     with c the largest feasible root of the exponential side condition.
     p ~ Delta weights the epoch's K candidate outputs X_0, ..., X_{K-1}.
-    Raises NoFeasibleC when the constants leave no feasible c or when the
-    resulting per-step decrease table is not positive (step too large for
-    the theory; clipping would hide the inconsistency).
+    Raises ValueError when kappa n <= 1 gives K = 1, whose one candidate is
+    the anchor, so that no epoch would move.  Raises NoFeasibleC when the
+    constants leave no feasible c or when the resulting per-step decrease
+    table is not positive (step too large for the theory; clipping would
+    hide the inconsistency).
     """
     if not (0.0 <= mu <= 2.0 / 3.0):
         raise ValueError("mu must lie in [0, 2/3]")
     K = math.ceil((kappa * n) ** (1.0 / (3.0 * (1.0 - mu))))
+    if K < 2:
+        raise ValueError(f"kappa n = {kappa * n:g} gives K = {K}: every epoch would "
+                         "return its anchor")
     batch = math.ceil(K ** (2.0 - 3.0 * mu))
     L_tilde = L1 * L1 + 4.0 * L2 * math.sqrt(r)
     L_hat = 2.0 * L2 * C + L1 * L1 * L
@@ -394,20 +407,27 @@ def _run_anchored(problem, config, X0, K, batch):
     return StiefelPoint(X), trace
 
 
-def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None):
-    """Single-sample stochastic descent with a constant theory step.
+def _reject_theorem1(config, method):
+    if isinstance(config.step_mode, Theorem1):
+        raise ValueError(f"{method} has no inner loop or batch for the Theorem1 rule to size")
 
-    tau defaults to min(nu / L_hat, 1 / (sigma sqrt(N))), where sigma is the
-    largest deviation of 100 single-sample Riemannian gradients from the
-    full one at the start point.  Returns the iterate at an index drawn
-    uniformly from {0, ..., N-1} up front, which is the estimator the
-    analysis speaks about.  The trace records every max(1, N // 100)-th
-    iterate X_j, then a last row, indexed N, at that returned point after
-    all N - 1 steps.  Recording is not charged to the IFO count.
+
+def run_s_sgd(problem, config: SvrgConfig, X0=None):
+    """Single-sample stochastic descent with a constant step.
+
+    The run's length is N = config.K * config.max_epochs.  Fixed(tau) is
+    taken as given; BB() means the analysis step min(nu / L_hat, 1 / (sigma
+    sqrt(N))), where sigma is the largest deviation of 100 single-sample
+    Riemannian gradients from the full one at the start point; Theorem1
+    raises ValueError.  Returns the iterate at an index drawn uniformly
+    from {0, ..., N-1} up front, which is the estimator the analysis speaks
+    about.  The trace records every max(1, N // 100)-th iterate X_j, then a
+    last row, indexed N, at that returned point after all N - 1 steps.
+    Recording is not charged to the IFO count.
     """
+    _reject_theorem1(config, "s-sgd")
     t0 = time.perf_counter()
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    N = config.K * config.max_epochs
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SGD)))
     X = _start_point(problem, config, X0, rng)
     n = problem.n
@@ -418,7 +438,9 @@ def run_s_sgd(problem, config: SvrgConfig, N, X0=None, tau=None):
     trace = RunTrace()
     trace.status = "Completed"
 
-    if tau is None:
+    if isinstance(config.step_mode, Fixed):
+        tau = config.step_mode.tau
+    else:
         consts = problem.constants()
         L_hat = 2.0 * _PD_L2 * consts.C + _PD_L1 * _PD_L1 * consts.L
         _, egrad_full = problem.full_value_egrad(X)
@@ -456,12 +478,12 @@ def run_rgd(problem, config: SvrgConfig, X0=None):
     """Deterministic full-gradient baseline under the same retraction.
 
     run_s_svrg's epochs with one step each, along the anchor's full
-    gradient: the BB step takes K = 1, and config.batch is not read.  That
-    step evaluates nothing past the full gradient and draws nothing, so IFO
-    counts n per full gradient and nothing else.  Theorem1 raises ValueError.
+    gradient: the BB step takes K = 1, and config.K and config.batch are
+    not read.  That step evaluates nothing past the full gradient and draws
+    nothing, so IFO counts n per full gradient and nothing else.  Theorem1
+    raises ValueError.
     """
-    if isinstance(config.step_mode, Theorem1):
-        raise ValueError("rgd has no inner loop or batch for the Theorem1 rule to size")
+    _reject_theorem1(config, "rgd")
     return _run_anchored(problem, config, X0, K=1, batch=0)
 
 

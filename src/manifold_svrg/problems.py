@@ -218,19 +218,19 @@ class McInstance:
     def __init__(self, d, n, r, rows, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)
         _check_rank(self.r, self.d)
-        self.rows = [np.asarray(ri, dtype=np.intp) for ri in rows]
+        rows = [np.asarray(ri) for ri in rows]
         self.vals = [np.asarray(vi, dtype=float) for vi in vals]
-        if len(self.rows) != self.n or len(self.vals) != self.n:
+        if len(rows) != self.n or len(self.vals) != self.n:
             raise ValueError("need one observation list per column")
         self.M_true = None if M_true is None else np.asarray(M_true, dtype=float)
-        lengths = np.fromiter(map(len, self.rows), np.intp, self.n)
+        lengths = np.fromiter(map(len, rows), np.intp, self.n)
         self.num_observed = int(lengths.sum())
         if self.num_observed == 0:
             raise ValueError("no observed entries")
-        flat_rows = np.concatenate(self.rows)
         flat_vals = np.concatenate(self.vals)
-        self._check_observations(lengths, flat_rows, flat_vals)
-        self._build_padded(lengths, flat_rows, flat_vals)
+        self._check_observations(lengths, np.concatenate(rows), flat_vals)
+        self.rows = [ri.astype(np.intp, copy=False) for ri in rows]
+        self._build_padded(lengths, np.concatenate(self.rows), flat_vals)
         self._constants = None  # constants(), sampled on the first call
 
     def _check_observations(self, lengths, flat_rows, flat_vals):
@@ -239,12 +239,15 @@ class McInstance:
         if bad.size:
             j = bad[0]
             raise ValueError(f"column {j}: {counts[j]} values for {lengths[j]} row indices")
-        # row d is the padding sentinel and a negative row would alias X[-1]
-        bad = np.flatnonzero((flat_rows < 0) | (flat_rows >= self.d))
-        if bad.size:
-            j = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
-            raise InvalidObservation(
-                f"column {j}: row index {flat_rows[bad[0]]} outside [0, {self.d})")
+        # the rows as given: a fractional one would be truncated to an
+        # integer, row d is the padding sentinel and a negative row would
+        # alias X[-1]
+        for bad, why in ((flat_rows != np.trunc(flat_rows), "is not an integer"),
+                         ((flat_rows < 0) | (flat_rows >= self.d), f"outside [0, {self.d})")):
+            bad = np.flatnonzero(bad)
+            if bad.size:
+                j = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
+                raise InvalidObservation(f"column {j}: row index {flat_rows[bad[0]]} {why}")
         if not np.all(np.isfinite(flat_vals)):
             raise NonFiniteInput("observed values contain NaN or Inf")
 

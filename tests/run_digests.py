@@ -1,0 +1,89 @@
+"""Print one `cell run_id sha256` line per run, to check that two trees run the same.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/run_digests.py > new.txt
+    PYTHONPATH=<other tree>/src python tests/run_digests.py > old.txt
+    diff old.txt new.txt
+
+The runs are criterion 7's 140 (the desk PCA cell under each retraction),
+criterion 9's 20 (the desk MC cell), run 0 of the pca-rgd benchmark
+workload, and two runs of one small pca and one small mc cell for every
+(method, step rule) pair that ExperimentSpec accepts.  The digest covers
+trace columns epoch, f, grad_norm, step_size, ifo_calls and ro_calls, the
+events, the status and the final X; a run that raises digests its
+"<ExcType>: <message>".  Only ExperimentSpec, build_problem and
+_single_run are called, so any tree with those three can be checked;
+digests agree only under the same numpy and BLAS.  A pass takes about
+2.5 minutes on 2 cores, nearly all of it criteria 7 and 9.
+"""
+
+import hashlib
+import os
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+from manifold_svrg.harness import ExperimentSpec, _single_run, build_problem  # noqa: E402
+
+from test_acceptance import DESK_MC, DESK_PCA, DESK_RETRACTIONS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+METHODS = ("s-svrg", "s-svrg-bb", "rgd", "s-sgd")
+STEPS = ("fixed:0.05", "bb", "thm1:0.5,1.0")
+SMALL = {"pca": dict(problem="pca", retraction="qr", d=20, n=60, r=2, batch_frac=0.1),
+         "mc": dict(problem="mc", retraction="jd", d=30, n=24, r=2, batch_frac=0.5)}
+
+
+def digest(problem, spec, run_id):
+    try:
+        result, X = _single_run(problem, spec, run_id)
+    except Exception as exc:
+        return hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
+    h = hashlib.sha256()
+    tr = result.trace
+    for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
+        h.update(np.asarray(getattr(tr, col), dtype=float).tobytes())
+    h.update(repr(tr.events).encode())
+    h.update(result.status.encode())
+    h.update(np.ascontiguousarray(X.X).tobytes())
+    return h.hexdigest()
+
+
+def cells():
+    """(name, spec, run ids) of every cell, in print order."""
+    for retr in DESK_RETRACTIONS:
+        yield f"c7-{retr}", replace(DESK_PCA, retraction=retr), range(DESK_PCA.runs)
+    yield "c9", DESK_MC, range(DESK_MC.runs)
+    yield "bench-pca-rgd", WORKLOADS["pca-rgd"].specs[0], [0]
+    for problem, shape in SMALL.items():
+        for method in METHODS:
+            for step in STEPS:
+                try:
+                    spec = ExperimentSpec(method=method, step=step, inner_k="10",
+                                          max_epochs=20, grad_tol=1e-8, runs=2, seed=5,
+                                          **shape)
+                except ValueError as exc:
+                    if "does not run step rule" in str(exc):
+                        continue
+                    raise
+                yield f"{problem}-{method}-{step}", spec, range(spec.runs)
+
+
+def main():
+    key = problem = None
+    for name, spec, run_ids in cells():
+        # cells on one data instance are neighbours: build it once for them
+        if (spec.problem, spec.d, spec.n, spec.r, spec.cond, spec.seed) != key:
+            key = (spec.problem, spec.d, spec.n, spec.r, spec.cond, spec.seed)
+            problem = build_problem(spec)
+        for run_id in run_ids:
+            print(name, run_id, digest(problem, spec, run_id), flush=True)
+
+
+if __name__ == "__main__":
+    main()

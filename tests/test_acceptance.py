@@ -7,6 +7,7 @@ capable hardware.  Criterion 7 gates convergence quality in its place.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from manifold_svrg.harness import ExperimentSpec, run_experiment
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import d_rho_array, nu_of_rho
-from manifold_svrg.optimizers import run_s_sgd, SvrgConfig, theorem1_schedule
+from manifold_svrg.optimizers import BB, run_s_sgd, SvrgConfig, theorem1_schedule
 from manifold_svrg.problems import pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
 from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation,
@@ -23,7 +24,17 @@ from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation,
 
 rng = np.random.default_rng(2024)
 
+# the desk gate cells: criterion 7 runs DESK_PCA under each of
+# DESK_RETRACTIONS and criterion 9 runs DESK_MC (tests/run_digests.py
+# replays both)
 DESK_RETRACTIONS = ("exp", "qr", "pd", "wy", "jd", "gp", "gr")
+DESK_PCA = ExperimentSpec(problem="pca", method="s-svrg-bb", retraction="pd",
+                          d=200, n=2000, r=5, step="bb", batch_frac=0.05,
+                          inner_k="50", max_epochs=200, grad_tol=1e-6, runs=20, seed=0)
+DESK_MC = ExperimentSpec(problem="mc", method="s-svrg-bb", retraction="jd",
+                         d=200, n=400, r=5, rho=0.0, step="bb",
+                         batch_frac=0.05, inner_k="200", max_epochs=250,
+                         grad_tol=3e-9, runs=20, seed=0, cond=10.0)
 
 
 def report(capfd, num, ok, detail):
@@ -189,10 +200,7 @@ def desk_pca_runs():
     cells = {}
     f_star = None
     for retr in DESK_RETRACTIONS:
-        spec = ExperimentSpec(problem="pca", method="s-svrg-bb", retraction=retr,
-                              d=200, n=2000, r=5, step="bb", batch_frac=0.05,
-                              inner_k="50", max_epochs=200, grad_tol=1e-6,
-                              runs=20, seed=0)
+        spec = replace(DESK_PCA, retraction=retr)
         row, results = run_experiment(spec)
         if f_star is None:
             from manifold_svrg.harness import build_problem, reference_value
@@ -258,10 +266,7 @@ def test_criterion_8_paper_scale_pca(capfd):
 
 @pytest.mark.gate
 def test_criterion_9_desk_mc(capfd):
-    spec = ExperimentSpec(problem="mc", method="s-svrg-bb", retraction="jd",
-                          d=200, n=400, r=5, rho=0.0, step="bb",
-                          batch_frac=0.05, inner_k="200", max_epochs=250,
-                          grad_tol=3e-9, runs=20, seed=0, cond=10.0)
+    spec = DESK_MC
     from manifold_svrg.harness import _single_run, build_problem
     problem = build_problem(spec)
     assert problem.num_observed == (spec.n + spec.d - spec.r) * spec.r ** 2
@@ -291,7 +296,6 @@ def test_criterion_10_determinism(capfd, tmp_path):
                           d=30, n=60, r=3, step="bb", batch_frac=0.25,
                           inner_k="10", max_epochs=50, grad_tol=1e-8,
                           runs=2, seed=17, out=str(tmp_path / "a"))
-    from dataclasses import replace
     run_experiment(spec)
     run_experiment(replace(spec, out=str(tmp_path / "b")))
     identical = True
@@ -335,8 +339,9 @@ def test_sgd_sibling_decreasing_trend():
     # non-gating companion to criterion 7: the plain stochastic method
     # trends downward on the same problem even though it plateaus early
     inst = pca_generate(200, 2000, 5, seed=0)
-    cfg = SvrgConfig(retraction=RetractionKind.QR, seed=0, r=5)
+    # BB(): the analysis step, over N = K * max_epochs = 2000 steps
+    cfg = SvrgConfig(retraction=RetractionKind.QR, step_mode=BB(), seed=0, r=5)
     X0 = qr_positive(np.random.default_rng(3).standard_normal((200, 5)))[0]
-    _, trace = run_s_sgd(inst, cfg, N=2000, X0=X0)
+    _, trace = run_s_sgd(inst, cfg, X0=X0)
     assert trace.f[-1] < trace.f[0]
     assert np.mean(trace.f[-3:]) < np.mean(trace.f[:3])

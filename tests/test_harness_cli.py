@@ -19,8 +19,8 @@ from manifold_svrg.harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, Summa
                                    run_experiment)
 from manifold_svrg.manifold import d_rho_array
 from manifold_svrg.problems import mc_generate
-from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_s_svrg,
-                                      warm_start)
+from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
+                                      run_s_svrg, warm_start)
 from manifold_svrg.retractions import RetractionKind
 
 
@@ -198,9 +198,10 @@ class TestRunExperiment:
 
     @pytest.fixture
     def diverging(self, monkeypatch):
+        # s-svrg-bb's runner, the one these cells dispatch to, always raises
         def diverge(*args, **kwargs):
             raise NonFiniteValue("objective or gradient diverged at epoch 0")
-        monkeypatch.setattr(harness, "run_s_svrg", diverge)
+        monkeypatch.setitem(METHOD_STEPS, "s-svrg-bb", (diverge, METHOD_STEPS["s-svrg-bb"][1]))
 
     def test_summary_written_when_every_run_fails(self, tmp_path, diverging):
         out = tmp_path / "cell"
@@ -231,17 +232,28 @@ class TestRunExperiment:
         _, (b,) = run_experiment(tiny_spec(method="s-svrg-bb", runs=1))
         assert a.trace.f == b.trace.f
 
-    def test_library_bb_run_is_the_cell_run_on_mc(self):
-        # completion scales the raw BB estimate itself, so a library run
-        # with a plain SvrgConfig takes the steps of the same CLI cell
-        spec = tiny_spec(problem="mc", d=30, n=24, max_epochs=6, grad_tol=0.0, runs=1)
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("method, rule", [(m, rule) for m, (_, rules) in METHOD_STEPS.items()
+                                              for rule in rules],
+                             ids=lambda v: getattr(v, "__name__", v))
+    def test_library_run_is_the_cell_run(self, problem, method, rule):
+        # a cell's run is its method's runner on a plain SvrgConfig, started
+        # from warm_start; completion scales the raw BB estimate itself, so
+        # this holds under bb on mc too
+        step = {Fixed: "fixed:0.05", BB: "bb", Theorem1: "thm1:0.5,1.0"}[rule]
+        spec = tiny_spec(problem=problem, method=method, step=step, d=30, n=24,
+                         max_epochs=6, grad_tol=0.0, runs=1)
         result, X_cell = harness._single_run(build_problem(spec), spec, 0)
         inst = build_problem(spec)
-        cfg = SvrgConfig(retraction=RetractionKind.QR, step_mode=BB(), K=10, batch=12,
-                         max_epochs=6, grad_tol=0.0, seed=spec.seed, r=2)
-        X, trace = run_s_svrg(inst, cfg, X0=warm_start(inst, cfg))
+        cfg = build_config(spec, spec.seed)
+        assert cfg == SvrgConfig(retraction=RetractionKind.QR, step_mode=parse_step(step), K=10,
+                                 batch=12, max_epochs=6, grad_tol=0.0, seed=spec.seed, r=2)
+        run = {"s-svrg": run_s_svrg, "s-svrg-bb": run_s_svrg, "rgd": run_rgd,
+               "s-sgd": run_s_sgd}[method]
+        X, trace = run(inst, cfg, X0=warm_start(inst, cfg))
         for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
             assert getattr(trace, col) == getattr(result.trace, col)
+        assert trace.events == result.trace.events
         assert np.array_equal(X.X, X_cell.X)
 
     def test_s_sgd_takes_a_fixed_step(self):

@@ -381,18 +381,15 @@ class TestRunSvrg:
         f_star = inst.optimum()
         assert abs(tr.f[-1] - f_star) <= 1e-8 * abs(f_star)
 
-    def test_theorem1_returns_sampled_iterate(self):
-        # kappa n = 0.5 < 1 gives K = 1 and p = [1]: each epoch returns its
-        # anchor X_0 and takes no step, though the one step is charged, so
-        # the run never moves
+    def test_theorem1_rejects_a_one_step_schedule(self):
+        # kappa n = 0.5 <= 1 gives K = 1 and p = [1]: every epoch would
+        # return its anchor X_0 while charging a step, so the run would
+        # never move
         inst = small_pca(12, 50, 2, seed=3)
         cfg = SvrgConfig(step_mode=Theorem1(0.0, 0.01), max_epochs=4,
                          grad_tol=0.0, seed=3, r=2)
-        X0 = random_point(12, 2)
-        X, tr = run_s_svrg(inst, cfg, X0=X0)
-        assert tr.ro_calls[-1] == 4
-        np.testing.assert_array_equal(X.X, X0.X)
-        assert len(set(tr.f)) == 1
+        with pytest.raises(ValueError, match=r"kappa n = 0\.5 gives K = 1"):
+            run_s_svrg(inst, cfg, X0=random_point(12, 2))
 
     def test_theorem1_mode_runs(self):
         inst = small_pca(12, 50, 2, seed=3)
@@ -501,16 +498,17 @@ class TestTheorem1Epoch:
         assert peak < 1e6
 
 
-def test_rgd_rejects_theorem1():
-    # the schedule sizes an inner loop and a batch that rgd does not have
+@pytest.mark.parametrize("solve", [run_rgd, run_s_sgd], ids=["rgd", "s-sgd"])
+def test_rgd_rejects_theorem1(solve):
+    # the schedule sizes an inner loop and a batch that rgd and s-sgd do
+    # not have
     cfg = SvrgConfig(step_mode=Theorem1(0.0, 1.0), r=2)
     with pytest.raises(ValueError, match="Theorem1"):
-        run_rgd(small_pca(12, 50, 2, seed=3), cfg, X0=random_point(12, 2))
+        solve(small_pca(12, 50, 2, seed=3), cfg, X0=random_point(12, 2))
 
 
-@pytest.mark.parametrize("solve", [
-    run_s_svrg, run_rgd, lambda inst, cfg, X0: run_s_sgd(inst, cfg, N=5, X0=X0)],
-    ids=["s-svrg", "rgd", "s-sgd"])
+@pytest.mark.parametrize("solve", [run_s_svrg, run_rgd, run_s_sgd],
+                         ids=["s-svrg", "rgd", "s-sgd"])
 def test_start_point_validated(solve):
     # X0 is checked for orthonormality and for shape (d, r) on entry, as an
     # array or a StiefelPoint, and the solver returns a StiefelPoint
@@ -527,7 +525,7 @@ def test_start_point_validated(solve):
 
 
 @pytest.mark.parametrize("solve", [
-    run_s_svrg, lambda inst, cfg: run_s_sgd(inst, cfg, N=5), warm_start],
+    run_s_svrg, run_s_sgd, warm_start],
     ids=["s-svrg", "s-sgd", "warm-start"])
 @pytest.mark.parametrize("make", [lambda: pca_generate(10, 20, 2, 0),
                                   lambda: mc_generate(10, 20, 2, 10.0, seed=3)],
@@ -590,10 +588,10 @@ def test_halved_objective_is_halved_step(kind):
 class TestRunSgd:
     def test_n1_returns_start(self):
         inst = small_pca(10, 8, 2, seed=1)
-        cfg = SvrgConfig(seed=123, r=2)
+        cfg = SvrgConfig(step_mode=Fixed(0.01), K=1, max_epochs=1, seed=123, r=2)
         X0 = random_point(10, 2)
-        # j_bar is drawn from {0}; the output must be the start point
-        X, _ = run_s_sgd(inst, cfg, N=1, X0=X0, tau=0.01)
+        # N = 1: j_bar is drawn from {0}; the output must be the start point
+        X, _ = run_s_sgd(inst, cfg, X0=X0)
         np.testing.assert_array_equal(X.X, X0.X)
 
     def test_takes_n_minus_one_steps(self):
@@ -603,7 +601,8 @@ class TestRunSgd:
         drawn = []
         egrad = inst.component_egrad
         inst.component_egrad = lambda X, i: drawn.append(i) or egrad(X, i)
-        run_s_sgd(inst, SvrgConfig(seed=3, r=2), N=7, X0=random_point(10, 2), tau=0.01)
+        cfg = SvrgConfig(step_mode=Fixed(0.01), K=7, max_epochs=1, seed=3, r=2)
+        run_s_sgd(inst, cfg, X0=random_point(10, 2))
         assert len(drawn) == 6
 
     def test_single_component_is_deterministic_gd(self):
@@ -611,14 +610,13 @@ class TestRunSgd:
         # -2 b b^T X, which is the full gradient
         b = np.random.default_rng(2).standard_normal((10, 1))
         inst = PcaInstance(np.hstack([b, -b]), r=2)
-        cfg = SvrgConfig(seed=4, r=2)
+        cfg = SvrgConfig(step_mode=Fixed(0.05), K=30, max_epochs=1, seed=4, r=2)
         X0 = random_point(10, 2)
         # X_0, ..., X_29 each way: s-sgd records N = 30 iterates and then
         # the one it returns, and rgd the starts of its 29 epochs and the
         # point it returns
-        X1, t1 = run_s_sgd(inst, cfg, N=30, X0=X0, tau=0.05)
-        X2, t2 = run_rgd(inst, replace(cfg, step_mode=Fixed(0.05), max_epochs=29,
-                                       grad_tol=0.0), X0=X0)
+        X1, t1 = run_s_sgd(inst, cfg, X0=X0)
+        X2, t2 = run_rgd(inst, replace(cfg, max_epochs=29, grad_tol=0.0), X0=X0)
         assert len(t1.f) == len(t2.f) + 1
         np.testing.assert_allclose(t1.f[:-1], t2.f, rtol=1e-12)
         assert t1.f[-1] == inst.value(X1.X)
@@ -627,7 +625,8 @@ class TestRunSgd:
         # N = 200 records X_0, X_2, ..., X_198 and then the returned X_j_bar
         # as step N, after N - 1 steps
         inst = pca_generate(30, 60, 3, 0)
-        X, tr = run_s_sgd(inst, SvrgConfig(seed=0, r=3), N=200, tau=0.05)
+        cfg = SvrgConfig(step_mode=Fixed(0.05), K=200, max_epochs=1, seed=0, r=3)
+        X, tr = run_s_sgd(inst, cfg)
         assert tr.epoch[-2:] == [198, 200]
         assert tr.ifo_calls[-1] == tr.ro_calls[-1] == 199
         f, egrad = inst.full_value_egrad(X.X)
@@ -635,11 +634,25 @@ class TestRunSgd:
         assert tr.grad_norm[-1] == float(np.linalg.norm(d_rho_array(X.X, egrad, 0.0)))
 
     def test_theory_step_rule_applied(self):
+        # under BB() the step is min(nu / L_hat, 1 / (sigma sqrt(N))), sigma
+        # the largest of 100 single-sample deviations from the full
+        # Riemannian gradient at the start, drawn after the output index
         inst = small_pca(15, 40, 2, seed=5)
-        cfg = SvrgConfig(seed=6, r=2)
-        _, tr = run_s_sgd(inst, cfg, N=50, X0=random_point(15, 2))
+        rho, N = 0.25, 50
+        cfg = SvrgConfig(rho=rho, step_mode=BB(), K=N, max_epochs=1, seed=6, r=2)
+        X0 = random_point(15, 2)
+        _, tr = run_s_sgd(inst, cfg, X0=X0)
         assert len(set(tr.step_size)) == 1  # constant step throughout
-        assert tr.step_size[0] > 0
+
+        draws = np.random.default_rng(np.random.SeedSequence((6, optimizers._STREAM_SGD)))
+        draws.integers(N)
+        g_full = d_rho_array(X0.X, inst.full_value_egrad(X0.X)[1], rho)
+        sigma = max(float(np.linalg.norm(
+            d_rho_array(X0.X, inst.component_egrad(X0.X, int(draws.integers(inst.n))), rho)
+            - g_full)) for _ in range(100))
+        consts = inst.constants()
+        L_hat = consts.C + consts.L  # 2 L2 C + L1^2 L at pd's (L1, L2) = (1, 1/2)
+        assert tr.step_size[0] == min(nu_of_rho(rho) / L_hat, 1.0 / (sigma * math.sqrt(N)))
 
     def test_plateaus_above_svrg(self):
         # variance floor: single-sample SGD stalls where SVRG keeps going
@@ -649,7 +662,7 @@ class TestRunSgd:
                          step_mode=BB())
         X0 = warm_start(inst, cfg)
         _, tr_svrg = run_s_svrg(inst, cfg, X0=X0)
-        _, tr_sgd = run_s_sgd(inst, cfg, N=1200, X0=X0)
+        _, tr_sgd = run_s_sgd(inst, cfg, X0=X0)  # N = K * max_epochs = 1200
         assert min(tr_svrg.grad_norm) < min(tr_sgd.grad_norm)
 
 

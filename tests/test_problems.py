@@ -504,6 +504,20 @@ class TestMcInstance:
         with pytest.raises(InvalidObservation, match="column 1"):
             McInstance(6, 2, 1, rows=[[0, 1], [2, row]], vals=[[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("rows, column", [([[0.9, 2.5], [1]], 0), ([[0, 1], [np.nan]], 1),
+                                              ([[0, 1], np.array([2.5])], 1)],
+                             ids=["list", "nan", "array"])
+    def test_fractional_row_index_rejected(self, rows, column):
+        # casting would keep rows [0, 2] of [0.9, 2.5]
+        with pytest.raises(InvalidObservation, match=f"column {column}: .* is not an integer"):
+            McInstance(4, 2, 1, rows, [[1.0, 2.0], [3.0]])
+
+    def test_integer_rows_accepted_as_lists_arrays_and_empty_columns(self):
+        inst = McInstance(4, 3, 1, rows=[[0, 1], [], np.array([2, 3])],
+                          vals=[[1.0, 2.0], [], [3.0, 4.0]])
+        assert [ri.tolist() for ri in inst.rows] == [[0, 1], [], [2, 3]]
+        assert all(ri.dtype == np.intp for ri in inst.rows)
+
     def test_repeated_row_rejected(self):
         # the fit would count the repeated entry twice, f_i observes it once
         with pytest.raises(InvalidObservation, match="column 1: row index 3 is repeated"):
