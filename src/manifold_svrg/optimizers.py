@@ -74,9 +74,10 @@ class Fixed:
 class BB:
     """Safeguarded long BB step divided by the inner iteration count.
 
-    The raw estimate, times the problem's BB_SCALE, is clipped to
-    [1e-8, 1e8]; the first epoch, which has no difference pair yet, takes
-    1 / K.
+    The SVRG-BB step of Tan, Ma, Dai & Qian (NeurIPS 2016): the long BB
+    estimate over outer iterates, clipped to [1e-8, 1e8], over K.  The
+    first epoch, which has no difference pair yet, takes 1 / K.  rgd's
+    epoch is one step, so its K = 1 step is the plain long BB step.
     """
 
 
@@ -199,6 +200,12 @@ def _solve_c(ratio, tol=1e-14):
     return lo
 
 
+def _l_hat(L, C, L1, L2):
+    """L_hat = 2 L2 C + L1^2 L from the problem's (L, C) and the retraction's
+    (L1, L2): Theorem1's schedule and s-sgd's analysis step both read it."""
+    return 2.0 * L2 * C + L1 * L1 * L
+
+
 def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     """Inner count, batch size, and step from the convergence analysis.
 
@@ -220,7 +227,7 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
                          "return its anchor")
     batch = math.ceil(K ** (2.0 - 3.0 * mu))
     L_tilde = L1 * L1 + 4.0 * L2 * math.sqrt(r)
-    L_hat = 2.0 * L2 * C + L1 * L1 * L
+    L_hat = _l_hat(L, C, L1, L2)
     root = math.sqrt(L_tilde) * L
     c = _solve_c(L_hat / root)
     beta = (root / nu) * K ** (mu - 1.0)
@@ -251,12 +258,13 @@ def select_output(p_sk, rng):
 # ---------------------------------------------------------------------------
 # gradient estimators and steps
 
-def bb_step(X_s, X_prev, grad_s, grad_prev, K, scale):
+def bb_step(X_s, X_prev, grad_s, grad_prev, K):
     """Safeguarded long BB estimate over outer iterates, divided by K.
 
-    The raw estimate is multiplied by scale, the problem's BB_SCALE, before
-    safeguarding; a vanishing curvature pairing falls back to the upper
-    safeguard.
+    tau = <S, S> / |<S, Y>| / K with S = X_s - X_prev and Y = grad_s -
+    grad_prev, SVRG-BB's step (Tan, Ma, Dai & Qian, NeurIPS 2016); the
+    estimate is clipped to [1e-8, 1e8] before the division, and a vanishing
+    curvature pairing falls back to the upper safeguard.
     """
     S = X_s - X_prev
     Y = grad_s - grad_prev
@@ -264,7 +272,7 @@ def bb_step(X_s, X_prev, grad_s, grad_prev, K, scale):
     if sy <= 1e-300:
         tau_lbb = _BB_TAU_MAX
     else:
-        tau_lbb = float(np.sum(S * S)) / sy * scale
+        tau_lbb = float(np.sum(S * S)) / sy
     return max(_BB_TAU_MIN, min(tau_lbb, _BB_TAU_MAX)) / K
 
 
@@ -290,6 +298,21 @@ def _inner_step(diff, kind, X, X0, egrad0, idx, tau, rho):
     return _step(kind, X, G, tau, rho)
 
 
+def _reorthonormalize(X, events, at):
+    """X, or its Q factor once X drifts off the manifold, logged in events
+    as ("reorthonormalized", at)."""
+    if feasibility_error(X) > FEAS_TOL:
+        X = qr_positive(X)[0]
+        events.append(("reorthonormalized", at))
+    return X
+
+
+def _check_finite(f, gnorm, where):
+    # a diverged run stops at the first non-finite f or gradient norm it records
+    if not (np.isfinite(f) and np.isfinite(gnorm)):
+        raise NonFiniteValue(f"objective or gradient diverged at {where}")
+
+
 def _single_sample_path(problem, config, X, tau, N, rng, events):
     """Yield X_0 = X, ..., X_N of N single-sample steps with a constant tau.
 
@@ -301,9 +324,7 @@ def _single_sample_path(problem, config, X, tau, N, rng, events):
     for j in range(N):
         i = int(rng.integers(problem.n))
         X = _step(config.retraction, X, problem.component_egrad(X, i), tau, config.rho)
-        if feasibility_error(X) > FEAS_TOL:
-            X = qr_positive(X)[0]
-            events.append(("reorthonormalized", j))
+        X = _reorthonormalize(X, events, j)
         yield X
 
 
@@ -364,10 +385,8 @@ def _run_anchored(problem, config, X0, K, batch):
         K, batch, tau = schedule.K, schedule.batch, schedule.tau
 
     trace = RunTrace()
-    ifo = 0
-    ro = 0
-    X_prev = None
-    grad_prev = None
+    ifo = ro = 0
+    X_prev = grad_prev = None
 
     for s in range(config.max_epochs + 1):
         # the epoch's anchor: f, its gradient and the batch difference bound to it
@@ -375,11 +394,10 @@ def _run_anchored(problem, config, X0, K, batch):
         ifo += n
         grad0 = d_rho_array(X, egrad0, rho)
         gnorm = float(np.linalg.norm(grad0))
-        if not (np.isfinite(f0) and np.isfinite(gnorm)):
-            raise NonFiniteValue(f"objective or gradient diverged at epoch {s}")
+        _check_finite(f0, gnorm, f"epoch {s}")
 
         if isinstance(mode, BB) and X_prev is not None:
-            tau = bb_step(X, X_prev, grad0, grad_prev, K, problem.BB_SCALE)
+            tau = bb_step(X, X_prev, grad0, grad_prev, K)
         trace.record(s, f0, gnorm, tau, ifo, ro, t0)
         if gnorm <= config.grad_tol:
             trace.status = "GradTol"
@@ -400,9 +418,7 @@ def _run_anchored(problem, config, X0, K, batch):
         for idx in batches[:out]:
             X = _inner_step(diff, config.retraction, X, anchor, egrad0, idx, tau, rho)
 
-        if feasibility_error(X) > FEAS_TOL:
-            X = qr_positive(X)[0]
-            trace.events.append(("reorthonormalized", s))
+        X = _reorthonormalize(X, trace.events, s)
 
     return StiefelPoint(X), trace
 
@@ -435,14 +451,13 @@ def run_s_sgd(problem, config: SvrgConfig, X0=None):
 
     j_bar = int(rng.integers(N))
     ifo = 0
-    trace = RunTrace()
-    trace.status = "Completed"
+    trace = RunTrace(status="Completed")
 
     if isinstance(config.step_mode, Fixed):
         tau = config.step_mode.tau
     else:
         consts = problem.constants()
-        L_hat = 2.0 * _PD_L2 * consts.C + _PD_L1 * _PD_L1 * consts.L
+        L_hat = _l_hat(consts.L, consts.C, _PD_L1, _PD_L2)
         _, egrad_full = problem.full_value_egrad(X)
         g_full = d_rho_array(X, egrad_full, rho)
         ifo += n
@@ -459,8 +474,7 @@ def run_s_sgd(problem, config: SvrgConfig, X0=None):
     def record(j, X, steps):
         f, egrad = problem.full_value_egrad(X)
         gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
-        if not (np.isfinite(f) and np.isfinite(gn)):
-            raise NonFiniteValue(f"objective or gradient diverged at step {j}")
+        _check_finite(f, gn, f"step {j}")
         trace.record(j, f, gn, tau, ifo + steps, steps, t0)
 
     # X_0 ... X_{N-1}: step j costs one IFO and one RO call

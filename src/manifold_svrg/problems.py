@@ -90,8 +90,6 @@ class PcaInstance:
     takes the eigenvalues of the same C.
     """
 
-    BB_SCALE = 1.0  # factor on the raw BB estimate (see optimizers.bb_step)
-
     def __init__(self, A, r):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.size == 0:
@@ -212,8 +210,6 @@ class McInstance:
     fixed after construction, except for the constants() sampled on the
     first call.
     """
-
-    BB_SCALE = 2.0  # Grassmann completion doubles the raw BB estimate
 
     def __init__(self, d, n, r, rows, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)

@@ -274,8 +274,10 @@ def test_criterion_9_desk_mc(capfd):
     good = 0
     floor_hits = 0
     recovery = []
+    epochs = []
     for run_id in range(spec.runs):
         res, X = _single_run(problem, spec, run_id)
+        epochs.append(res.epochs)
         if res.status != "GradTol" or res.final_f > 1e-10:
             continue
         floor_hits += 1
@@ -285,9 +287,12 @@ def test_criterion_9_desk_mc(capfd):
         if rel <= 1e-4:
             good += 1
     ok = good >= 18
+    # the per-run epochs, which a change that moves MC bits reports
+    spread = (f"epochs min/median/max/sum {min(epochs)}/{np.median(epochs):g}/"
+              f"{max(epochs)}/{sum(epochs)}")
     detail = (f"mc jd: {floor_hits}/20 reached f <= 1e-10; {good}/20 with "
-              f"recovery <= 1e-4 (max {max(recovery):.1e})" if recovery else
-              "mc jd: no run reached the objective floor")
+              f"recovery <= 1e-4 (max {max(recovery):.1e}); {spread}" if recovery else
+              f"mc jd: no run reached the objective floor; {spread}")
     report(capfd, 9, ok, detail)
 
 

@@ -134,6 +134,15 @@ class TestRunExperiment:
         egrad = inst.full_value_egrad(X.X)[1]
         assert result.final_grad == float(np.linalg.norm(d_rho_array(X.X, egrad, 0.0)))
 
+    def test_success_is_the_returned_points_gradient(self):
+        spec = tiny_spec(method="s-sgd", step="fixed:0.05", max_epochs=3, grad_tol=0.0)
+        row, results = run_experiment(spec)
+        assert all(r.status == "Completed" for r in results)
+        assert row.successes == 0
+        tol = max(r.final_grad for r in results)
+        row, _ = run_experiment(replace(spec, grad_tol=tol))
+        assert row.successes == row.runs == 2
+
     def test_convergent_cell(self):
         row, results = run_experiment(tiny_spec())
         assert row.successes == row.runs == 2
@@ -238,8 +247,7 @@ class TestRunExperiment:
                              ids=lambda v: getattr(v, "__name__", v))
     def test_library_run_is_the_cell_run(self, problem, method, rule):
         # a cell's run is its method's runner on a plain SvrgConfig, started
-        # from warm_start; completion scales the raw BB estimate itself, so
-        # this holds under bb on mc too
+        # from warm_start, under every rule and on both problems
         step = {Fixed: "fixed:0.05", BB: "bb", Theorem1: "thm1:0.5,1.0"}[rule]
         spec = tiny_spec(problem=problem, method=method, step=step, d=30, n=24,
                          max_epochs=6, grad_tol=0.0, runs=1)
@@ -275,6 +283,15 @@ class TestGridTune:
         spec = tiny_spec(method="s-svrg", runs=1, max_epochs=2)
         with pytest.raises(NoConvergentTau):
             grid_tune(spec, [0.0])
+
+    def test_tunes_s_sgd(self):
+        # an s-sgd run ends Completed, and succeeds when the point it
+        # returns meets grad_tol; the start point already does here, so
+        # every step converges and the tie goes to the smallest
+        spec = tiny_spec(method="s-sgd", d=20, n=60, grad_tol=10.0, max_epochs=20)
+        tau_star, row = grid_tune(spec, [0.01, 0.05, 0.2])
+        assert tau_star == 0.01
+        assert row.successes == row.runs
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from manifold_svrg import optimizers
 from manifold_svrg.errors import NoFeasibleC, NonFiniteValue
+from manifold_svrg.harness import _single_run, build_problem
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error,
                                     nu_of_rho)
@@ -15,11 +16,11 @@ from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, bb_step,
                                       gamma_fn, run_rgd, run_s_sgd, run_s_svrg,
                                       select_output, theorem1_schedule, warm_start,
                                       _step)
-from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
-                                    pca_generate)
+from manifold_svrg.problems import PcaInstance, ProblemConstants, mc_generate, pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind
 from oracles import (brute_force_expectation, declared_derivative, fd_derivative,
                      loj_ratio_probe, pca_data, recursion_lemma_check)
+from test_acceptance import DESK_MC
 
 rng = np.random.default_rng(31)
 
@@ -92,34 +93,32 @@ class TestStep:
 class TestBBStep:
     def test_identical_differences(self):
         S = rng.standard_normal((5, 2))
-        assert bb_step(S, np.zeros_like(S), S, np.zeros_like(S), K=4,
-                       scale=1.0) == pytest.approx(0.25)
+        assert bb_step(S, np.zeros_like(S), S, np.zeros_like(S), K=4) == pytest.approx(0.25)
 
     def test_quadratic_curvature_two(self):
         S = rng.standard_normal((5, 2))
-        got = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                      scale=1.0)
+        got = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1)
         assert got == pytest.approx(0.5)
 
     def test_clamped_to_tau_max(self):
         S = rng.standard_normal((4, 2))
         Y = 1e-12 * S
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1, scale=1.0)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=1)
         assert got == 1e8
 
     def test_zero_denominator_fallback(self):
         S = rng.standard_normal((4, 2))
         Y = np.zeros_like(S)
-        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2, scale=1.0)
+        got = bb_step(S, np.zeros_like(S), Y, np.zeros_like(S), K=2)
         assert got == 1e8 / 2
 
-    def test_grassmann_doubling_before_safeguard(self):
-        S = rng.standard_normal((4, 2))
-        st = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                     scale=PcaInstance.BB_SCALE)
-        gr = bb_step(S, np.zeros_like(S), 2.0 * S, np.zeros_like(S), K=1,
-                     scale=McInstance.BB_SCALE)
-        assert gr == pytest.approx(2.0 * st)
+    def test_rgd_plain_bb_converges_on_desk_mc(self):
+        # rgd's one step per epoch is the plain long BB step, the same rule
+        # on completion as on PCA; on criterion 9's cell run 0 reaches the
+        # tolerance well inside 400 epochs
+        spec = replace(DESK_MC, method="rgd", max_epochs=400)
+        result, _ = _single_run(build_problem(spec), spec, 0)
+        assert result.status == "GradTol"
 
 
 class TestSchedule:
