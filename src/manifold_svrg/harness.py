@@ -133,16 +133,26 @@ class SummaryRow:
             raise ValueError("epoch statistics out of order")
 
 
+def _step_numbers(step, form):
+    """The numbers after the colon of `step`, as many as `form` names."""
+    parts = step.split(":", 1)[1].split(",")
+    try:
+        if len(parts) == form.count(",") + 1:
+            return [float(p) for p in parts]
+    except ValueError:
+        pass
+    raise ValueError(f"step = {step!r} is not of the form {form}")
+
+
 def parse_step(step):
     """Decode a step-rule string into a step-mode object."""
     if step == "bb":
         return BB()
     if step.startswith("fixed:"):
-        return Fixed(float(step.split(":", 1)[1]))
+        return Fixed(*_step_numbers(step, "fixed:<tau>"))
     if step.startswith("thm1:"):
-        mu, kappa = step.split(":", 1)[1].split(",")
-        return Theorem1(float(mu), float(kappa))
-    raise ValueError(f"unknown step rule {step!r}")
+        return Theorem1(*_step_numbers(step, "thm1:<mu>,<kappa>"))
+    raise ValueError(f"step = {step!r} is not of the form fixed:<tau>, bb or thm1:<mu>,<kappa>")
 
 
 def build_problem(spec: ExperimentSpec):
@@ -154,7 +164,10 @@ def build_problem(spec: ExperimentSpec):
 def resolve_inner_k(spec: ExperimentSpec):
     if str(spec.inner_k) == "auto":
         return max(1, round(5.0 / spec.batch_frac))
-    return int(spec.inner_k)
+    try:
+        return int(str(spec.inner_k))
+    except ValueError:
+        raise ValueError(f"inner_k = {spec.inner_k!r} is not an integer or 'auto'") from None
 
 
 def build_config(spec: ExperimentSpec, run_seed):

@@ -1,16 +1,18 @@
-"""Eight retraction maps onto the Stiefel / Grassmann manifold.
+"""Eight retraction names, seven maps, onto the Stiefel / Grassmann manifold.
 
-Six free-direction retractions (Stiefel geodesic, QR, polar, Cayley,
-subspace, and the Grassmann geodesic exp2) accept a tangent direction; the
-polar one relies on it to take the polar factor of X + tE from an r x r
-eigensolve rather than an SVD.  The two gradient-coupled maps take the
-Euclidean gradient g itself and work on the step X - t g: gradient
-projection takes its polar factor, and gradient reflection reflects X
-through its column space, with the orthogonal projector built from the
-step's thin SVD.  Their derivatives at t = 0 are -d_rho(X, g) with
-rho = 1/4 and -2 d_0(X, g) respectively.  retract_array serves every kind
-through one table.  t is nonnegative in the optimizers; descent is encoded
-in the direction sign.
+Six free-direction names (Stiefel geodesic, QR, polar, wy, jd, and the
+Grassmann geodesic exp2) accept a tangent direction; the polar one relies
+on it to take the polar factor of X + tE from an r x r eigensolve rather
+than an SVD.  wy and jd name one map: the Cayley transform of Wen & Yin
+(Math. Program. 2013) is the update of Jiang & Dai (Math. Program. 2015)
+with the weight phi(t) = t/2, and both names run the latter's r x r
+recipe.  The two gradient-coupled maps take the Euclidean gradient g
+itself and work on the step X - t g: gradient projection takes its polar
+factor, and gradient reflection reflects X through its column space, with
+the orthogonal projector built from the step's thin SVD.  Their
+derivatives at t = 0 are -d_rho(X, g) with rho = 1/4 and -2 d_0(X, g)
+respectively.  retract_array serves every kind through one table.  t is
+nonnegative in the optimizers; descent is encoded in the direction sign.
 """
 
 import enum
@@ -23,7 +25,6 @@ from .linalg import check_finite, expm, polar_project, qr_positive
 __all__ = [
     "RetractionKind",
     "GRADIENT_KINDS",
-    "phi_half_t",
     "retract_array",
     "retract_gp_array",
     "retract_gr_array",
@@ -34,8 +35,8 @@ class RetractionKind(enum.Enum):
     EXP1 = "exp"     # Stiefel geodesic via the block exponential
     QR = "qr"        # QR factorization of X + tE
     PD = "pd"        # polar decomposition of X + tE
-    WY = "wy"        # Cayley-type low-rank update
-    JD = "jd"        # subspace update with the phi weight
+    WY = "wy"        # Cayley transform (Wen-Yin); the same map as jd
+    JD = "jd"        # Jiang-Dai update with phi(t) = t/2
     GP = "gp"        # polar projection of a Euclidean gradient step
     GR = "gr"        # reflection through a Euclidean gradient step's column space
     EXP2 = "exp2"    # Grassmann geodesic via the compact SVD
@@ -49,11 +50,6 @@ class RetractionKind(enum.Enum):
 
 
 GRADIENT_KINDS = (RetractionKind.GP, RetractionKind.GR)
-
-
-def phi_half_t(t):
-    """The jd weight phi(t) = t/2: phi(0) = 0, phi'(0) = 1/2, and jd equals wy."""
-    return 0.5 * t
 
 
 def _retract_exp1(X, E, t):
@@ -101,28 +97,15 @@ def _retract_pd(X, E, t):
     return Y
 
 
-def _retract_wy(X, E, t):
-    r = X.shape[1]
-    PE = E - 0.5 * X @ (X.T @ E)
-    U = np.hstack([-PE, X])
-    V = np.hstack([X, PE])
-    M = np.eye(2 * r) + (0.5 * t) * (V.T @ U)
-    try:
-        W = np.linalg.solve(M, V.T @ X)
-    except np.linalg.LinAlgError as exc:
-        raise SingularStep("wy inner solve is singular; tangent is corrupted") from exc
-    return X - t * (U @ W)
-
-
 def _retract_jd(X, E, t):
     r = X.shape[1]
     XtE = X.T @ E
     D = E - X @ XtE
-    J = np.eye(r) + (0.25 * t * t) * (D.T @ D) - phi_half_t(t) * XtE
+    J = np.eye(r) + (0.25 * t * t) * (D.T @ D) - (0.5 * t) * XtE
     try:
         Ji = np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
-        raise SingularStep("jd inner solve is singular; tangent is corrupted") from exc
+        raise SingularStep("wy/jd inner solve is singular; tangent is corrupted") from exc
     return (2.0 * X + t * D) @ Ji - X
 
 
@@ -157,7 +140,7 @@ _RETRACTIONS = {
     RetractionKind.EXP1: _retract_exp1,
     RetractionKind.QR: _retract_qr,
     RetractionKind.PD: _retract_pd,
-    RetractionKind.WY: _retract_wy,
+    RetractionKind.WY: _retract_jd,
     RetractionKind.JD: _retract_jd,
     RetractionKind.GP: retract_gp_array,
     RetractionKind.GR: retract_gr_array,
@@ -171,8 +154,8 @@ def retract_array(kind, X, E, t):
     E is a tangent direction for the free kinds, where R'(0) = E, and the
     Euclidean gradient g for gp and gr, where R'(0) is -d_{1/4}(X, g) and
     -2 d_0(X, g) respectively.  Raises RankDeficient when the qr, pd or gp
-    step loses column rank, and SingularStep when the wy or jd inner solve
-    is singular.  Only the qr and gp steps can lose rank along the
+    step loses column rank, and SingularStep when the r x r solve of
+    wy/jd is singular.  Only the qr and gp steps can lose rank along the
     directions the optimizers take.
 
     Domain of pd: E must be tangent, X^T E + E^T X = 0, as every optimizer
@@ -182,12 +165,6 @@ def retract_array(kind, X, E, t):
     t ||E||_2 = 1e6), and the Gram matrix pd solves has condition number at
     most 1 + (t ||E||_2)^2.  Worst over unit tangents, ||Y^T Y - I|| stays
     below 1e-13 up to t ||E||_2 = 1e4 and is about 3e-11 at 1e5.
-
-    Domain of wy: its inner 2r x 2r solve is conditioned like (t ||E||)^2
-    along near-vertical directions E = X Omega, so it loses feasibility once
-    t ||E|| is in the thousands (worst over unit vertical directions: about
-    2e-11 at t ||E|| = 1e3, 1e-8 at 2e4).  The feasibility property covers
-    t <= 1e3 with ||E|| <= 1.
     """
     return _RETRACTIONS[kind](X, E, t)
 

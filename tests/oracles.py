@@ -1,8 +1,9 @@
 """Validation oracles shared by the tests.
 
-The first four share no code with the modules they validate beyond plain
+The first five share no code with the modules they validate beyond plain
 numpy arithmetic: the QR oracle is modified Gram-Schmidt, the exponential
-oracle is a scaled Taylor series, derivatives come from Richardson-
+oracle is a scaled Taylor series, the Cayley oracle is Wen & Yin's
+Woodbury form with its 2r x 2r solve, derivatives come from Richardson-
 extrapolated central differences, and stochastic-gradient moments come from
 exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
 package's own retractions to measure their deviation constants, and
@@ -81,6 +82,25 @@ def taylor_expm(A):
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def cayley_woodbury(X, E, t):
+    """The Cayley transform (I + t/2 W)^{-1} (I - t/2 W) X of Wen & Yin.
+
+    W = X P^T - P X^T with P = E - X X^T E / 2 has rank 2r, and W X = -E
+    for a tangent E.  W = U V^T for U = [-P, X] and V = [X, P], so by the
+    Woodbury identity the step is X - t U (I + t/2 V^T U)^{-1} V^T X: one
+    2r x 2r solve.  Its condition number grows like (t ||E||)^2 along
+    near-vertical directions, so it loses feasibility once t ||E|| is in
+    the thousands.
+    """
+    r = X.shape[1]
+    PE = E - 0.5 * X @ (X.T @ E)
+    U = np.hstack([-PE, X])
+    V = np.hstack([X, PE])
+    M = np.eye(2 * r) + (0.5 * t) * (V.T @ U)
+    W = np.linalg.solve(M, V.T @ X)
+    return X - t * (U @ W)
 
 
 def brute_force_expectation(grad_fn, n, batch_size):

@@ -6,6 +6,9 @@ Run from the repository root:
     PYTHONPATH=<other tree>/src python tests/run_digests.py > old.txt
     diff old.txt new.txt
 
+Arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
+replays only the cells whose names start with one of them.
+
 The runs are criterion 7's 140 (the desk PCA cell under each retraction),
 criterion 9's 20 (the desk MC cell), run 0 of the pca-rgd benchmark
 workload, and two runs of one small pca and one small mc cell for every
@@ -14,8 +17,8 @@ trace columns epoch, f, grad_norm, step_size, ifo_calls and ro_calls, the
 events, the status and the final X; a run that raises digests its
 "<ExcType>: <message>".  Only ExperimentSpec, build_problem and
 _single_run are called, so any tree with those three can be checked;
-digests agree only under the same numpy and BLAS.  A pass takes about
-2.5 minutes on 2 cores, nearly all of it criteria 7 and 9.
+digests agree only under the same numpy and BLAS.  A full pass took
+60-75 s on 2 cores, nearly all of it criteria 7 and 9.
 """
 
 import hashlib
@@ -74,9 +77,11 @@ def cells():
                 yield f"{problem}-{method}-{step}", spec, range(spec.runs)
 
 
-def main():
+def main(prefixes):
     key = problem = None
     for name, spec, run_ids in cells():
+        if prefixes and not name.startswith(tuple(prefixes)):
+            continue
         # cells on one data instance are neighbours: build it once for them
         if (spec.problem, spec.d, spec.n, spec.r, spec.cond, spec.seed) != key:
             key = (spec.problem, spec.d, spec.n, spec.r, spec.cond, spec.seed)
@@ -86,4 +91,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

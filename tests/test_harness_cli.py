@@ -66,7 +66,11 @@ class TestSpec:
                                      dict(rho=math.nan), dict(rho=math.inf),
                                      dict(grad_tol=math.nan), dict(grad_tol=-1e-6),
                                      dict(cond=-3.0), dict(cond=0.0), dict(cond=0.5),
-                                     dict(cond=math.nan), dict(cond=math.inf)])
+                                     dict(cond=math.nan), dict(cond=math.inf),
+                                     # malformed step rules and inner counts
+                                     dict(step="thm1:1"), dict(step="thm1:0.5,1,2"),
+                                     dict(step="thm1:a,b"), dict(step="fixed:abc"),
+                                     dict(step="fixed:"), dict(inner_k="2.5")])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError):
             tiny_spec(**bad)
@@ -101,10 +105,19 @@ class TestSpec:
             parse_step("linesearch")
         with pytest.raises(ValueError):
             parse_step("fixed:nan")
+        for step, form in (("thm1:1", "thm1:<mu>,<kappa>"), ("thm1:0.5,x", "thm1:<mu>,<kappa>"),
+                           ("fixed:abc", "fixed:<tau>"), ("fixed:0.1,0.2", "fixed:<tau>")):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"step = {step!r} is not of the form {form}")):
+                parse_step(step)
 
     def test_resolve_inner_k(self):
         assert resolve_inner_k(tiny_spec(inner_k="auto", batch_frac=0.01)) == 500
         assert resolve_inner_k(tiny_spec(inner_k="7")) == 7
+        for bad in ("2.5", "x", ""):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"inner_k = {bad!r} is not an integer or 'auto'")):
+                tiny_spec(inner_k=bad)
 
     def test_build_config_batch(self):
         cfg = build_config(tiny_spec(batch_frac=0.5, n=20), run_seed=3)
@@ -435,6 +448,13 @@ class TestCliMain:
         code = main(["run", "--problem", "pca", "--step", "warp"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        # a malformed value is reported with its field and the accepted form
+        for flag, value, message in (
+                ("--step", "thm1:1", "step = 'thm1:1' is not of the form thm1:<mu>,<kappa>"),
+                ("--step", "fixed:abc", "step = 'fixed:abc' is not of the form fixed:<tau>"),
+                ("--inner-k", "2.5", "inner_k = '2.5' is not an integer or 'auto'")):
+            assert main(["run", "--problem", "pca", flag, value]) == 2
+            assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_rejected_spec_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "cell"

@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 from manifold_svrg.problems import PcaInstance
-from oracles import (brute_force_expectation, fd_derivative, gram_schmidt_qr,
-                     pca_top_subspace, taylor_expm)
+from oracles import (brute_force_expectation, cayley_woodbury, fd_derivative,
+                     gram_schmidt_qr, pca_top_subspace, taylor_expm)
 
 rng = np.random.default_rng(99)
 
@@ -98,3 +98,18 @@ class TestDensePcaEig:
         _, V = pca_top_subspace(inst)
         explained = [-inst.value(V[:, [j]]) for j in range(6)]
         assert np.all(np.diff(explained) <= 1e-12)
+
+
+class TestCayleyWoodbury:
+    def test_vs_dense_cayley(self):
+        # the d x d Cayley transform (I + t/2 W)^{-1} (I - t/2 W) X with
+        # W = X P^T - P X^T, solved densely
+        local = np.random.default_rng(7)
+        for t in (0.1, 1.0, 5.0):
+            X = np.linalg.qr(local.standard_normal((8, 3)))[0]
+            Z = local.standard_normal((8, 3))
+            E = Z - 0.5 * X @ (X.T @ Z + Z.T @ X)
+            P = E - 0.5 * X @ (X.T @ E)
+            W = X @ P.T - P @ X.T
+            want = np.linalg.solve(np.eye(8) + 0.5 * t * W, X - 0.5 * t * W @ X)
+            np.testing.assert_allclose(cayley_woodbury(X, E, t), want, atol=1e-12)
