@@ -17,7 +17,7 @@ from .problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
                        mc_load_observations, mc_save_observations, pca_generate,
                        pca_load)
 from .optimizers import (BB, Fixed, RunTrace, Schedule, SvrgConfig, Theorem1,
-                         bb_step, run_rgd, run_s_sgd, run_s_svrg, select_output,
-                         theorem1_schedule, warm_start)
+                         bb_step, run_rgd, run_s_sgd, run_s_svrg, theorem1_schedule,
+                         warm_start)
 from .harness import (ExperimentSpec, SummaryRow, emit_table, grid_tune,
                       run_experiment)

@@ -48,18 +48,18 @@ def _add_run_flags(p):
 
 
 def build_spec(args):
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config(args.config))
-    for name in _SPEC_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    for key in values:
+    values = read_config(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _SPEC_TYPES and v is not None)
+    # config-file values arrive as strings: convert each with its field's type
+    for key, val in values.items():
         if key not in _SPEC_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-    # config-file values arrive as strings: convert each with its field's type
-    return ExperimentSpec(**{key: _SPEC_TYPES[key](val) for key, val in values.items()})
+        try:
+            values[key] = _SPEC_TYPES[key](val)
+        except ValueError:
+            kind = _SPEC_TYPES[key].__name__
+            raise ValueError(f"{key} = {val!r} is not of type {kind}") from None
+    return ExperimentSpec(**values)
 
 
 def cmd_run(args):
@@ -75,7 +75,10 @@ def cmd_run(args):
 
 def cmd_tune(args):
     spec = build_spec(args)
-    grid = [float(x) for x in args.grid.split(",") if x.strip()]
+    try:
+        grid = [float(x) for x in args.grid.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--grid {args.grid!r} is not of the form <tau>,<tau>,...") from None
     tau_star, row = grid_tune(spec, grid)
     print(f"tau_star={tau_star:g}")
     text, _ = emit_table([row], spec)

@@ -76,8 +76,12 @@ class ExperimentSpec:
     out: str = None               # directory for CSVs; None skips writing
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        # a numpy integer is taken as the int it is (config_hash reads repr)
+        for f in fields(self):
+            if f.type is int and isinstance(getattr(self, f.name), np.integer):
+                object.__setattr__(self, f.name, int(getattr(self, f.name)))
+        if not (isinstance(self.runs, int) and self.runs >= 1):
+            raise ValueError(f"runs must be an integer of at least 1, got {self.runs!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         # the checks build_problem's generator makes before it draws, with its
@@ -164,10 +168,9 @@ def build_problem(spec: ExperimentSpec):
 def resolve_inner_k(spec: ExperimentSpec):
     if str(spec.inner_k) == "auto":
         return max(1, round(5.0 / spec.batch_frac))
-    try:
-        return int(str(spec.inner_k))
-    except ValueError:
-        raise ValueError(f"inner_k = {spec.inner_k!r} is not an integer or 'auto'") from None
+    if not (str(spec.inner_k).isdecimal() and int(spec.inner_k) >= 1):
+        raise ValueError(f"inner_k = {spec.inner_k!r} is not a positive integer or 'auto'")
+    return int(spec.inner_k)
 
 
 def build_config(spec: ExperimentSpec, run_seed):
@@ -191,9 +194,7 @@ def reference_value(spec: ExperimentSpec, problem):
     solved once per instance); completion of exact-rank data has optimum 0
     on the observed objective.
     """
-    if isinstance(problem, PcaInstance):
-        return problem.optimum()
-    return 0.0
+    return problem.optimum() if isinstance(problem, PcaInstance) else 0.0
 
 
 def _single_run(problem, spec, run_id):

@@ -39,7 +39,6 @@ __all__ = [
     "bb_step",
     "theorem1_schedule",
     "gamma_fn",
-    "select_output",
     "warm_start",
 ]
 
@@ -120,26 +119,27 @@ class SvrgConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        for name in ("K", "batch", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not isinstance(self.step_mode, (Fixed, BB, Theorem1)):
-            raise ValueError(f"unknown step mode {self.step_mode!r}")
+            raise ValueError(f"step_mode = {self.step_mode!r} is not Fixed, BB or Theorem1")
 
 
 @dataclass
 class RunTrace:
-    """Per-epoch records plus counters; wall seconds carry no guarantees."""
+    """Per-epoch records and counters, filled by the run; seconds carry no guarantees."""
 
-    epoch: list = field(default_factory=list)
-    f: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
-    step_size: list = field(default_factory=list)
-    ifo_calls: list = field(default_factory=list)
-    ro_calls: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
     status: str = "MaxEpochs"
-    events: list = field(default_factory=list)
+    epoch: list = field(init=False, default_factory=list)
+    f: list = field(init=False, default_factory=list)
+    grad_norm: list = field(init=False, default_factory=list)
+    step_size: list = field(init=False, default_factory=list)
+    ifo_calls: list = field(init=False, default_factory=list)
+    ro_calls: list = field(init=False, default_factory=list)
+    seconds: list = field(init=False, default_factory=list)
+    events: list = field(init=False, default_factory=list)
 
     def record(self, s, fval, gnorm, tau, ifo, ro, t0):
         self.epoch.append(s)
@@ -247,14 +247,6 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
                     Delta=Delta, p=p, L_tilde=L_tilde, L_hat=L_hat)
 
 
-def select_output(p_sk, rng):
-    """Draw the index k of the epoch's output X_k, k in 0..len(p_sk)-1, with weights p_sk."""
-    p = np.asarray(p_sk, dtype=float)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("probabilities must sum to 1")
-    return int(rng.choice(len(p), p=p / p.sum()))
-
-
 # ---------------------------------------------------------------------------
 # gradient estimators and steps
 
@@ -328,15 +320,16 @@ def _single_sample_path(problem, config, X, tau, N, rng, events):
         yield X
 
 
-def _start_point(problem, config, X0, rng):
-    """The start array: a validated copy of X0, or a random draw from rng."""
+def _check_rank(problem, config):
     if config.r != problem.r:
         raise ValueError(f"config rank r = {config.r} does not match the problem's "
                          f"r = {problem.r}")
-    if X0 is None:
-        return qr_positive(rng.standard_normal((problem.d, config.r)))[0]
-    if not isinstance(X0, StiefelPoint):
-        X0 = StiefelPoint(X0)
+
+
+def _start_point(problem, config, X0):
+    """The start array: a copy of X0, checked for rank, orthonormality and shape."""
+    _check_rank(problem, config)
+    X0 = X0 if isinstance(X0, StiefelPoint) else StiefelPoint(X0)
     if X0.shape != (problem.d, config.r):
         raise ValueError(f"X0 has shape {X0.shape}, expected ({problem.d}, {config.r})")
     return X0.X.copy()
@@ -345,7 +338,7 @@ def _start_point(problem, config, X0, rng):
 # ---------------------------------------------------------------------------
 # the three methods
 
-def run_s_svrg(problem, config: SvrgConfig, X0=None):
+def run_s_svrg(problem, config: SvrgConfig, X0):
     """Epoch-anchored variance-reduced descent (the main method).
 
     Per epoch: full Euclidean gradient at the anchor, a step size from the
@@ -370,7 +363,7 @@ def _run_anchored(problem, config, X0, K, batch):
     # its one step is at the anchor, where the correction is exactly zero
     t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SVRG)))
-    X = _start_point(problem, config, X0, rng)
+    X = _start_point(problem, config, X0)
     n = problem.n
     rho = config.rho
     mode = config.step_mode
@@ -414,7 +407,7 @@ def _run_anchored(problem, config, X0, K, batch):
         ifo += 2 * batch * K
         ro += K
         # Theorem1's output X_k: the steps past it are charged above, not taken
-        out = K if schedule is None else select_output(schedule.p, rng)
+        out = K if schedule is None else int(rng.choice(K, p=schedule.p))
         for idx in batches[:out]:
             X = _inner_step(diff, config.retraction, X, anchor, egrad0, idx, tau, rho)
 
@@ -428,7 +421,7 @@ def _reject_theorem1(config, method):
         raise ValueError(f"{method} has no inner loop or batch for the Theorem1 rule to size")
 
 
-def run_s_sgd(problem, config: SvrgConfig, X0=None):
+def run_s_sgd(problem, config: SvrgConfig, X0):
     """Single-sample stochastic descent with a constant step.
 
     The run's length is N = config.K * config.max_epochs.  Fixed(tau) is
@@ -445,7 +438,7 @@ def run_s_sgd(problem, config: SvrgConfig, X0=None):
     t0 = time.perf_counter()
     N = config.K * config.max_epochs
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SGD)))
-    X = _start_point(problem, config, X0, rng)
+    X = _start_point(problem, config, X0)
     n = problem.n
     rho = config.rho
 
@@ -488,7 +481,7 @@ def run_s_sgd(problem, config: SvrgConfig, X0=None):
     return StiefelPoint(X_out), trace
 
 
-def run_rgd(problem, config: SvrgConfig, X0=None):
+def run_rgd(problem, config: SvrgConfig, X0):
     """Deterministic full-gradient baseline under the same retraction.
 
     run_s_svrg's epochs with one step each, along the anchor's full
@@ -508,8 +501,9 @@ def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     comparisons share initial conditions.  The refinement step is 1/(2L),
     small relative to the component curvature.
     """
+    _check_rank(problem, config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_WARM)))
-    X = _start_point(problem, config, None, rng)
+    X = qr_positive(rng.standard_normal((problem.d, problem.r)))[0]
     tau = 0.5 / problem.constants().L
     for X in _single_sample_path(problem, config, X, tau, config.K, rng, []):
         pass  # keeps the last iterate alone, not all K + 1

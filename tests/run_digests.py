@@ -6,7 +6,16 @@ Run from the repository root:
     PYTHONPATH=<other tree>/src python tests/run_digests.py > old.txt
     diff old.txt new.txt
 
-Arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
+or, to compare with a git revision of this repository in one step,
+
+    python tests/run_digests.py --against REV
+
+which unpacks REV's `src/` with `git archive` into a temporary directory,
+runs the same cells on it and on this tree's `src/`, one after the other,
+each in a subprocess, and prints the lines that differ (`<` REV's, `>` this
+tree's) and `N of M lines differ`; it exits 1 when a line differs.
+
+Other arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
 replays only the cells whose names start with one of them.
 
 The runs are criterion 7's 140 (the desk PCA cell under each retraction),
@@ -18,18 +27,27 @@ events, the status and the final X; a run that raises digests its
 "<ExcType>: <message>".  Only ExperimentSpec, build_problem and
 _single_run are called, so any tree with those three can be checked;
 digests agree only under the same numpy and BLAS.  A full pass took
-60-75 s on 2 cores, nearly all of it criteria 7 and 9.
+60-75 s on 2 cores, nearly all of it criteria 7 and 9; `--against` makes
+two passes, 2.5 minutes.
 """
 
+import argparse
 import hashlib
+import io
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+# after PYTHONPATH, so that PYTHONPATH=<other tree>/src picks the package
+sys.path.append(os.path.join(ROOT, "src"))
 
 from manifold_svrg.harness import ExperimentSpec, _single_run, build_problem  # noqa: E402
 
@@ -90,5 +108,36 @@ def main(prefixes):
             print(name, run_id, digest(problem, spec, run_id), flush=True)
 
 
+def _lines(src, prefixes):
+    """This script's output with the package imported from the directory src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *prefixes], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+
+
+def against(rev, prefixes):
+    """Print the lines on which REV's src/ and this tree's differ; 1 if any do."""
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        old = _lines(os.path.join(tmp, "src"), prefixes)
+    new = _lines(os.path.join(ROOT, "src"), prefixes)
+    # "cell run_id" -> sha256, on each side
+    old, new = (dict(line.rsplit(" ", 1) for line in side) for side in (old, new))
+    keys = list(dict.fromkeys([*old, *new]))
+    differ = [key for key in keys if old.get(key) != new.get(key)]
+    for key in differ:
+        print(f"< {key} {old.get(key, '-')}\n> {key} {new.get(key, '-')}")
+    print(f"{len(differ)} of {len(keys)} lines differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    parser = argparse.ArgumentParser(description="one sha256 per run of the gate cells")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the git revision REV's src/")
+    parser.add_argument("prefixes", nargs="*", help="replay only cells with these prefixes")
+    args = parser.parse_args()
+    sys.exit(against(args.against, args.prefixes) if args.against else main(args.prefixes))

@@ -70,10 +70,27 @@ class TestSpec:
                                      # malformed step rules and inner counts
                                      dict(step="thm1:1"), dict(step="thm1:0.5,1,2"),
                                      dict(step="thm1:a,b"), dict(step="fixed:abc"),
-                                     dict(step="fixed:"), dict(inner_k="2.5")])
+                                     dict(step="fixed:"), dict(inner_k="2.5"),
+                                     # counts and the seed, which numpy or range()
+                                     # would refuse only once a run starts
+                                     dict(runs=2.5), dict(runs=2.0), dict(max_epochs=2.5),
+                                     dict(seed=-1), dict(seed=0.5)])
     def test_shape_and_batch_validation(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             tiny_spec(**bad)
+        # the message names a field it was given
+        assert any(name in str(err.value) for name in bad), str(err.value)
+
+    def test_numpy_integer_counts_accepted(self):
+        # taken as the ints they are: the same spec, hash and summary
+        spec = tiny_spec(runs=np.int64(2), max_epochs=np.int32(3), seed=np.int64(4),
+                         d=np.int64(10))
+        plain = tiny_spec(runs=2, max_epochs=3, seed=4, d=10)
+        assert spec == plain and spec.config_hash() == plain.config_hash()
+        assert {type(getattr(spec, f.name)) for f in fields(spec) if f.type is int} == {int}
+        # the summary's statistics.pstdev refuses a numpy integer epoch count
+        rows = [run_experiment(s)[0] for s in (spec, plain)]
+        assert rows[0].epoch_std == rows[1].epoch_std and rows[0].epoch_avg == rows[1].epoch_avg
 
     @pytest.mark.parametrize("d, n, r, error, message", [
         (10, 3, 5, ValueError, "r = 5 outside [1, min(d, n) = 3]"),
@@ -114,9 +131,9 @@ class TestSpec:
     def test_resolve_inner_k(self):
         assert resolve_inner_k(tiny_spec(inner_k="auto", batch_frac=0.01)) == 500
         assert resolve_inner_k(tiny_spec(inner_k="7")) == 7
-        for bad in ("2.5", "x", ""):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"inner_k = {bad!r} is not an integer or 'auto'")):
+        for bad in ("2.5", "x", "", "0", "-3"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"inner_k = {bad!r} is not a positive integer or 'auto'")):
                 tiny_spec(inner_k=bad)
 
     def test_build_config_batch(self):
@@ -409,6 +426,15 @@ class TestConfigFile:
         spec = self._spec_from(tmp_path, "grad-tol=1e-4\nmax-epochs=9\n")
         assert spec.grad_tol == 1e-4 and isinstance(spec.max_epochs, int)
 
+    @pytest.mark.parametrize("line, message", [
+        ("d = abc", "d = 'abc' is not of type int"),
+        ("max-epochs = 2.5", "max_epochs = '2.5' is not of type int"),
+        ("rho = fast", "rho = 'fast' is not of type float")])
+    def test_unparsable_value_named(self, tmp_path, line, message):
+        # the key, the value and the type it should have
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self._spec_from(tmp_path, line + "\n")
+
 
 class TestCliMain:
     RUN_ARGS = ["--problem", "pca", "--method", "s-svrg-bb", "--retraction", "qr",
@@ -444,17 +470,24 @@ class TestCliMain:
         assert flags["--method"].choices == METHOD_STEPS
         assert flags["--retraction"].choices == [kind.value for kind in RetractionKind]
 
-    def test_error_exit_code(self, capsys):
+    def test_error_exit_code(self, capsys, tmp_path):
         code = main(["run", "--problem", "pca", "--step", "warp"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        config = tmp_path / "cfg"
+        config.write_text("d = abc\n")
         # a malformed value is reported with its field and the accepted form
-        for flag, value, message in (
-                ("--step", "thm1:1", "step = 'thm1:1' is not of the form thm1:<mu>,<kappa>"),
-                ("--step", "fixed:abc", "step = 'fixed:abc' is not of the form fixed:<tau>"),
-                ("--inner-k", "2.5", "inner_k = '2.5' is not an integer or 'auto'")):
-            assert main(["run", "--problem", "pca", flag, value]) == 2
+        for argv, message in (
+                (["--step", "thm1:1"], "step = 'thm1:1' is not of the form thm1:<mu>,<kappa>"),
+                (["--step", "fixed:abc"], "step = 'fixed:abc' is not of the form fixed:<tau>"),
+                (["--inner-k", "2.5"], "inner_k = '2.5' is not a positive integer or 'auto'"),
+                (["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
+                (["--config", str(config)], "d = 'abc' is not of type int")):
+            assert main(["run", "--problem", "pca", *argv]) == 2
             assert f"error: {message}\n" in capsys.readouterr().err
+        assert main(["tune", "--method", "s-svrg", "--grid", "0.1,abc"]) == 2
+        assert ("error: --grid '0.1,abc' is not of the form <tau>,<tau>,...\n"
+                in capsys.readouterr().err)
 
     def test_rejected_spec_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "cell"

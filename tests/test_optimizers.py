@@ -12,10 +12,9 @@ from manifold_svrg.harness import _single_run, build_problem
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error,
                                     nu_of_rho)
-from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, bb_step,
+from manifold_svrg.optimizers import (BB, Fixed, RunTrace, SvrgConfig, Theorem1, bb_step,
                                       gamma_fn, run_rgd, run_s_sgd, run_s_svrg,
-                                      select_output, theorem1_schedule, warm_start,
-                                      _step)
+                                      theorem1_schedule, warm_start, _step)
 from manifold_svrg.problems import PcaInstance, ProblemConstants, mc_generate, pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind
 from oracles import (brute_force_expectation, declared_derivative, fd_derivative,
@@ -189,42 +188,24 @@ class TestSchedule:
 
     @pytest.mark.parametrize("bad", [dict(step_mode=0.1), dict(rho=math.nan),
                                      dict(rho=math.inf), dict(grad_tol=math.nan),
-                                     dict(grad_tol=-1.0)])
+                                     dict(grad_tol=-1.0),
+                                     # counts and the seed are integers
+                                     dict(seed=-1), dict(seed=1.5), dict(seed=2.0),
+                                     dict(K=2.5), dict(batch=2.0), dict(max_epochs=2.5),
+                                     dict(K=0), dict(batch=0), dict(max_epochs=0)])
     def test_config_values_validated(self, bad):
         # an unknown step mode has no step rule; a NaN rho fails every run at
-        # its first step, and a NaN grad_tol never stops one
-        with pytest.raises(ValueError):
+        # its first step, and a NaN grad_tol never stops one.  A negative
+        # seed fails numpy's SeedSequence and a fractional count the loop's
+        # range(); each is refused here, naming the field
+        (name,) = bad
+        with pytest.raises(ValueError, match=f"^{name} "):
             SvrgConfig(**bad)
 
-
-class TestSelectOutput:
-    def test_degenerate_mass(self):
-        p = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
-        assert select_output(p, np.random.default_rng(0)) == 3
-
-    def test_uniform_frequencies(self):
-        K = 5
-        p = np.full(K, 1.0 / K)
-        r2 = np.random.default_rng(17)
-        counts = np.zeros(K)
-        draws = 100_000
-        for _ in range(draws):
-            counts[select_output(p, r2)] += 1
-        sd = math.sqrt(draws * (1 / K) * (1 - 1 / K))
-        assert np.all(np.abs(counts - draws / K) <= 3.0 * sd)
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), K=st.integers(1, 300))
-    def test_trailing_zero_weight_draws_alike(self, seed, K):
-        # the schedule once padded p with p[K] = 0 for the never-returned X_K;
-        # numpy's generator draws the same index, and leaves the same state,
-        # over the K weights alone, so thm1 traces do not depend on the pad
-        delta = np.random.default_rng(seed).uniform(0.1, 1.0, size=K)
-        p = delta / delta.sum()
-        padded = np.append(p, 0.0)
-        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-        assert select_output(p, a) == int(b.choice(K + 1, p=padded / padded.sum()))
-        assert a.bit_generator.state == b.bit_generator.state
+    def test_numpy_integers_accepted(self):
+        cfg = SvrgConfig(K=np.int64(3), batch=np.int32(2), max_epochs=np.int64(4),
+                         seed=np.uint32(7))
+        assert (cfg.K, cfg.batch, cfg.max_epochs, cfg.seed) == (3, 2, 4, 7)
 
 
 class TestMinibatchDraw:
@@ -458,26 +439,36 @@ class TestTheorem1Epoch:
         inst = small_pca(30, 300, 3, seed=1)
         cfg = SvrgConfig(step_mode=Theorem1(0.5, 1.0), max_epochs=6, grad_tol=0.0,
                          seed=2, r=3)
-        retractions, draws = [0], []
-        retract, select = optimizers.retract_array, optimizers.select_output
+        # the retraction count at each epoch's anchor
+        retractions, at_anchor = [0], []
+        retract, anchored = optimizers.retract_array, inst.anchored
 
         def counted_retract(*args):
             retractions[0] += 1
             return retract(*args)
 
-        def counted_select(p, rng):
-            # retractions before this epoch's steps, the drawn k, and K
-            draws.append((retractions[0], select(p, rng), len(p)))
-            return draws[-1][1]
+        def counted_anchored(X):
+            at_anchor.append(retractions[0])
+            return anchored(X)
 
         monkeypatch.setattr(optimizers, "retract_array", counted_retract)
-        monkeypatch.setattr(optimizers, "select_output", counted_select)
+        inst.anchored = counted_anchored
         _, tr = run_s_svrg(inst, cfg, X0=random_point(30, 3))
-        before, drawn, K = zip(*draws)
-        assert list(np.diff([*before, retractions[0]])) == list(drawn)
-        assert sum(drawn) < 6 * K[0]
+
+        # replay the run's generator: each epoch draws its K batches, then k
+        consts = inst.constants()
+        s = theorem1_schedule(inst.n, 0.5, 1.0, consts.L, consts.C, L1=1.0, L2=0.5,
+                              r=cfg.r, nu=nu_of_rho(cfg.rho))
+        replay = np.random.default_rng(np.random.SeedSequence((2, optimizers._STREAM_SVRG)))
+        drawn = []
+        for _ in range(6):
+            replay.integers(inst.n, size=(s.K, s.batch))
+            drawn.append(int(replay.choice(s.K, p=s.p)))
+        # an epoch takes exactly k retractions
+        assert list(np.diff(at_anchor)) == drawn
+        assert sum(drawn) < 6 * s.K
         # RO stays nominal: all K steps of each epoch are charged
-        assert tr.ro_calls == [e * K[0] for e in range(7)]
+        assert tr.ro_calls == [e * s.K for e in range(7)]
 
     def test_keeps_one_iterate(self):
         # K = 100 steps at d = 400, r = 10: holding all K + 1 iterates of
@@ -540,9 +531,24 @@ def test_rank_mismatch_rejected(make, solve):
         setattr(inst, name, lambda *a, oracle=oracle, name=name:
                 calls.append(name) or oracle(*a))
     cfg = SvrgConfig(step_mode=Fixed(0.01), K=2, batch=2, max_epochs=2, r=3)
+    X0 = () if solve is warm_start else (random_point(10, 2),)
     with pytest.raises(ValueError, match="r = 3 does not match the problem's r = 2"):
-        solve(inst, cfg)
+        solve(inst, cfg, *X0)
     assert calls == []
+
+
+@pytest.mark.parametrize("solve", [run_s_svrg, run_rgd, run_s_sgd],
+                         ids=["s-svrg", "rgd", "s-sgd"])
+def test_runner_requires_x0(solve):
+    # warm_start is the one place a start is drawn; a runner only checks one
+    with pytest.raises(TypeError, match="X0"):
+        solve(small_pca(), SvrgConfig(r=2))
+
+
+def test_trace_columns_filled_by_the_run():
+    assert RunTrace(status="GradTol").epoch == []
+    with pytest.raises(TypeError):
+        RunTrace(epoch=[1])
 
 
 class HalvedPca(PcaInstance):
@@ -625,7 +631,7 @@ class TestRunSgd:
         # as step N, after N - 1 steps
         inst = pca_generate(30, 60, 3, 0)
         cfg = SvrgConfig(step_mode=Fixed(0.05), K=200, max_epochs=1, seed=0, r=3)
-        X, tr = run_s_sgd(inst, cfg)
+        X, tr = run_s_sgd(inst, cfg, X0=random_point(30, 3))
         assert tr.epoch[-2:] == [198, 200]
         assert tr.ifo_calls[-1] == tr.ro_calls[-1] == 199
         f, egrad = inst.full_value_egrad(X.X)
