@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .errors import NoConvergentTau
-from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
-                         run_s_svrg, warm_start)
+from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, check_count, run_rgd,
+                         run_s_sgd, run_s_svrg, warm_start)
 from .problems import (McInstance, PcaInstance, check_cond, mc_check, mc_generate,
                        pca_check, pca_generate)
 from .retractions import RetractionKind
@@ -76,12 +76,12 @@ class ExperimentSpec:
     out: str = None               # directory for CSVs; None skips writing
 
     def __post_init__(self):
-        # a numpy integer is taken as the int it is (config_hash reads repr)
+        # a count is an int of at least 1 and the seed one of at least 0; a
+        # numpy integer is taken as the int it is (config_hash reads repr)
         for f in fields(self):
-            if f.type is int and isinstance(getattr(self, f.name), np.integer):
-                object.__setattr__(self, f.name, int(getattr(self, f.name)))
-        if not (isinstance(self.runs, int) and self.runs >= 1):
-            raise ValueError(f"runs must be an integer of at least 1, got {self.runs!r}")
+            if f.type is int:
+                low = 0 if f.name == "seed" else 1
+                object.__setattr__(self, f.name, check_count(f.name, getattr(self, f.name), low))
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         # the checks build_problem's generator makes before it draws, with its

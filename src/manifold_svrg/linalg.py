@@ -2,8 +2,7 @@
 
 All kernels are pure functions on numpy arrays (row-major, float64) and
 reject non-finite input.  Matrices here are small: d x r iterates and
-r x r (or 2r x 2r) Gram blocks.  Every kernel calls numpy only, so the
-solver loop runs on the one BLAS that numpy links.
+r x r (or 2r x 2r) Gram blocks.
 """
 
 import numpy as np
@@ -56,63 +55,16 @@ def polar_project(A):
     return U @ Vt
 
 
-# Scaling and squaring with diagonal Pade approximants (Higham, "The
-# scaling and squaring method for the matrix exponential revisited", SIAM
-# J. Matrix Anal. Appl. 2005): theta_m is the largest 1-norm for which the
-# degree-m approximant is accurate to unit roundoff, b the coefficients of
-# its numerator p(A) = sum b_k A^k; the denominator is p(-A).  The last
-# row, degree 13, also serves every larger norm after scaling.
-_PADE = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                            1512.0, 56.0, 1.0)),
-    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
-                           7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                           10559470521600.0, 670442572800.0, 33522128640.0,
-                           1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-)
-
-
-def _pade_odd_even(A, I, b):
-    """U = odd and V = even part of the degree-m numerator, m = len(b) - 1."""
-    A2 = A @ A
-    P = A2
-    u = b[1] * I + b[3] * A2
-    v = b[0] * I + b[2] * A2
-    for k in range(4, len(b), 2):
-        P = P @ A2
-        u += b[k + 1] * P
-        v += b[k] * P
-    return A @ u, v
-
-
 def expm(A):
-    """Matrix exponential of a square matrix by scaling and squaring.
+    """Exponential of the skew part S = (A - A^T)/2 of a square matrix.
 
-    Uses the lowest Pade degree (3, 5, 7, 9 or 13) whose error bound holds
-    at the 1-norm of A; above theta_13, A is scaled by 2^-s (exact) and the
-    result squared s times.  Written in numpy rather than calling scipy:
-    scipy bundles a second BLAS, and each of its calls right after one of
-    numpy's threaded GEMMs in the solver loop waits for that library's
-    thread pool, which took milliseconds for a block that needs tens of
-    microseconds.
+    iS is Hermitian, iS = V diag(lam) V^H, so exp(S) = V diag(e^{-i lam}) V^H:
+    orthogonal up to the rounding of one unitary V, with no squaring step to
+    build up error.  A's symmetric part is ignored.
     """
-    A = np.asarray(A, dtype=float)
     check_finite(A, "expm input")
-    I = np.eye(A.shape[0])
-    norm = np.abs(A).sum(axis=0).max(initial=0.0)
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
-    s = 0 if norm <= theta else int(np.ceil(np.log2(norm / theta)))
-    U, V = _pade_odd_even(np.ldexp(A, -s), I, b)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
+    lam, V = np.linalg.eigh(1j * skew(A))
+    return ((V * np.exp(-1j * lam)) @ V.conj().T).real
 
 
 def skew(A):

@@ -31,6 +31,7 @@ __all__ = [
     "BB",
     "Theorem1",
     "SvrgConfig",
+    "check_count",
     "Schedule",
     "RunTrace",
     "run_s_svrg",
@@ -94,6 +95,13 @@ class Theorem1:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
+def check_count(name, value, low):
+    """value as an int of at least low; a numpy integer passes, a float or a bool fails."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SvrgConfig:
     """One run's settings; every method takes them as run(problem, config, X0).
@@ -120,9 +128,7 @@ class SvrgConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+            check_count(name, getattr(self, name), low)
         if not isinstance(self.step_mode, (Fixed, BB, Theorem1)):
             raise ValueError(f"step_mode = {self.step_mode!r} is not Fixed, BB or Theorem1")
 

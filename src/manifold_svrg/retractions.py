@@ -58,9 +58,10 @@ def _retract_exp1(X, E, t):
     # a vertical direction makes D = (I - XX^T)E rank deficient and the
     # block exponential degenerates gracefully with zero rows in R.  Q and
     # R take no sign fix: flipping Q's columns and R's rows conjugates blk
-    # by a diagonal sign matrix S, expm(S blk S) = S expm(blk) S bit for
-    # bit (negation is exact and pivoting sees only magnitudes), and the
-    # product with [X Q] cancels S
+    # by a diagonal sign matrix S, expm(S blk S) = S expm(blk) S, and the
+    # product with [X Q] cancels S (bit for bit in the eigensolve, unproved:
+    # test_exp1_needs_no_qr_sign_fix checks it).  expm reads blk's skew part
+    # only, so a direction off the tangent space still lands on the manifold
     Q, R = np.linalg.qr(E - X @ A)
     blk = np.zeros((2 * r, 2 * r))
     blk[:r, :r] = A

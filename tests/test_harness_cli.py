@@ -74,7 +74,13 @@ class TestSpec:
                                      # counts and the seed, which numpy or range()
                                      # would refuse only once a run starts
                                      dict(runs=2.5), dict(runs=2.0), dict(max_epochs=2.5),
-                                     dict(seed=-1), dict(seed=0.5)])
+                                     dict(seed=-1), dict(seed=0.5),
+                                     # shapes, which numpy would refuse inside the
+                                     # generator, or which would hash apart from the
+                                     # equal int; and bools, which are no counts
+                                     dict(d=10.5), dict(n=20.5), dict(r=2.0),
+                                     dict(d=True), dict(r=True), dict(runs=True),
+                                     dict(max_epochs=True), dict(seed=False)])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError) as err:
             tiny_spec(**bad)
@@ -482,6 +488,12 @@ class TestCliMain:
                 (["--step", "fixed:abc"], "step = 'fixed:abc' is not of the form fixed:<tau>"),
                 (["--inner-k", "2.5"], "inner_k = '2.5' is not a positive integer or 'auto'"),
                 (["--seed", "-1"], "seed must be an integer of at least 0, got -1"),
+                # every count is checked by one rule with one message
+                (["--d", "0"], "d must be an integer of at least 1, got 0"),
+                (["--n", "0"], "n must be an integer of at least 1, got 0"),
+                (["--r", "0"], "r must be an integer of at least 1, got 0"),
+                (["--max-epochs", "0"], "max_epochs must be an integer of at least 1, got 0"),
+                (["--runs", "0"], "runs must be an integer of at least 1, got 0"),
                 (["--config", str(config)], "d = 'abc' is not of type int")):
             assert main(["run", "--problem", "pca", *argv]) == 2
             assert f"error: {message}\n" in capsys.readouterr().err

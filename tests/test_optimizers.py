@@ -192,7 +192,10 @@ class TestSchedule:
                                      # counts and the seed are integers
                                      dict(seed=-1), dict(seed=1.5), dict(seed=2.0),
                                      dict(K=2.5), dict(batch=2.0), dict(max_epochs=2.5),
-                                     dict(K=0), dict(batch=0), dict(max_epochs=0)])
+                                     dict(K=0), dict(batch=0), dict(max_epochs=0),
+                                     # a bool is no count
+                                     dict(K=True), dict(batch=True), dict(max_epochs=True),
+                                     dict(seed=False)])
     def test_config_values_validated(self, bad):
         # an unknown step mode has no step rule; a NaN rho fails every run at
         # its first step, and a NaN grad_tol never stops one.  A negative

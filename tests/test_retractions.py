@@ -180,6 +180,23 @@ class TestFreeRetractions:
         Y = retract_array(RetractionKind.EXP1, X, E, 0.7)
         assert feasibility_error(Y) <= 1e-10
 
+    def test_exp1_feasible_off_the_tangent_space(self):
+        # a generic direction gives X^T E a symmetric part; the block
+        # exponential reads only the skew part, so the step lands on the
+        # manifold and matches the step along E's tangent part
+        local = np.random.default_rng(3)
+        for _ in range(1000):
+            d = int(local.integers(2, 30))
+            r = int(local.integers(1, min(d, 5) + 1))
+            X = qr_positive(local.standard_normal((d, r)))[0]
+            E = local.standard_normal((d, r))
+            t = 10.0 ** local.uniform(-8.0, 3.0)
+            Y = retract_array(RetractionKind.EXP1, X, E, t)
+            assert feasibility_error(Y) <= 1e-10
+            tangent = tangent_project_array(X, E, TangentSpace.STIEFEL)
+            Yt = retract_array(RetractionKind.EXP1, X, tangent, t)
+            assert np.linalg.norm(Y - Yt) <= 1e-13 * (1.0 + t * np.linalg.norm(E))
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 30), data=st.data(),
            shape=st.sampled_from(["generic", "vertical", "partly vertical"]),
