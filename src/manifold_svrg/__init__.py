@@ -1,5 +1,5 @@
 """Vector-transport-free stochastic optimization on Stiefel and Grassmann
-manifolds, with an eight-retraction benchmark harness.
+manifolds, with a seven-retraction benchmark harness.
 
 The independent references the tests check the package against
 (Gram-Schmidt QR, a Taylor expm, Richardson differences, brute-force

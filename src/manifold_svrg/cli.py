@@ -14,7 +14,7 @@ from dataclasses import fields
 from .errors import ManifoldSvrgError
 from .harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, emit_table, grid_tune,
                       run_experiment)
-from .retractions import RetractionKind
+from .retractions import RETRACTION_NAMES
 
 
 def read_config(path):
@@ -34,7 +34,7 @@ def read_config(path):
 
 _SPEC_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
 _CHOICES = {"problem": PROBLEMS, "method": METHOD_STEPS,
-            "retraction": [kind.value for kind in RetractionKind]}
+            "retraction": RETRACTION_NAMES}
 _HELP = {"step": "fixed:<tau> | bb | thm1:<mu>,<kappa>",
          "inner_k": "inner iterations per epoch, or 'auto' = 5/batch-frac"}
 

@@ -60,7 +60,7 @@ METHOD_STEPS = {"s-svrg": (run_s_svrg, (Fixed, BB, Theorem1)),
 class ExperimentSpec:
     problem: str = "pca"          # one of PROBLEMS
     method: str = "s-svrg-bb"     # a key of METHOD_STEPS
-    retraction: str = "pd"
+    retraction: str = "pd"        # a name in RETRACTION_NAMES, kept as spelled
     d: int = 200
     n: int = 2000
     r: int = 5
@@ -175,7 +175,7 @@ def resolve_inner_k(spec: ExperimentSpec):
 
 def build_config(spec: ExperimentSpec, run_seed):
     return SvrgConfig(
-        retraction=RetractionKind.from_name(spec.retraction),
+        retraction=RetractionKind(spec.retraction),
         rho=spec.rho,
         step_mode=parse_step(spec.step),
         K=resolve_inner_k(spec),
@@ -246,6 +246,7 @@ def _write_trace(path, spec, result):
 def run_experiment(spec: ExperimentSpec, problem=None):
     """Execute all seeded runs of one experiment cell.
 
+    problem, when given, must be of the spec's kind and shape (d, n, r).
     Returns (SummaryRow, list of RunResult).  Failed runs (optimizer
     errors) are kept in the result list with their status and message.  A
     run succeeds when the point it returns has a recorded gradient norm of
@@ -254,6 +255,13 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     """
     if problem is None:
         problem = build_problem(spec)
+    if not isinstance(problem, PcaInstance if spec.problem == "pca" else McInstance):
+        raise ValueError(f"spec.problem = {spec.problem!r} but the problem is a "
+                         f"{type(problem).__name__}")
+    for name in ("d", "n", "r"):
+        if getattr(problem, name) != getattr(spec, name):
+            raise ValueError(f"spec.{name} = {getattr(spec, name)} but the problem has "
+                             f"{name} = {getattr(problem, name)}")
     f_star = reference_value(spec, problem)
     if spec.out is not None:
         os.makedirs(spec.out, exist_ok=True)

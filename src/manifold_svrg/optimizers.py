@@ -129,6 +129,10 @@ class SvrgConfig:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0)):
             check_count(name, getattr(self, name), low)
+        if self.retraction is RetractionKind.EXP2 and self.rho > 0:
+            # the Grassmann geodesic retracts only a horizontal direction,
+            # and -d_rho(X, G) has a vertical part when rho > 0
+            raise ValueError(f"exp2 needs rho = 0, got rho = {self.rho}")
         if not isinstance(self.step_mode, (Fixed, BB, Theorem1)):
             raise ValueError(f"step_mode = {self.step_mode!r} is not Fixed, BB or Theorem1")
 

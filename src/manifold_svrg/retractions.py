@@ -1,16 +1,17 @@
-"""Eight retraction names, seven maps, onto the Stiefel / Grassmann manifold.
+"""Seven retraction maps onto the Stiefel / Grassmann manifold.
 
-Six free-direction names (Stiefel geodesic, QR, polar, wy, jd, and the
+Five free-direction maps (Stiefel geodesic, QR, polar, jd, and the
 Grassmann geodesic exp2) accept a tangent direction; the polar one relies
 on it to take the polar factor of X + tE from an r x r eigensolve rather
-than an SVD.  wy and jd name one map: the Cayley transform of Wen & Yin
-(Math. Program. 2013) is the update of Jiang & Dai (Math. Program. 2015)
-with the weight phi(t) = t/2, and both names run the latter's r x r
-recipe.  The two gradient-coupled maps take the Euclidean gradient g
-itself and work on the step X - t g: gradient projection takes its polar
-factor, and gradient reflection reflects X through its column space, with
-the orthogonal projector built from the step's thin SVD.  Their
-derivatives at t = 0 are -d_rho(X, g) with rho = 1/4 and -2 d_0(X, g)
+than an SVD.  exp2 needs a horizontal direction, so the optimizers run it
+at rho = 0 only.  wy is a second spelling of jd: the Cayley transform of
+Wen & Yin (Math. Program. 2013) is the update of Jiang & Dai (Math.
+Program. 2015) with the weight phi(t) = t/2, and RetractionKind("wy") is
+RetractionKind.JD.  The two gradient-coupled maps take the Euclidean
+gradient g itself and work on the step X - t g: gradient projection takes
+its polar factor, and gradient reflection reflects X through its column
+space, with the orthogonal projector built from the step's thin SVD.
+Their derivatives at t = 0 are -d_rho(X, g) with rho = 1/4 and -2 d_0(X, g)
 respectively.  retract_array serves every kind through one table.  t is
 nonnegative in the optimizers; descent is encoded in the direction sign.
 """
@@ -24,6 +25,7 @@ from .linalg import check_finite, expm, polar_project, qr_positive
 
 __all__ = [
     "RetractionKind",
+    "RETRACTION_NAMES",
     "GRADIENT_KINDS",
     "retract_array",
     "retract_gp_array",
@@ -35,19 +37,26 @@ class RetractionKind(enum.Enum):
     EXP1 = "exp"     # Stiefel geodesic via the block exponential
     QR = "qr"        # QR factorization of X + tE
     PD = "pd"        # polar decomposition of X + tE
-    WY = "wy"        # Cayley transform (Wen-Yin); the same map as jd
-    JD = "jd"        # Jiang-Dai update with phi(t) = t/2
+    JD = "jd"        # Jiang-Dai update with phi(t) = t/2; "wy" spells it too
     GP = "gp"        # polar projection of a Euclidean gradient step
     GR = "gr"        # reflection through a Euclidean gradient step's column space
     EXP2 = "exp2"    # Grassmann geodesic via the compact SVD
 
     @classmethod
     def from_name(cls, name):
-        for kind in cls:
-            if kind.value == name:
-                return kind
+        return cls(name)
+
+    @classmethod
+    def _missing_(cls, name):
+        if name in _ALIASES:
+            return _ALIASES[name]
         raise ValueError(f"unknown retraction {name!r}")
 
+
+# names that decode to a kind besides its value: the Cayley transform of
+# Wen & Yin is the Jiang-Dai update with phi(t) = t/2
+_ALIASES = {"wy": RetractionKind.JD}
+RETRACTION_NAMES = tuple(kind.value for kind in RetractionKind) + tuple(_ALIASES)
 
 GRADIENT_KINDS = (RetractionKind.GP, RetractionKind.GR)
 
@@ -106,7 +115,7 @@ def _retract_jd(X, E, t):
     try:
         Ji = np.linalg.inv(J)
     except np.linalg.LinAlgError as exc:
-        raise SingularStep("wy/jd inner solve is singular; tangent is corrupted") from exc
+        raise SingularStep("jd inner solve is singular; tangent is corrupted") from exc
     return (2.0 * X + t * D) @ Ji - X
 
 
@@ -141,7 +150,6 @@ _RETRACTIONS = {
     RetractionKind.EXP1: _retract_exp1,
     RetractionKind.QR: _retract_qr,
     RetractionKind.PD: _retract_pd,
-    RetractionKind.WY: _retract_jd,
     RetractionKind.JD: _retract_jd,
     RetractionKind.GP: retract_gp_array,
     RetractionKind.GR: retract_gr_array,
@@ -155,8 +163,8 @@ def retract_array(kind, X, E, t):
     E is a tangent direction for the free kinds, where R'(0) = E, and the
     Euclidean gradient g for gp and gr, where R'(0) is -d_{1/4}(X, g) and
     -2 d_0(X, g) respectively.  Raises RankDeficient when the qr, pd or gp
-    step loses column rank, and SingularStep when the r x r solve of
-    wy/jd is singular.  Only the qr and gp steps can lose rank along the
+    step loses column rank, and SingularStep when the r x r solve of jd
+    is singular.  Only the qr and gp steps can lose rank along the
     directions the optimizers take.
 
     Domain of pd: E must be tangent, X^T E + E^T X = 0, as every optimizer

@@ -68,7 +68,7 @@ def test_criterion_1_retraction_axioms(capfd):
                               float(np.linalg.norm(got - want) / np.linalg.norm(want)))
     ok = worst_zero <= 1e-12 and worst_feas <= 1e-10 and worst_deriv <= 1e-5
     report(capfd, 1, ok,
-           f"8 kinds x 500 samples: |R(0)-X|<={worst_zero:.1e}, "
+           f"7 kinds x 500 samples: |R(0)-X|<={worst_zero:.1e}, "
            f"feasibility<={worst_feas:.1e}, derivative rel err<={worst_deriv:.1e}")
 
 

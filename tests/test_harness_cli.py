@@ -21,7 +21,7 @@ from manifold_svrg.manifold import d_rho_array
 from manifold_svrg.problems import mc_generate
 from manifold_svrg.optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
                                       run_s_svrg, warm_start)
-from manifold_svrg.retractions import RetractionKind
+from manifold_svrg.retractions import RETRACTION_NAMES, RetractionKind
 
 
 def tiny_spec(**overrides):
@@ -80,7 +80,9 @@ class TestSpec:
                                      # equal int; and bools, which are no counts
                                      dict(d=10.5), dict(n=20.5), dict(r=2.0),
                                      dict(d=True), dict(r=True), dict(runs=True),
-                                     dict(max_epochs=True), dict(seed=False)])
+                                     dict(max_epochs=True), dict(seed=False),
+                                     # exp2, whose step needs a horizontal direction
+                                     dict(retraction="exp2", rho=0.5)])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError) as err:
             tiny_spec(**bad)
@@ -109,6 +111,18 @@ class TestSpec:
             mc_generate(d, n, r, 10.0, seed=7)
         with pytest.raises(error, match=re.escape(message)):
             tiny_spec(problem="mc", d=d, n=n, r=r)
+
+    def test_wy_runs_jd_under_its_own_name(self):
+        # wy is a spelling of jd: the runs are jd's, bit for bit, while the
+        # spec, its hash and the summary row keep the name wy
+        spec = tiny_spec(retraction="wy")
+        assert build_config(spec, 0).retraction is RetractionKind.JD
+        assert ExperimentSpec(retraction="wy").config_hash() == "ab0a76f23010b822"
+        row, results = run_experiment(spec)
+        _, jd_results = run_experiment(replace(spec, retraction="jd"))
+        assert (spec.retraction, row.retraction) == ("wy", "wy")
+        for wy, jd in zip(results, jd_results):
+            assert (wy.trace.f, wy.trace.grad_norm) == (jd.trace.f, jd.trace.grad_norm)
 
     def test_config_hash_ignores_out(self):
         a = tiny_spec(out=None)
@@ -149,6 +163,17 @@ class TestSpec:
 
 
 class TestRunExperiment:
+    def test_rejects_a_problem_unlike_its_spec(self):
+        # a problem of another kind or shape is refused before any run,
+        # naming the spec field it disagrees with
+        spec = tiny_spec(runs=1)
+        for field, problem in (("problem", mc_generate(10, 20, 2, 10.0, seed=7)),
+                               ("d", build_problem(replace(spec, d=12))),
+                               ("n", build_problem(replace(spec, n=24))),
+                               ("r", build_problem(replace(spec, r=3)))):
+            with pytest.raises(ValueError, match=f"^spec.{field} = "):
+                run_experiment(spec, problem)
+
     def test_zero_step_never_converges(self):
         spec = tiny_spec(method="s-svrg", step="fixed:0", max_epochs=3, runs=2)
         row, results = run_experiment(spec)
@@ -463,6 +488,12 @@ class TestCliMain:
         assert code == 0
         assert "tau_star=0.5" in out
 
+    def test_run_wy_spelling(self, capsys):
+        args = list(self.RUN_ARGS)
+        args[args.index("qr")] = "wy"
+        assert main(["run", *args]) == 0
+        assert re.search(r"^s-svrg-bb +wy ", capsys.readouterr().out, re.M)
+
     @pytest.mark.parametrize("command, extra", [("run", set()), ("tune", {"--grid"})])
     def test_one_flag_per_spec_field(self, command, extra):
         (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -474,7 +505,7 @@ class TestCliMain:
             assert (flags[flag].dest, flags[flag].type) == (f.name, f.type)
         assert flags["--problem"].choices == PROBLEMS
         assert flags["--method"].choices == METHOD_STEPS
-        assert flags["--retraction"].choices == [kind.value for kind in RetractionKind]
+        assert flags["--retraction"].choices == RETRACTION_NAMES
 
     def test_error_exit_code(self, capsys, tmp_path):
         code = main(["run", "--problem", "pca", "--step", "warp"])

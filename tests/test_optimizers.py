@@ -205,6 +205,18 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{name} "):
             SvrgConfig(**bad)
 
+    def test_exp2_needs_rho_zero(self):
+        # exp2, the Grassmann geodesic, retracts only a horizontal direction;
+        # -d_rho(X, G) has a vertical part at rho > 0 and the step leaves
+        # the manifold
+        local = np.random.default_rng(4)
+        X = qr_positive(local.standard_normal((9, 3)))[0]
+        G = local.standard_normal((9, 3))
+        assert feasibility_error(_step(RetractionKind.EXP2, X, G, 0.3, 0.5)) > 1e-3
+        SvrgConfig(retraction=RetractionKind.EXP2, rho=0.0)
+        with pytest.raises(ValueError, match="^exp2 needs rho = 0, got rho = 0.5$"):
+            SvrgConfig(retraction=RetractionKind.EXP2, rho=0.5)
+
     def test_numpy_integers_accepted(self):
         cfg = SvrgConfig(K=np.int64(3), batch=np.int32(2), max_epochs=np.int64(4),
                          seed=np.uint32(7))
@@ -426,7 +438,7 @@ class TestTheorem1Epoch:
                                            ("qr", 0.5)])
     def test_matches_the_all_steps_loop(self, kind, rho):
         inst = small_pca(30, 300, 3, seed=1)
-        cfg = SvrgConfig(retraction=RetractionKind.from_name(kind), rho=rho,
+        cfg = SvrgConfig(retraction=RetractionKind(kind), rho=rho,
                          step_mode=Theorem1(0.5, 1.0), max_epochs=6, grad_tol=0.0,
                          seed=2, r=3)
         X0 = random_point(30, 3)
