@@ -174,34 +174,36 @@ class PcaInstance:
 def _lsq_normal(Xi, v):
     """Stacked least squares min ||Xi a - v|| through the normal equations.
 
-    Exactly singular normal equations send the stack to the minimum-norm
-    fits, from the SVD of Xi as in lstsq; a pseudo-inverse of Xi^T Xi would
-    square the condition number.
+    An exactly singular matrix alone gets lstsq's minimum-norm fit, from the
+    SVD of its Xi, not pinv(Xi^T Xi), which would square the condition number.
     """
     XiT = Xi.transpose(0, 2, 1)
     try:
         return np.linalg.solve(XiT @ Xi, XiT @ v)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(Xi) @ v
+        if len(Xi) == 1:
+            return np.linalg.pinv(Xi) @ v
+        return np.concatenate([_lsq_normal(Xi[k:k + 1], v[k:k + 1]) for k in range(len(Xi))])
 
 
 class McInstance:
     """Low-rank matrix completion from uniformly observed entries.
 
     Lives on the Grassmann manifold (rho = 0 by default): the objective is
-    invariant to right rotation of X.  Column i stores observed row indices
-    Omega_i, each at most once, and values; a column with no observations
-    contributes zero.
+    invariant to right rotation of X.  Omega is one triple: entry k is the
+    value vals[k] at (rows[k], cols[k]), each (row, column) at most once; a
+    column with no entry contributes zero.  Omega is stored once, padded per
+    column in the order given; rows and vals are read-only per-column views.
 
     Every oracle gets its least-squares coefficients from one stacked fit,
-    _fit, which also holds the one rank-deficient branch: a column of fewer
-    than r observations gets the minimum-norm fit, and so does every column
-    of a stack whose normal equations are exactly singular.  The full and
-    batch gradients pad every column's observations to one length and sum the
-    per-observation gradient rows 2 resid_i a_i^T into X's shape with a
-    single np.bincount over flat (row * r + j) slots precomputed at
-    construction; padding lands in a sentinel row that is dropped.
-    component_value_grad fits its one column unpadded.
+    _fit, which also holds the one rank-deficient rule: a column of fewer
+    than r observations, or whose normal equations are exactly singular,
+    gets the minimum-norm fit, and no other column's fit changes with it.
+    The full and batch gradients sum the per-observation gradient rows
+    2 resid_i a_i^T into X's shape with a single np.bincount over flat
+    (row * r + j) slots precomputed at construction; padding lands in a
+    sentinel row that is dropped.  component_value_grad fits its one column
+    unpadded.
 
     anchored(X) fits all n columns at X once; its batch difference gathers
     the anchor's per-observation rows from that fit, so an inner step of the
@@ -211,76 +213,82 @@ class McInstance:
     first call.
     """
 
-    def __init__(self, d, n, r, rows, vals, M_true=None):
+    def __init__(self, d, n, r, rows, cols, vals, M_true=None):
         self.d, self.n, self.r = int(d), int(n), int(r)
         _check_rank(self.r, self.d)
-        rows = [np.asarray(ri) for ri in rows]
-        self.vals = [np.asarray(vi, dtype=float) for vi in vals]
-        if len(rows) != self.n or len(self.vals) != self.n:
-            raise ValueError("need one observation list per column")
-        self.M_true = None if M_true is None else np.asarray(M_true, dtype=float)
-        lengths = np.fromiter(map(len, rows), np.intp, self.n)
-        self.num_observed = int(lengths.sum())
-        if self.num_observed == 0:
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
+            raise ValueError("rows, cols and vals must be 1-D and of one length, got shapes "
+                             f"{rows.shape}, {cols.shape} and {vals.shape}")
+        if rows.size == 0:
             raise ValueError("no observed entries")
-        flat_vals = np.concatenate(self.vals)
-        self._check_observations(lengths, np.concatenate(rows), flat_vals)
-        self.rows = [ri.astype(np.intp, copy=False) for ri in rows]
-        self._build_padded(lengths, np.concatenate(self.rows), flat_vals)
+        self.num_observed = rows.size
+        self.M_true = M = None if M_true is None else np.asarray(M_true, dtype=float)
+        if M is not None and M.shape != (self.d, self.n):
+            raise ValueError(f"M_true has shape {M.shape}, not (d, n) = {(self.d, self.n)}")
+        if M is not None and not np.isfinite(M).all():
+            raise NonFiniteInput("M_true has NaN or Inf entries")
+        self._check_observations(rows, cols, vals)
+        # on the smallest unsigned type that holds n - 1, numpy sorts by radix
+        self._build_padded(rows.astype(np.intp), cols.astype(np.min_scalar_type(self.n - 1)), vals)
         self._constants = None  # constants(), sampled on the first call
 
-    def _check_observations(self, lengths, flat_rows, flat_vals):
-        counts = np.fromiter(map(len, self.vals), np.intp, self.n)
-        bad = np.flatnonzero(counts != lengths)
-        if bad.size:
-            j = bad[0]
-            raise ValueError(f"column {j}: {counts[j]} values for {lengths[j]} row indices")
-        # the rows as given: a fractional one would be truncated to an
-        # integer, row d is the padding sentinel and a negative row would
-        # alias X[-1]
-        for bad, why in ((flat_rows != np.trunc(flat_rows), "is not an integer"),
-                         ((flat_rows < 0) | (flat_rows >= self.d), f"outside [0, {self.d})")):
-            bad = np.flatnonzero(bad)
-            if bad.size:
-                j = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right"))
-                raise InvalidObservation(f"column {j}: row index {flat_rows[bad[0]]} {why}")
-        if not np.all(np.isfinite(flat_vals)):
+    def _check_observations(self, rows, cols, vals):
+        # the indices as given: a fractional one would be truncated, row d is
+        # the padding sentinel and a negative index would alias the last one
+        for index, bound in ((cols, self.n), (rows, self.d)):
+            for bad, why in ((index != np.trunc(index), "is not an integer"),
+                             ((index < 0) | (index >= bound), f"outside [0, {bound})")):
+                bad = np.flatnonzero(bad)
+                if bad.size and index is cols:
+                    raise InvalidObservation(f"entry {bad[0]}: column index {cols[bad[0]]} {why}")
+                if bad.size:
+                    k = bad[np.argmin(cols[bad])]   # in the first column that holds one
+                    raise InvalidObservation(f"column {int(cols[k])}: row index {rows[k]} {why}")
+        if not np.isfinite(vals).all():
             raise NonFiniteInput("observed values contain NaN or Inf")
 
-    def _build_padded(self, lengths, flat_rows, flat_vals):
-        # pad every column's observation list to the same length so the
-        # normal-equation solves batch through one stacked LAPACK call; the
-        # sentinel row index d maps to an appended zero row of X, making
-        # padded residuals vanish identically
-        m_max = int(lengths.max())
-        filled = np.arange(m_max) < lengths[:, None]   # fills row-major: column by column
+    def _build_padded(self, rows, cols, vals):
+        # pad each column's entries, in the order given (the sort is stable),
+        # to one length so the normal-equation solves batch through one stacked
+        # LAPACK call; the sentinel row index d maps to an appended zero row of
+        # X, making padded residuals vanish identically
+        order = np.argsort(cols, kind="stable")
+        self._lengths = np.bincount(cols, minlength=self.n)
+        m_max = int(self._lengths.max())
+        filled = np.arange(m_max) < self._lengths[:, None]   # fills row-major: column by column
         self._pad_rows = np.full((self.n, m_max), self.d, dtype=np.intp)
-        self._pad_rows[filled] = flat_rows
-        # a row repeated inside one column would enter its fit twice, once per
-        # entry, though f_i observes each entry once; sorted, it shows as
-        # equal neighbours below the sentinel
+        self._pad_rows[filled] = rows[order]
+        # a row repeated in a column would enter its fit twice, though f_i
+        # observes it once; sorted, it shows as equal neighbours below d
         ranked = np.sort(self._pad_rows, axis=1)
-        repeat = np.argwhere((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < self.d))
-        if repeat.size:
-            j, k = repeat[0]
+        repeat = (ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < self.d)
+        if repeat.any():
+            j, k = np.argwhere(repeat)[0]
             raise InvalidObservation(f"column {j}: row index {ranked[j, k]} is repeated")
         self._pad_vals = np.zeros((self.n, m_max))
-        self._pad_vals[filled] = flat_vals
-        self._slots = (self._pad_rows[:, :, None] * self.r
-                       + np.arange(self.r)).reshape(self.n, m_max * self.r)
-        self._short = lengths < self.r
+        self._pad_vals[filled] = vals[order]
+        self._pad_rows.flags.writeable = self._pad_vals.flags.writeable = False
+        # one pass per j: broadcast over a trailing axis of r runs twice as slow
+        base = self._pad_rows * self.r
+        self._slots = np.empty((self.n, m_max * self.r), dtype=np.intp)
+        for j in range(self.r):
+            np.add(base, j, out=self._slots[:, j::self.r])
+        self._short = self._lengths < self.r
         self._has_short = bool(self._short.any())
+
+    rows = property(lambda self: [p[:m] for p, m in zip(self._pad_rows, self._lengths)])
+    vals = property(lambda self: [p[:m] for p, m in zip(self._pad_vals, self._lengths)])
 
     def _fit(self, Xi, v, short):
         """Least-squares coefficients a (b, r, 1) and residuals Xi a - v (b, m, 1).
 
         Xi (b, m, r) holds the observed rows of X for b columns and v (b, m, 1)
         their values; short (b,) flags columns with fewer than r observations,
-        or is None when the instance has no such column.
+        or is None when the instance has no such column.  Short and singular
+        columns get minimum-norm fits, and leave the others' bits alone.
         """
         if short is not None and short.any():
-            # a short column takes the minimum-norm fit on its own, so the
-            # other columns' fits do not depend on whether the stack holds one
             full = ~short
             a = np.empty((len(Xi), Xi.shape[2], 1))
             a[full] = _lsq_normal(Xi[full], v[full])
@@ -316,8 +324,8 @@ class McInstance:
     def component_value_grad(self, X, i):
         # the column's own rows, unpadded: zero-row padding would change the
         # Gram sums in the last bits
-        rows = self.rows[i]
-        a, resid = self._fit(X[rows][None], self.vals[i][None, :, None], self._short[i:i + 1])
+        rows, v = self._pad_rows[i, :self._lengths[i]], self._pad_vals[i, :self._lengths[i]]
+        a, resid = self._fit(X[rows][None], v[None, :, None], self._short[i:i + 1])
         resid = resid[0, :, 0]
         egrad = np.zeros_like(X)
         egrad[rows] = 2.0 * np.outer(resid, a[0, :, 0])
@@ -453,21 +461,16 @@ def mc_generate(d, n, r, cond, seed):
     M = (U * sigma) @ V.T
     flat = rng.choice(d * n, size=num, replace=False)
     flat.sort()
-    ii = flat // n
-    jj = flat % n
-    # group by column; the stable sort keeps each column's rows ascending
-    order = np.argsort(jj, kind="stable")
-    cuts = np.cumsum(np.bincount(jj, minlength=n))[:-1]
-    rows, vals = np.split(ii[order], cuts), np.split(M[ii, jj][order], cuts)
-    return McInstance(d, n, r, rows, vals, M_true=M)
+    ii, jj = np.divmod(flat, n)   # row-major order: each column's rows ascending
+    return McInstance(d, n, r, ii, jj, M.take(flat), M_true=M)
 
 
 def mc_save_observations(inst, path):
     """Write observed entries as 'i j value' triples, 1-based indices."""
     with open(path, "w") as fh:
-        for j in range(inst.n):
-            for i, v in zip(inst.rows[j], inst.vals[j]):
-                fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")
+        for j, (rows, vals) in enumerate(zip(inst.rows, inst.vals), 1):
+            for i, v in zip(rows.tolist(), vals.tolist()):
+                fh.write(f"{i + 1} {j} {v!r}\n")
 
 
 def mc_load_observations(path, r, d=None, n=None):
@@ -475,7 +478,8 @@ def mc_load_observations(path, r, d=None, n=None):
 
     Raises InvalidObservation, naming the line, for a malformed line, an
     index below 1 or beyond an explicit d / n, or a repeated (i, j), and
-    NonFiniteInput for a NaN or Inf value.
+    NonFiniteInput for a NaN or Inf value.  Each column keeps its entries in
+    file order.
     """
     ii, jj, vv = [], [], []
     seen = {}
@@ -509,9 +513,4 @@ def mc_load_observations(path, r, d=None, n=None):
         raise ValueError(f"no observations in {path}")
     d = (max(ii) + 1) if d is None else d
     n = (max(jj) + 1) if n is None else n
-    rows = [[] for _ in range(n)]
-    vals = [[] for _ in range(n)]
-    for i, j, v in zip(ii, jj, vv):
-        rows[j].append(i)
-        vals[j].append(v)
-    return McInstance(d, n, r, rows, vals)
+    return McInstance(d, n, r, ii, jj, vv)

@@ -27,6 +27,13 @@ def pca_component_value(inst, X, i):
     return -float(g @ g)
 
 
+def mc_from_columns(d, r, rows, vals, **kw):
+    """McInstance of len(rows) columns from per-column row and value lists."""
+    cols = [np.full(len(ri), j) for j, ri in enumerate(rows)]
+    return McInstance(d, len(rows), r, np.concatenate(rows), np.concatenate(cols),
+                      np.concatenate(vals), **kw)
+
+
 @st.composite
 def mc_cases(draw):
     """A small completion instance, two points and a batch.
@@ -46,7 +53,7 @@ def mc_cases(draw):
     vals = [local.standard_normal(m) for m in lengths]
     X0, Xk = (qr_positive(local.standard_normal((d, r)))[0] for _ in range(2))
     idx = local.integers(n, size=draw(st.integers(1, 2 * n)))
-    return McInstance(d, n, r, rows, vals), X0, Xk, idx
+    return mc_from_columns(d, r, rows, vals), X0, Xk, idx
 
 
 def lstsq_components(inst, X):
@@ -418,14 +425,14 @@ class TestMcInstance:
     @pytest.mark.parametrize("d, r", [(2, 0), (2, 3)])
     def test_rank_outside_dimension_rejected(self, d, r):
         with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [1, d = {d}]")):
-            McInstance(d, 1, r, rows=[[0, 1]], vals=[[1.0, 2.0]])
+            mc_from_columns(d, r, [[0, 1]], [[1.0, 2.0]])
 
     def test_full_observation_exact_fit(self):
         # every row observed and M_i in span(X): residual and gradient vanish
         X = random_stiefel(6, 2)
         a = rng.standard_normal(2)
         vals = [X @ a]
-        inst = McInstance(6, 1, 2, rows=[np.arange(6)], vals=vals)
+        inst = mc_from_columns(6, 2, [np.arange(6)], vals)
         f, g = inst.component_value_grad(X, 0)
         assert f <= 1e-24
         assert np.linalg.norm(g) <= 1e-11
@@ -434,7 +441,7 @@ class TestMcInstance:
         # all rows observed: a* = X^T M_i and f_i = ||(I - XX^T) M_i||^2
         X = random_stiefel(6, 2)
         m = rng.standard_normal(6)
-        inst = McInstance(6, 1, 2, rows=[np.arange(6)], vals=[m])
+        inst = mc_from_columns(6, 2, [np.arange(6)], [m])
         np.testing.assert_allclose(inst.fitted_matrix(X)[:, 0], X @ (X.T @ m), atol=1e-12)
         want = np.linalg.norm(m - X @ (X.T @ m)) ** 2
         assert inst.component_value_grad(X, 0)[0] == pytest.approx(want, rel=1e-12)
@@ -475,12 +482,30 @@ class TestMcInstance:
         # every column has r = 2 or more rows, yet X = [e1, e2] vanishes on
         # column 1's rows, so its normal equations are exactly singular
         X = np.eye(5)[:, :2]
-        inst = McInstance(5, 2, 2, rows=[[0, 1, 3], [2, 3, 4]],
-                          vals=[[1.0, -2.0, 0.5], [3.0, 1.0, -1.0]])
+        inst = mc_from_columns(5, 2, [[0, 1, 3], [2, 3, 4]],
+                               [[1.0, -2.0, 0.5], [3.0, 1.0, -1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(X[[2, 3, 4]].T @ X[[2, 3, 4]], np.zeros(2))
         assert_matches_lstsq(inst, X, random_stiefel(5, 2), np.array([1, 0, 1]))
         assert inst.component_value_grad(X, 1)[0] == 11.0
+
+    def test_singular_column_leaves_other_fits_alone(self):
+        # X0 vanishes on column 0's rows 2, 3 and 4: only that column takes
+        # the minimum-norm fit, so the anchor's fit of columns 1 and 2 is
+        # their refit's bits (a pseudo-inverse of the whole stack moved
+        # them by up to 2e-15)
+        X0 = np.zeros((6, 2))
+        X0[[0, 1, 5]] = random_stiefel(3, 2)
+        Xk = random_stiefel(6, 2)
+        inst = mc_from_columns(6, 2, [[2, 3, 4], [0, 1, 3, 5], [5, 0, 2, 1]],
+                               [[1.0, -2.0, 0.5], [3.0, 1.0, -1.0, 0.25], [0.7, -0.3, 2.0, 1.1]])
+        a_with, _ = inst._fit_padded(X0, np.arange(3))
+        a_without, _ = inst._fit_padded(X0, np.array([1, 2]))
+        assert np.array_equal(a_with[1:], a_without)
+        _, _, diff = inst.anchored(X0)
+        idx = np.array([1, 2])
+        assert np.array_equal(diff(Xk, idx), inst.batch_egrad_diff(Xk, X0, idx))
+        assert_matches_lstsq(inst, X0, Xk, np.array([0, 2, 1]))
 
     def test_short_column_leaves_other_fits_alone(self):
         # only the short column takes the minimum-norm branch: the full-rank
@@ -490,7 +515,7 @@ class TestMcInstance:
         rows = list(self.inst.rows)
         vals = list(self.inst.vals)
         rows[5], vals[5] = short, self.inst.vals[5][:2]
-        cut = McInstance(30, 25, 3, rows, vals)
+        cut = mc_from_columns(30, 3, rows, vals)
         idx = np.array([0, 5, 9, 17])
         a_with, _ = cut._fit_padded(X, idx)
         a_without, _ = cut._fit_padded(X, idx[idx != 5])
@@ -502,7 +527,10 @@ class TestMcInstance:
     def test_row_index_outside_matrix_rejected(self, row):
         # -1 would alias the last row of X and 6 = d the padding sentinel
         with pytest.raises(InvalidObservation, match="column 1"):
-            McInstance(6, 2, 1, rows=[[0, 1], [2, row]], vals=[[1.0, 2.0], [3.0, 4.0]])
+            mc_from_columns(6, 1, [[0, 1], [2, row]], [[1.0, 2.0], [3.0, 4.0]])
+        # named in the first column that holds a bad row, whatever the entry order
+        with pytest.raises(InvalidObservation, match=re.escape(f"column 1: row index {row} ")):
+            McInstance(6, 3, 1, rows=[9, 0, row], cols=[2, 0, 1], vals=[1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("rows, column", [([[0.9, 2.5], [1]], 0), ([[0, 1], [np.nan]], 1),
                                               ([[0, 1], np.array([2.5])], 1)],
@@ -510,26 +538,70 @@ class TestMcInstance:
     def test_fractional_row_index_rejected(self, rows, column):
         # casting would keep rows [0, 2] of [0.9, 2.5]
         with pytest.raises(InvalidObservation, match=f"column {column}: .* is not an integer"):
-            McInstance(4, 2, 1, rows, [[1.0, 2.0], [3.0]])
+            mc_from_columns(4, 1, rows, [[1.0, 2.0], [3.0]])
 
     def test_integer_rows_accepted_as_lists_arrays_and_empty_columns(self):
-        inst = McInstance(4, 3, 1, rows=[[0, 1], [], np.array([2, 3])],
-                          vals=[[1.0, 2.0], [], [3.0, 4.0]])
-        assert [ri.tolist() for ri in inst.rows] == [[0, 1], [], [2, 3]]
-        assert all(ri.dtype == np.intp for ri in inst.rows)
+        # integer-valued floats are integers; column 1 has no entry
+        for rows, cols in (([0, 2, 1, 3], [0, 2, 0, 2]),
+                           (np.array([0.0, 2.0, 1.0, 3.0]), np.array([0.0, 2.0, 0.0, 2.0]))):
+            inst = McInstance(4, 3, 1, rows, cols, vals=[1.0, 3.0, 2.0, 4.0])
+            assert [ri.tolist() for ri in inst.rows] == [[0, 1], [], [2, 3]]
+            assert [vi.tolist() for vi in inst.vals] == [[1.0, 2.0], [], [3.0, 4.0]]
+            assert all(ri.dtype == np.intp for ri in inst.rows)
+
+    @pytest.mark.parametrize("col, why", [(-1, "outside [0, 2)"), (2, "outside [0, 2)"),
+                                          (0.5, "is not an integer"),
+                                          (np.nan, "is not an integer")])
+    def test_column_index_rejected(self, col, why):
+        # -1 would alias the last column; entry 2 is the first bad one
+        with pytest.raises(InvalidObservation,
+                           match=re.escape(f"entry 2: column index {np.float64(col)} {why}")):
+            McInstance(6, 2, 1, rows=[0, 1, 2, 3], cols=[0.0, 1.0, col, col],
+                       vals=[1.0, 2.0, 3.0, 4.0])
+
+    def test_column_keeps_the_order_given(self, tmp_path):
+        # column 1's rows arrive 4, 2, 1, interleaved with column 0's
+        inst = McInstance(5, 2, 1, rows=[4, 0, 2, 3, 1], cols=[1, 0, 1, 0, 1],
+                          vals=[0.5, 1.5, -2.0, 3.0, 7.0])
+        want_rows, want_vals = [[0, 3], [4, 2, 1]], [[1.5, 3.0], [0.5, -2.0, 7.0]]
+        path = tmp_path / "order.txt"
+        mc_save_observations(inst, path)
+        for got in (inst, mc_load_observations(path, r=1)):
+            assert [ri.tolist() for ri in got.rows] == want_rows
+            assert [vi.tolist() for vi in got.vals] == want_vals
+        with pytest.raises(ValueError, match="read-only"):
+            inst.rows[1][0] = 3   # the fits and scatter slots would not follow
 
     def test_repeated_row_rejected(self):
         # the fit would count the repeated entry twice, f_i observes it once
         with pytest.raises(InvalidObservation, match="column 1: row index 3 is repeated"):
-            McInstance(6, 2, 1, rows=[[0, 1], [3, 1, 3]], vals=[[1.0, 2.0], [3.0, 4.0, 5.0]])
+            mc_from_columns(6, 1, [[0, 1], [3, 1, 3]], [[1.0, 2.0], [3.0, 4.0, 5.0]])
+        # (3, 1) given twice, with column 0's entry between
+        with pytest.raises(InvalidObservation, match="column 1: row index 3 is repeated"):
+            McInstance(6, 2, 1, rows=[3, 0, 3], cols=[1, 0, 1], vals=[1.0, 2.0, 3.0])
 
     def test_value_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="column 0"):
-            McInstance(6, 1, 1, rows=[[0, 1, 2]], vals=[[1.0, 2.0]])
+        for rows, cols, vals in (([0, 1, 2], [0, 0, 0], [1.0, 2.0]),
+                                 ([0, 1], [0, 0, 0], [1.0, 2.0]),
+                                 ([[0, 1]], [[0, 0]], [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="1-D and of one length"):
+                McInstance(6, 1, 1, rows, cols, vals)
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(NonFiniteInput):
-            McInstance(6, 1, 1, rows=[[0, 1]], vals=[[1.0, np.nan]])
+            mc_from_columns(6, 1, [[0, 1]], [[1.0, np.nan]])
+
+    @pytest.mark.parametrize("shape", [(6, 1), (1, 2), (2, 6)])
+    def test_truth_of_another_shape_rejected(self, shape):
+        # a (d, 1) or (1, n) truth would broadcast in fitted_matrix(X) - M_true
+        with pytest.raises(ValueError, match=re.escape(f"M_true has shape {shape}")):
+            mc_from_columns(6, 1, [[0, 1], [2]], [[1.0, 2.0], [3.0]], M_true=np.ones(shape))
+
+    def test_non_finite_truth_rejected(self):
+        M = np.ones((6, 2))
+        M[4, 1] = np.inf
+        with pytest.raises(NonFiniteInput, match="M_true"):
+            mc_from_columns(6, 1, [[0, 1], [2]], [[1.0, 2.0], [3.0]], M_true=M)
 
     def test_sampled_constants_cover_ratios(self):
         consts = self.inst.constants()
@@ -560,7 +632,7 @@ def mc_with_short_column():
     full = mc_generate(30, 25, 3, cond=10.0, seed=8)
     rows, vals = list(full.rows), list(full.vals)
     rows[5], vals[5] = rows[5][:2], vals[5][:2]
-    return McInstance(30, 25, 3, rows, vals)
+    return mc_from_columns(30, 3, rows, vals)
 
 
 FAMILIES = pytest.mark.parametrize("make", [
@@ -623,7 +695,7 @@ def mc_observations(draw):
     vals = [draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                           min_size=len(ri), max_size=len(ri))) for ri in rows]
     assume(any(rows))
-    return McInstance(d, n, 1, rows, vals)
+    return mc_from_columns(d, 1, [np.array(ri, dtype=int) for ri in rows], vals)
 
 
 @st.composite
