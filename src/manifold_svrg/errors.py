@@ -1,4 +1,7 @@
-"""Exception types raised by the numerical kernels and solvers."""
+"""Exception types raised by the numerical kernels and solvers, and the
+one check of a count (a shape, an iteration count or a seed)."""
+
+import numbers
 
 
 class ManifoldSvrgError(Exception):
@@ -35,3 +38,10 @@ class NoConvergentTau(ManifoldSvrgError):
 
 class InvalidObservation(ManifoldSvrgError, ValueError):
     """A matrix-completion observation has an index outside the matrix or is malformed."""
+
+
+def check_count(name, value, low):
+    """value as an int of at least low; a numpy integer passes, a float or a bool fails."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)

@@ -10,6 +10,7 @@ std, mean final gradient norm, mean relative error, mean seconds).
 import csv
 import hashlib
 import io
+import numbers
 import os
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
@@ -17,12 +18,11 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import NoConvergentTau
-from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, check_count, run_rgd,
-                         run_s_sgd, run_s_svrg, warm_start)
+from .errors import NoConvergentTau, check_count
+from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd, run_s_svrg,
+                         warm_start)
 from .problems import (McInstance, PcaInstance, check_cond, mc_check, mc_generate,
                        pca_check, pca_generate)
-from .retractions import RetractionKind
 
 GENERATOR = "numpy.random.PCG64"
 
@@ -76,12 +76,22 @@ class ExperimentSpec:
     out: str = None               # directory for CSVs; None skips writing
 
     def __post_init__(self):
-        # a count is an int of at least 1 and the seed one of at least 0; a
-        # numpy integer is taken as the int it is (config_hash reads repr)
+        # each field is stored as its declared type, so that one cell has one
+        # value and one hash (config_hash reads repr); inner_k may also be
+        # given as a count, kept as its decimal string
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type is int:
-                low = 0 if f.name == "seed" else 1
-                object.__setattr__(self, f.name, check_count(f.name, getattr(self, f.name), low))
+                value = check_count(f.name, value, 0 if f.name == "seed" else 1)
+            elif f.name == "inner_k" and not isinstance(value, str):
+                value = str(check_count(f.name, value, 1))
+            elif f.type is float:
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
+                value = float(value)
+            elif not (isinstance(value, str) or value is None and f.name == "out"):
+                raise ValueError(f"{f.name} must be a str, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         # the checks build_problem's generator makes before it draws, with its
@@ -166,16 +176,16 @@ def build_problem(spec: ExperimentSpec):
 
 
 def resolve_inner_k(spec: ExperimentSpec):
-    if str(spec.inner_k) == "auto":
+    if spec.inner_k == "auto":
         return max(1, round(5.0 / spec.batch_frac))
-    if not (str(spec.inner_k).isdecimal() and int(spec.inner_k) >= 1):
+    if not (spec.inner_k.isdecimal() and int(spec.inner_k) >= 1):
         raise ValueError(f"inner_k = {spec.inner_k!r} is not a positive integer or 'auto'")
     return int(spec.inner_k)
 
 
 def build_config(spec: ExperimentSpec, run_seed):
     return SvrgConfig(
-        retraction=RetractionKind(spec.retraction),
+        retraction=spec.retraction,
         rho=spec.rho,
         step_mode=parse_step(spec.step),
         K=resolve_inner_k(spec),

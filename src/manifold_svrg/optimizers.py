@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoFeasibleC, NonFiniteValue
+from .errors import NoFeasibleC, NonFiniteValue, check_count
 from .linalg import qr_positive
 from .manifold import FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
 # retract_gp_array and retract_gr_array are reached through retract_array;
@@ -31,7 +31,6 @@ __all__ = [
     "BB",
     "Theorem1",
     "SvrgConfig",
-    "check_count",
     "Schedule",
     "RunTrace",
     "run_s_svrg",
@@ -95,13 +94,6 @@ class Theorem1:
             raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
 
 
-def check_count(name, value, low):
-    """value as an int of at least low; a numpy integer passes, a float or a bool fails."""
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= low):
-        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SvrgConfig:
     """One run's settings; every method takes them as run(problem, config, X0).
@@ -109,7 +101,10 @@ class SvrgConfig:
     run_s_svrg reads every field.  run_rgd ignores K and batch: its epoch
     is one full-gradient step.  run_s_sgd runs for N = K * max_epochs
     single-sample iterates and ignores batch and grad_tol.  warm_start
-    takes K refinement steps.
+    takes K refinement steps.  retraction is a RetractionKind or any name
+    in RETRACTION_NAMES, stored as the kind it decodes to; K, batch,
+    max_epochs and r are integers of at least 1 and seed one of at least 0,
+    stored as ints.
     """
 
     retraction: RetractionKind = RetractionKind.PD
@@ -123,12 +118,13 @@ class SvrgConfig:
     r: int = 5
 
     def __post_init__(self):
+        object.__setattr__(self, "retraction", RetractionKind(self.retraction))
         for name in ("rho", "grad_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0)):
-            check_count(name, getattr(self, name), low)
+        for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0), ("r", 1)):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if self.retraction is RetractionKind.EXP2 and self.rho > 0:
             # the Grassmann geodesic retracts only a horizontal direction,
             # and -d_rho(X, G) has a vertical part when rho > 0
@@ -139,9 +135,10 @@ class SvrgConfig:
 
 @dataclass
 class RunTrace:
-    """Per-epoch records and counters, filled by the run; seconds carry no guarantees."""
+    """Per-epoch records, counters and the stop status, all filled by the run;
+    seconds carry no guarantees."""
 
-    status: str = "MaxEpochs"
+    status: str = field(init=False, default="MaxEpochs")
     epoch: list = field(init=False, default_factory=list)
     f: list = field(init=False, default_factory=list)
     grad_norm: list = field(init=False, default_factory=list)
@@ -288,18 +285,6 @@ def _step(kind, X, G, tau, rho):
     return retract_array(kind, X, E, tau)
 
 
-def _inner_step(diff, kind, X, X0, egrad0, idx, tau, rho):
-    # one variance-reduced update; diff(X, idx) is the batch difference
-    # against the anchor X0.  Returns the new iterate array
-    if tau == 0.0:
-        return X  # exact stationarity, no retraction roundoff
-    # at the anchor itself (each epoch's first step, every step of rgd) the
-    # batch correction is exactly zero, so its oracle calls are skipped;
-    # run_s_svrg still charges them to the IFO count
-    G = egrad0 if X is X0 else egrad0 + diff(X, idx)
-    return _step(kind, X, G, tau, rho)
-
-
 def _reorthonormalize(X, events, at):
     """X, or its Q factor once X drifts off the manifold, logged in events
     as ("reorthonormalized", at)."""
@@ -360,10 +345,13 @@ def run_s_svrg(problem, config: SvrgConfig, X0):
     records the state at each epoch start; the loop stops once the
     Riemannian gradient norm at an anchor falls below grad_tol, or after
     max_epochs epochs with one more full gradient, so that the last row
-    describes the returned point.  IFO counts n per full gradient and
-    2|batch| per inner step, RO one per step: all K steps of an epoch are
-    charged, also the first, whose zero correction is never evaluated, and
-    under Theorem1 those past the drawn iterate, which are never taken.
+    describes the returned point.  Every step is one _step along the
+    anchor's gradient plus the batch difference; the epoch's first step is
+    at the anchor, where that difference is exactly zero, so it steps along
+    the anchor's gradient and evaluates no batch.  IFO counts n per full
+    gradient and 2|batch| per inner step, RO one per step: all K steps of
+    an epoch are charged, also the first, and under Theorem1 those past the
+    drawn iterate, which are never taken.
     """
     return _run_anchored(problem, config, X0, config.K, config.batch)
 
@@ -409,7 +397,6 @@ def _run_anchored(problem, config, X0, K, batch):
             break  # the returned point's row; status stays MaxEpochs
 
         X_prev, grad_prev = X, grad0
-        anchor = X
         # one draw for the epoch's K batches: numpy's PCG64 generator gives
         # the same indices, and the same state after them, as K draws of one
         # batch each (TestMinibatchDraw pins this); an empty batch draws nothing
@@ -418,8 +405,12 @@ def _run_anchored(problem, config, X0, K, batch):
         ro += K
         # Theorem1's output X_k: the steps past it are charged above, not taken
         out = K if schedule is None else int(rng.choice(K, p=schedule.p))
-        for idx in batches[:out]:
-            X = _inner_step(diff, config.retraction, X, anchor, egrad0, idx, tau, rho)
+        # step k = 0 is at the anchor, where the batch correction is exactly
+        # zero, so its oracle calls are skipped; tau = 0 takes no step at
+        # all: exact stationarity, no retraction roundoff
+        for k, idx in enumerate(batches[:out] if tau > 0 else ()):
+            G = egrad0 + diff(X, idx) if k else egrad0
+            X = _step(config.retraction, X, G, tau, rho)
 
         X = _reorthonormalize(X, trace.events, s)
 
@@ -454,7 +445,7 @@ def run_s_sgd(problem, config: SvrgConfig, X0):
 
     j_bar = int(rng.integers(N))
     ifo = 0
-    trace = RunTrace(status="Completed")
+    trace = RunTrace()
 
     if isinstance(config.step_mode, Fixed):
         tau = config.step_mode.tau
@@ -488,6 +479,7 @@ def run_s_sgd(problem, config: SvrgConfig, X0):
         if j % every == 0:
             record(j, X, j)
     record(N, X_out, N - 1)  # the returned point's row
+    trace.status = "Completed"
     return StiefelPoint(X_out), trace
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidObservation, NonFiniteInput, TooManySamples
+from .errors import InvalidObservation, NonFiniteInput, TooManySamples, check_count
 from .linalg import qr_positive
 
 __all__ = [
@@ -56,16 +56,12 @@ _INGEST_ROWS = 64
 _GATHER_COLS = 512
 
 
-def _check_rank(r, d, bound="d"):
-    if not 1 <= r <= d:
-        raise ValueError(f"r = {r} outside [1, {bound} = {d}]")
-
-
 class PcaInstance:
     """Leading-subspace estimation of a d x n data matrix.
 
     The objective is the negated average explained variance; its optimum is
-    the span of the top-r eigenvectors of the centered covariance.
+    the span of the top-r eigenvectors of the centered covariance.  The
+    shape (d, n) of A and the rank r pass pca_check.
 
     The centered data B is the instance's one d x n array, stored
     column-major: B.T is then a contiguous B^T, so a minibatch is a gather
@@ -105,9 +101,7 @@ class PcaInstance:
 
     def _ingest(self, A, B, r):
         # A and B may be one array: each block is read whole before it is written
-        self.d, self.n = A.shape
-        self.r = int(r)
-        _check_rank(self.r, self.d)
+        self.d, self.n, self.r = pca_check(*A.shape, r)
         # each column of squares adds row by row, as np.sum(B**2, axis=0)
         # does over a row-major B; summed along the contiguous axis of the
         # column-major B it would round differently, and L with it
@@ -190,10 +184,12 @@ class McInstance:
     """Low-rank matrix completion from uniformly observed entries.
 
     Lives on the Grassmann manifold (rho = 0 by default): the objective is
-    invariant to right rotation of X.  Omega is one triple: entry k is the
-    value vals[k] at (rows[k], cols[k]), each (row, column) at most once; a
-    column with no entry contributes zero.  Omega is stored once, padded per
-    column in the order given; rows and vals are read-only per-column views.
+    invariant to right rotation of X.  d, n and r pass pca_check: r may
+    exceed n here, unlike in mc_generate.  Omega is one triple: entry k is
+    the value vals[k] at (rows[k], cols[k]), each (row, column) at most
+    once; a column with no entry contributes zero.  Omega is stored once,
+    padded per column in the order given; rows and vals are read-only
+    per-column views.
 
     Every oracle gets its least-squares coefficients from one stacked fit,
     _fit, which also holds the one rank-deficient rule: a column of fewer
@@ -214,8 +210,7 @@ class McInstance:
     """
 
     def __init__(self, d, n, r, rows, cols, vals, M_true=None):
-        self.d, self.n, self.r = int(d), int(n), int(r)
-        _check_rank(self.r, self.d)
+        self.d, self.n, self.r = pca_check(d, n, r)
         rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals must be 1-D and of one length, got shapes "
@@ -385,10 +380,11 @@ class McInstance:
 
 
 def pca_check(d, n, r):
-    """The checks pca_generate makes before it draws: d, n >= 1, r in [1, d]."""
-    if min(d, n) < 1:
-        raise ValueError(f"d and n must be at least 1, got d = {d}, n = {n}")
-    _check_rank(r, d)
+    """d, n and r as ints, checked: each an integer of at least 1, r at most d."""
+    d, n, r = (check_count(name, v, 1) for name, v in (("d", d), ("n", n), ("r", r)))
+    if r > d:
+        raise ValueError(f"r = {r} outside [1, d = {d}]")
+    return d, n, r
 
 
 def pca_generate(d, n, r, seed):
@@ -401,7 +397,7 @@ def pca_generate(d, n, r, seed):
     instance centres it in place and keeps it as B, so the instance's B is
     the only d x n array made.  d, n and r are checked before any draw.
     """
-    pca_check(d, n, r)
+    d, n, r = pca_check(d, n, r)
     rng = np.random.default_rng(seed)
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
     A = np.empty((d, n), order="F")
@@ -435,14 +431,15 @@ def check_cond(cond):
 
 
 def mc_check(d, n, r):
-    """mc_generate's checks of d, n and r before it draws: pca_check's, r at
-    most min(d, n), and |Omega| = (n + d - r) r^2 at most d n, which it returns."""
-    pca_check(d, n, r)
-    _check_rank(r, min(d, n), "min(d, n)")
+    """mc_generate's checks before it draws: pca_check's, r at most n, and
+    |Omega| = (n + d - r) r^2 at most d n.  Returns d, n, r and |Omega|."""
+    d, n, r = pca_check(d, n, r)
+    if r > n:
+        raise ValueError(f"r = {r} outside [1, min(d, n) = {min(d, n)}]")
     num = (n + d - r) * r * r
     if num > d * n:
         raise TooManySamples(f"|Omega| = {num} exceeds the {d * n} entries available")
-    return num
+    return d, n, r, num
 
 
 def mc_generate(d, n, r, cond, seed):
@@ -453,7 +450,7 @@ def mc_generate(d, n, r, cond, seed):
     without replacement.  d, n, r and cond are checked before any draw.
     """
     check_cond(cond)
-    num = mc_check(d, n, r)
+    d, n, r, num = mc_check(d, n, r)
     rng = np.random.default_rng(seed)
     U = qr_positive(rng.standard_normal((d, r)))[0]
     V = qr_positive(rng.standard_normal((n, r)))[0]
@@ -481,6 +478,8 @@ def mc_load_observations(path, r, d=None, n=None):
     NonFiniteInput for a NaN or Inf value.  Each column keeps its entries in
     file order.
     """
+    # an explicit d or n bounds the indices read, so it is checked first
+    d, n = (v if v is None else check_count(name, v, 1) for name, v in (("d", d), ("n", n)))
     ii, jj, vv = [], [], []
     seen = {}
     with open(path) as fh:

@@ -82,12 +82,28 @@ class TestSpec:
                                      dict(d=True), dict(r=True), dict(runs=True),
                                      dict(max_epochs=True), dict(seed=False),
                                      # exp2, whose step needs a horizontal direction
-                                     dict(retraction="exp2", rho=0.5)])
+                                     dict(retraction="exp2", rho=0.5),
+                                     # a value of another type than its field's
+                                     dict(step=None), dict(batch_frac="0.1"),
+                                     dict(rho="0"), dict(cond=True), dict(out=5),
+                                     dict(inner_k=0), dict(inner_k=2.5)])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError) as err:
             tiny_spec(**bad)
         # the message names a field it was given
         assert any(name in str(err.value) for name in bad), str(err.value)
+
+    @pytest.mark.parametrize("given, plain", [(dict(rho=0), dict(rho=0.0)),
+                                              (dict(cond=np.float64(10)), dict(cond=10.0)),
+                                              (dict(inner_k=10), dict(inner_k="10")),
+                                              (dict(inner_k=np.int64(10)), dict(inner_k="10"))],
+                             ids=["rho-int", "cond-numpy", "inner_k-int", "inner_k-numpy"])
+    def test_one_cell_one_hash(self, given, plain):
+        # a value is stored as its field's type, so an equal value spelled
+        # another way is the same cell, with the same hash
+        spec, want = tiny_spec(**given), tiny_spec(**plain)
+        assert spec == want and spec.config_hash() == want.config_hash()
+        assert [type(getattr(spec, k)) for k in given] == [type(v) for v in plain.values()]
 
     def test_numpy_integer_counts_accepted(self):
         # taken as the ints they are: the same spec, hash and summary

@@ -16,7 +16,7 @@ from manifold_svrg.optimizers import (BB, Fixed, RunTrace, SvrgConfig, Theorem1,
                                       gamma_fn, run_rgd, run_s_sgd, run_s_svrg,
                                       theorem1_schedule, warm_start, _step)
 from manifold_svrg.problems import PcaInstance, ProblemConstants, mc_generate, pca_generate
-from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind
+from manifold_svrg.retractions import GRADIENT_KINDS, RETRACTION_NAMES, RetractionKind
 from oracles import (brute_force_expectation, declared_derivative, fd_derivative,
                      loj_ratio_probe, pca_data, recursion_lemma_check)
 from test_acceptance import DESK_MC
@@ -195,7 +195,9 @@ class TestSchedule:
                                      dict(K=0), dict(batch=0), dict(max_epochs=0),
                                      # a bool is no count
                                      dict(K=True), dict(batch=True), dict(max_epochs=True),
-                                     dict(seed=False)])
+                                     dict(seed=False),
+                                     # the rank is a count too
+                                     dict(r=0), dict(r=-1), dict(r=2.5), dict(r=True)])
     def test_config_values_validated(self, bad):
         # an unknown step mode has no step rule; a NaN rho fails every run at
         # its first step, and a NaN grad_tol never stops one.  A negative
@@ -213,14 +215,23 @@ class TestSchedule:
         X = qr_positive(local.standard_normal((9, 3)))[0]
         G = local.standard_normal((9, 3))
         assert feasibility_error(_step(RetractionKind.EXP2, X, G, 0.3, 0.5)) > 1e-3
-        SvrgConfig(retraction=RetractionKind.EXP2, rho=0.0)
-        with pytest.raises(ValueError, match="^exp2 needs rho = 0, got rho = 0.5$"):
-            SvrgConfig(retraction=RetractionKind.EXP2, rho=0.5)
+        for exp2 in (RetractionKind.EXP2, "exp2"):
+            SvrgConfig(retraction=exp2, rho=0.0)
+            with pytest.raises(ValueError, match="^exp2 needs rho = 0, got rho = 0.5$"):
+                SvrgConfig(retraction=exp2, rho=0.5)
+
+    @pytest.mark.parametrize("name", RETRACTION_NAMES)
+    def test_retraction_decoded_by_name(self, name):
+        # a name is decoded where it enters, not at the first step
+        assert SvrgConfig(retraction=name).retraction is RetractionKind(name)
+        with pytest.raises(ValueError, match=f"^unknown retraction '{name}x'$"):
+            SvrgConfig(retraction=name + "x")
 
     def test_numpy_integers_accepted(self):
         cfg = SvrgConfig(K=np.int64(3), batch=np.int32(2), max_epochs=np.int64(4),
-                         seed=np.uint32(7))
-        assert (cfg.K, cfg.batch, cfg.max_epochs, cfg.seed) == (3, 2, 4, 7)
+                         seed=np.uint32(7), r=np.int64(2))
+        counts = (cfg.K, cfg.batch, cfg.max_epochs, cfg.seed, cfg.r)
+        assert counts == (3, 2, 4, 7, 2) and {type(c) for c in counts} == {int}
 
 
 class TestMinibatchDraw:
@@ -561,9 +572,11 @@ def test_runner_requires_x0(solve):
 
 
 def test_trace_columns_filled_by_the_run():
-    assert RunTrace(status="GradTol").epoch == []
-    with pytest.raises(TypeError):
-        RunTrace(epoch=[1])
+    trace = RunTrace()
+    assert (trace.status, trace.epoch) == ("MaxEpochs", [])
+    for given in (dict(epoch=[1]), dict(status="GradTol")):
+        with pytest.raises(TypeError):
+            RunTrace(**given)
 
 
 class HalvedPca(PcaInstance):

@@ -123,14 +123,21 @@ class TestPcaGenerate:
         assert _constants_or_error(got) == _constants_or_error(want)
         assert got.optimum() == want.optimum()
 
-    @pytest.mark.parametrize("d, n, r, named", [
-        (0, 5, 1, "d = 0"), (-2, 5, 1, "d = -2"), (5, 0, 1, "n = 0"),
-        (5, 5, 0, "r = 0"), (5, 5, 6, "r = 6")])
-    def test_bad_shape_rejected_before_drawing(self, d, n, r, named, monkeypatch):
+    @pytest.mark.parametrize("d, n, r, message", [
+        (0, 5, 1, "d must be an integer of at least 1, got 0"),
+        (-2, 5, 1, "d must be an integer of at least 1, got -2"),
+        (5, 0, 1, "n must be an integer of at least 1, got 0"),
+        (5, 5, 0, "r must be an integer of at least 1, got 0"),
+        (5, 5, 6, "r = 6 outside [1, d = 5]"),
+        # a fractional rank is refused, not truncated to r = 2
+        (6, 10, 2.9, "r must be an integer of at least 1, got 2.9")],
+        ids=["0-5-1-d = 0", "-2-5-1-d = -2", "5-0-1-n = 0", "5-5-0-r = 0", "5-5-6-r = 6",
+             "6-10-2.9-r = 2.9"])
+    def test_bad_shape_rejected_before_drawing(self, d, n, r, message, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the shape")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             pca_generate(d, n, r, seed=0)
 
     def test_peak_memory_is_the_instance(self):
@@ -360,7 +367,7 @@ class TestPcaInstance:
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             PcaInstance(np.ones(shape), r=1)
 
-    @pytest.mark.parametrize("r", [0, 7])
+    @pytest.mark.parametrize("r", [0, 7, 2.5])
     def test_rank_outside_dimension_rejected(self, r):
         with pytest.raises(ValueError):
             PcaInstance(pca_data(6, 8, seed=0), r=r)
@@ -404,17 +411,25 @@ class TestMcGenerate:
         with pytest.raises(TooManySamples):
             mc_generate(10, 10, 5, 10.0, seed=0)
 
-    @pytest.mark.parametrize("d, n, r, cond, named", [
-        (0, 5, 1, 10.0, "d = 0"), (5, 0, 1, 10.0, "n = 0"), (5, 5, 0, 10.0, "r = 0"),
-        (6, 2, 3, 10.0, "r = 3"), (2, 6, 3, 10.0, "r = 3"),
+    @pytest.mark.parametrize("d, n, r, cond, message", [
+        (0, 5, 1, 10.0, "d must be an integer of at least 1, got 0"),
+        (5, 0, 1, 10.0, "n must be an integer of at least 1, got 0"),
+        (5, 5, 0, 10.0, "r must be an integer of at least 1, got 0"),
+        (20, 30, 2.5, 10.0, "r must be an integer of at least 1, got 2.5"),
+        (6, 2, 3, 10.0, "r = 3 outside [1, min(d, n) = 2]"),
+        (2, 6, 3, 10.0, "r = 3 outside [1, d = 2]"),
         (5, 5, 2, -3.0, "cond = -3.0"), (5, 5, 2, 0.0, "cond = 0.0"),
         (5, 5, 2, 0.5, "cond = 0.5"), (5, 5, 2, math.nan, "cond = nan"),
-        (5, 5, 2, math.inf, "cond = inf")])
-    def test_bad_input_rejected_before_drawing(self, d, n, r, cond, named, monkeypatch):
+        (5, 5, 2, math.inf, "cond = inf")],
+        ids=["0-5-1-10.0-d = 0", "5-0-1-10.0-n = 0", "5-5-0-10.0-r = 0", "20-30-2.5-10.0-r = 2.5",
+             "6-2-3-10.0-r = 3", "2-6-3-10.0-r = 3", "5-5-2--3.0-cond = -3.0",
+             "5-5-2-0.0-cond = 0.0", "5-5-2-0.5-cond = 0.5", "5-5-2-nan-cond = nan",
+             "5-5-2-inf-cond = inf"])
+    def test_bad_input_rejected_before_drawing(self, d, n, r, cond, message, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the input")
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        with pytest.raises(ValueError, match=re.escape(named)):
+        with pytest.raises(ValueError, match=re.escape(message)):
             mc_generate(d, n, r, cond, seed=0)
 
 
@@ -422,9 +437,13 @@ class TestMcInstance:
     def setup_method(self):
         self.inst = mc_generate(30, 25, 3, cond=10.0, seed=8)
 
-    @pytest.mark.parametrize("d, r", [(2, 0), (2, 3)])
-    def test_rank_outside_dimension_rejected(self, d, r):
-        with pytest.raises(ValueError, match=re.escape(f"r = {r} outside [1, d = {d}]")):
+    @pytest.mark.parametrize("d, r, message", [
+        (2, 0, "r must be an integer of at least 1, got 0"),
+        (2, 3, "r = 3 outside [1, d = 2]"),
+        # a fractional size is refused, not truncated to d = 4
+        (4.7, 1, "d must be an integer of at least 1, got 4.7")], ids=["2-0", "2-3", "4.7-1"])
+    def test_rank_outside_dimension_rejected(self, d, r, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             mc_from_columns(d, r, [[0, 1]], [[1.0, 2.0]])
 
     def test_full_observation_exact_fit(self):
