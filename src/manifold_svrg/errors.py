@@ -1,6 +1,8 @@
-"""Exception types raised by the numerical kernels and solvers, and the
-one check of a count (a shape, an iteration count or a seed)."""
+"""Exception types raised by the numerical kernels and solvers, the one
+check of a count (a shape, an iteration count or a seed) and the one check
+of a real number (a step, a metric or schedule parameter, a constant)."""
 
+import math
 import numbers
 
 
@@ -45,3 +47,12 @@ def check_count(name, value, low):
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= low):
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
     return int(value)
+
+
+def check_real(name, value, low, high=math.inf, open_low=False):
+    """value as a float in [low, high], (low, high] with open_low; no bool, NaN or infinity."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or not (low < value if open_low else low <= value) or value > high):
+        interval = f"{'(' if open_low else '['}{low}, {high}{')' if high == math.inf else ']'}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)

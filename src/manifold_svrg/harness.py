@@ -10,7 +10,7 @@ std, mean final gradient norm, mean relative error, mean seconds).
 import csv
 import hashlib
 import io
-import numbers
+import math
 import os
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .errors import NoConvergentTau, check_count
+from .errors import NoConvergentTau, check_count, check_real
 from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd, run_s_svrg,
                          warm_start)
 from .problems import (McInstance, PcaInstance, check_cond, mc_check, mc_generate,
@@ -86,9 +86,7 @@ class ExperimentSpec:
             elif f.name == "inner_k" and not isinstance(value, str):
                 value = str(check_count(f.name, value, 1))
             elif f.type is float:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{f.name} must be a real number, got {value!r}")
-                value = float(value)
+                value = check_real(f.name, value, -math.inf, open_low=True)
             elif not (isinstance(value, str) or value is None and f.name == "out"):
                 raise ValueError(f"{f.name} must be a str, got {value!r}")
             object.__setattr__(self, f.name, value)
@@ -98,8 +96,7 @@ class ExperimentSpec:
         # messages; cond, which only mc reads, is checked for every problem
         check_cond(self.cond)
         (pca_check if self.problem == "pca" else mc_check)(self.d, self.n, self.r)
-        if not 0.0 < self.batch_frac <= 1.0:
-            raise ValueError(f"batch_frac = {self.batch_frac} outside (0, 1]")
+        check_real("batch_frac", self.batch_frac, 0, 1, open_low=True)
         if self.method not in METHOD_STEPS:
             raise ValueError(f"unknown method {self.method!r}")
         # decodes the retraction, step rule and inner count, and runs
@@ -147,15 +144,18 @@ class SummaryRow:
             raise ValueError("epoch statistics out of order")
 
 
-def _step_numbers(step, form):
-    """The numbers after the colon of `step`, as many as `form` names."""
-    parts = step.split(":", 1)[1].split(",")
+def _step_rule(step, rule, form):
+    """rule of the numbers after step's colon, as many as form names; a refusal names the step."""
     try:
-        if len(parts) == form.count(",") + 1:
-            return [float(p) for p in parts]
+        values = [float(p) for p in step.split(":", 1)[1].split(",")]
     except ValueError:
-        pass
-    raise ValueError(f"step = {step!r} is not of the form {form}")
+        values = []
+    if len(values) != form.count(",") + 1:
+        raise ValueError(f"step = {step!r} is not of the form {form}")
+    try:
+        return rule(*values)
+    except ValueError as exc:
+        raise ValueError(f"step = {step!r}: {exc}") from None
 
 
 def parse_step(step):
@@ -163,9 +163,9 @@ def parse_step(step):
     if step == "bb":
         return BB()
     if step.startswith("fixed:"):
-        return Fixed(*_step_numbers(step, "fixed:<tau>"))
+        return _step_rule(step, Fixed, "fixed:<tau>")
     if step.startswith("thm1:"):
-        return Theorem1(*_step_numbers(step, "thm1:<mu>,<kappa>"))
+        return _step_rule(step, Theorem1, "thm1:<mu>,<kappa>")
     raise ValueError(f"step = {step!r} is not of the form fixed:<tau>, bb or thm1:<mu>,<kappa>")
 
 

@@ -11,11 +11,11 @@ turns a Euclidean gradient into the Riemannian gradient under that metric.
 Everything past StiefelPoint, the boundary validator, works on raw arrays.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_real
 from .linalg import check_finite, skew
 
 # largest ||X^T X - I|| a StiefelPoint accepts; the optimizers re-orthonormalize
@@ -63,9 +63,9 @@ class StiefelPoint:
 
 
 def nu_of_rho(rho):
-    """Lower norm-equivalence constant nu = min(1, 1/(4 rho)); nu = 1 at rho = 0."""
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    """Lower norm-equivalence constant nu = min(1, 1/(4 rho)), a float; rho is
+    a real number in [0, inf), and nu = 1 at rho = 0."""
+    rho = check_real("rho", rho, 0)
     return 1.0 if rho <= 0.25 else 1.0 / (4.0 * rho)
 
 

@@ -13,11 +13,11 @@ is never formed.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import NoFeasibleC, NonFiniteValue, check_count
+from .errors import NoFeasibleC, NonFiniteValue, check_count, check_real
 from .linalg import qr_positive
 from .manifold import FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error, nu_of_rho
 # retract_gp_array and retract_gr_array are reached through retract_array;
@@ -62,11 +62,12 @@ _PD_L1, _PD_L2 = 1.0, 0.5
 
 @dataclass(frozen=True)
 class Fixed:
+    """A constant step tau, a real number in [0, inf), stored as a float."""
+
     tau: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise ValueError(f"step size must be finite and nonnegative, got {self.tau}")
+        object.__setattr__(self, "tau", check_real("tau", self.tau, 0))
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,15 @@ class BB:
 
 @dataclass(frozen=True)
 class Theorem1:
-    """Analysis-driven schedule; mu trades inner count against batch size."""
+    """Analysis-driven schedule; mu trades inner count against batch size.
+    mu, a real number in [0, 2/3], and kappa, one in (0, inf), are stored as floats."""
 
     mu: float
     kappa: float
 
     def __post_init__(self):
-        if not (0.0 <= self.mu <= 2.0 / 3.0):
-            raise ValueError("mu must lie in [0, 2/3]")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be finite and positive, got {self.kappa}")
+        object.__setattr__(self, "mu", check_real("mu", self.mu, 0, 2.0 / 3.0))
+        object.__setattr__(self, "kappa", check_real("kappa", self.kappa, 0, open_low=True))
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ class SvrgConfig:
     is one full-gradient step.  run_s_sgd runs for N = K * max_epochs
     single-sample iterates and ignores batch and grad_tol.  warm_start
     takes K refinement steps.  retraction is a RetractionKind or any name
-    in RETRACTION_NAMES, stored as the kind it decodes to; K, batch,
-    max_epochs and r are integers of at least 1 and seed one of at least 0,
-    stored as ints.
+    in RETRACTION_NAMES, stored as the kind it decodes to; rho and grad_tol
+    are real numbers in [0, inf), stored as floats; K, batch, max_epochs and
+    r are integers of at least 1 and seed one of at least 0, stored as ints.
     """
 
     retraction: RetractionKind = RetractionKind.PD
@@ -120,9 +120,7 @@ class SvrgConfig:
     def __post_init__(self):
         object.__setattr__(self, "retraction", RetractionKind(self.retraction))
         for name in ("rho", "grad_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         for name, low in (("K", 1), ("batch", 1), ("max_epochs", 1), ("seed", 0), ("r", 1)):
             object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if self.retraction is RetractionKind.EXP2 and self.rho > 0:
@@ -226,8 +224,7 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     table is not positive (step too large for the theory; clipping would
     hide the inconsistency).
     """
-    if not (0.0 <= mu <= 2.0 / 3.0):
-        raise ValueError("mu must lie in [0, 2/3]")
+    mu, kappa = astuple(Theorem1(mu, kappa))  # Theorem1's checks; the values as floats
     K = math.ceil((kappa * n) ** (1.0 / (3.0 * (1.0 - mu))))
     if K < 2:
         raise ValueError(f"kappa n = {kappa * n:g} gives K = {K}: every epoch would "

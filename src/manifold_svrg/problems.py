@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidObservation, NonFiniteInput, TooManySamples, check_count
+from .errors import InvalidObservation, NonFiniteInput, TooManySamples, check_count, check_real
 from .linalg import qr_positive
 
 __all__ = [
@@ -38,14 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Component-gradient Lipschitz constant L and gradient bound C."""
+    """Component-gradient Lipschitz constant L and gradient bound C: real
+    numbers in (0, inf), stored as floats."""
 
     L: float
     C: float
 
     def __post_init__(self):
-        if self.L <= 0 or self.C <= 0:
-            raise ValueError("constants must be positive")
+        for name in ("L", "C"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, open_low=True))
 
 
 # rows of the data that are drawn, centred, checked and squared at a time
@@ -425,9 +426,9 @@ def pca_load(path, r):
 
 
 def check_cond(cond):
-    """The ground-truth condition number mc_generate takes: finite and at least 1."""
-    if not (math.isfinite(cond) and cond >= 1):
-        raise ValueError(f"cond = {cond} must be finite and at least 1")
+    """The ground-truth condition number mc_generate takes, a real number in
+    [1, inf), as a float."""
+    return check_real("cond", cond, 1)
 
 
 def mc_check(d, n, r):
@@ -449,7 +450,7 @@ def mc_generate(d, n, r, cond, seed):
     observation set has exactly (n + d - r) r^2 entries drawn uniformly
     without replacement.  d, n, r and cond are checked before any draw.
     """
-    check_cond(cond)
+    cond = check_cond(cond)
     d, n, r, num = mc_check(d, n, r)
     rng = np.random.default_rng(seed)
     U = qr_positive(rng.standard_normal((d, r)))[0]

@@ -48,7 +48,7 @@ class RetractionKind(enum.Enum):
 
     @classmethod
     def _missing_(cls, name):
-        if name in _ALIASES:
+        if isinstance(name, str) and name in _ALIASES:
             return _ALIASES[name]
         raise ValueError(f"unknown retraction {name!r}")
 

@@ -68,6 +68,9 @@ def test_nu_of_rho():
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             nu_of_rho(bad)
+    # computed in double precision from the value a float32 holds
+    nu = nu_of_rho(np.float32(0.3))
+    assert type(nu) is float and nu == 1.0 / (4.0 * float(np.float32(0.3)))
 
 
 def test_metric_params_invariant():

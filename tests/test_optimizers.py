@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -226,6 +227,9 @@ class TestSchedule:
         assert SvrgConfig(retraction=name).retraction is RetractionKind(name)
         with pytest.raises(ValueError, match=f"^unknown retraction '{name}x'$"):
             SvrgConfig(retraction=name + "x")
+        # an unhashable value is no name either
+        with pytest.raises(ValueError, match=re.escape(f"unknown retraction ['{name}']")):
+            SvrgConfig(retraction=[name])
 
     def test_numpy_integers_accepted(self):
         cfg = SvrgConfig(K=np.int64(3), batch=np.int32(2), max_epochs=np.int64(4),

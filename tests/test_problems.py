@@ -418,9 +418,8 @@ class TestMcGenerate:
         (20, 30, 2.5, 10.0, "r must be an integer of at least 1, got 2.5"),
         (6, 2, 3, 10.0, "r = 3 outside [1, min(d, n) = 2]"),
         (2, 6, 3, 10.0, "r = 3 outside [1, d = 2]"),
-        (5, 5, 2, -3.0, "cond = -3.0"), (5, 5, 2, 0.0, "cond = 0.0"),
-        (5, 5, 2, 0.5, "cond = 0.5"), (5, 5, 2, math.nan, "cond = nan"),
-        (5, 5, 2, math.inf, "cond = inf")],
+        *((5, 5, 2, cond, f"cond must be a real number in [1, inf), got {cond}")
+          for cond in (-3.0, 0.0, 0.5, math.nan, math.inf))],
         ids=["0-5-1-10.0-d = 0", "5-0-1-10.0-n = 0", "5-5-0-10.0-r = 0", "20-30-2.5-10.0-r = 2.5",
              "6-2-3-10.0-r = 3", "2-6-3-10.0-r = 3", "5-5-2--3.0-cond = -3.0",
              "5-5-2-0.0-cond = 0.0", "5-5-2-0.5-cond = 0.5", "5-5-2-nan-cond = nan",

@@ -4,13 +4,15 @@ A stale entry in a module's __all__ imports cleanly and only fails at
 `from module import *`; a name the package re-exports should be one its
 module still lists as public.  A public name that only the tests call
 belongs with the tests (tests/oracles.py), not in the package.  Every
-public entry that takes a count checks it by one rule, with one message.
+public entry that takes a count checks it by one rule, with one message,
+and every one that takes a real number does the same.
 """
 
 import ast
 import enum
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 import re
@@ -21,9 +23,10 @@ import pytest
 import manifold_svrg
 from manifold_svrg import cli
 from manifold_svrg.harness import ExperimentSpec
-from manifold_svrg.optimizers import SvrgConfig
-from manifold_svrg.problems import (McInstance, PcaInstance, mc_generate,
-                                    mc_load_observations, pca_generate, pca_load)
+from manifold_svrg.manifold import nu_of_rho
+from manifold_svrg.optimizers import Fixed, SvrgConfig, Theorem1, theorem1_schedule
+from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, check_cond,
+                                    mc_generate, mc_load_observations, pca_generate, pca_load)
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(manifold_svrg.__path__))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -109,6 +112,78 @@ def test_one_count_rule(entry, bad, data_root):
     message = f"{name} must be an integer of at least 1, got {bad}"
     with pytest.raises(ValueError, match=re.escape(message)):
         make(bad, data_root)
+
+
+# "<entry>-<field>": (the entry called with that field set to v and the
+# other arguments valid, a valid value, the values just outside the
+# field's interval).  An entry returns what it stores, or its result
+_BELOW = math.nextafter(0.0, -1.0)
+REAL_ENTRIES = {
+    "Fixed-tau": (lambda v: Fixed(v).tau, 1, (_BELOW,)),
+    "Theorem1-mu": (lambda v: Theorem1(v, 1.0).mu, 0, (_BELOW, math.nextafter(2 / 3, 1))),
+    "Theorem1-kappa": (lambda v: Theorem1(0.5, v).kappa, 2, (0.0,)),
+    "theorem1_schedule-mu": (lambda v: theorem1_schedule(1000, v, 1.0, L=2.0, C=2.0, L1=1.0,
+                                                         L2=0.5, r=2, nu=1.0).tau,
+                             0, (_BELOW, math.nextafter(2 / 3, 1))),
+    "SvrgConfig-rho": (lambda v: SvrgConfig(rho=v).rho, 1, (_BELOW,)),
+    "SvrgConfig-grad_tol": (lambda v: SvrgConfig(grad_tol=v).grad_tol, 0, (_BELOW,)),
+    "ProblemConstants-L": (lambda v: ProblemConstants(v, 1.0).L, 2, (0.0,)),
+    "ProblemConstants-C": (lambda v: ProblemConstants(1.0, v).C, 2, (0.0,)),
+    "check_cond-cond": (check_cond, 10, (math.nextafter(1.0, 0.0),)),
+    "mc_generate-cond": (lambda v: mc_generate(20, 30, 2, v, 0).M_true, 10,
+                         (math.nextafter(1.0, 0.0),)),
+    "nu_of_rho-rho": (nu_of_rho, 1, (_BELOW,)),
+    "ExperimentSpec-rho": (lambda v: _spec(rho=v).rho, 1, (_BELOW,)),
+    "ExperimentSpec-batch_frac": (lambda v: _spec(batch_frac=v).batch_frac, 1,
+                                  (0.0, math.nextafter(1.0, 2.0))),
+    "ExperimentSpec-grad_tol": (lambda v: _spec(grad_tol=v).grad_tol, 0, (_BELOW,)),
+    "ExperimentSpec-cond": (lambda v: _spec(cond=v).cond, 10, (math.nextafter(1.0, 0.0),)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "0.1", None, math.nan, math.inf, "outside"])
+@pytest.mark.parametrize("entry", REAL_ENTRIES)
+def test_one_real_rule(entry, bad):
+    # a bool is no real number, a str or None is no number, NaN and an
+    # infinity never make a step: each is refused where it enters, with the
+    # message of check_real, as is a value just outside the field's interval
+    make, valid, outside = REAL_ENTRIES[entry]
+    name = entry.rsplit("-", 1)[1]
+    for value in outside if bad == "outside" else (bad,):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number in [(\[].*, got "):
+            make(value)
+    # an int, a numpy float32 and a float64 are taken as the float they are
+    for value in (valid, np.float32(valid), np.float64(valid)):
+        stored = make(value)
+        if np.ndim(stored) == 0:
+            assert type(stored) is float, (entry, type(value))
+
+
+def _isfinite_uses():
+    """(module file, enclosing def) of each math.isfinite in the package."""
+    uses = set()
+
+    def visit(node, where, path):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "isfinite"
+                    and isinstance(child.value, ast.Name) and child.value.id == "math"
+                    or isinstance(child, ast.ImportFrom) and child.module == "math"
+                    and "isfinite" in (alias.name for alias in child.names)):
+                uses.add((path.name, where))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+            visit(child, inner, path)
+
+    for path in sorted((ROOT / "src" / "manifold_svrg").glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    return uses
+
+
+def test_finite_real_checked_once():
+    # a scalar's finiteness is part of the real rule, written only in
+    # check_real; the observation loader keeps its own per-line check,
+    # which names the file line and raises NonFiniteInput
+    assert _isfinite_uses() == {("errors.py", "check_real"),
+                                ("problems.py", "mc_load_observations")}
 
 
 # defaulted keyword parameters and dataclass fields of every __all__ name,
