@@ -2,9 +2,9 @@
 
 Subcommands: `bench run` executes a multi-seed experiment cell and writes
 trace / summary CSVs, and `bench tune` grid-searches a fixed step size.  A
-config file (flat key=value lines, '#' comments) supplies defaults;
-explicit flags override it.  The numerical and property checks are the
-test suite's: run `pytest`.
+config file (flat key=value lines, '#' comments) supplies flags, which
+argparse checks; explicit flags override it.  The numerical and property
+checks are the test suite's: run `pytest`.
 """
 
 import argparse
@@ -18,8 +18,9 @@ from .retractions import RETRACTION_NAMES
 
 
 def read_config(path):
-    """Flat key=value config; keys match the run flags with '-' or '_'."""
-    out = {}
+    """Flat key=value config as --key=value flags.  A key is a spec field,
+    with '-' or '_'; any other is refused here, as argparse takes abbreviations."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -27,9 +28,11 @@ def read_config(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key.replace("-", "_") not in _SPEC_TYPES:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            tokens.append(f"--{key.replace('_', '-')}={val}")
+    return tokens
 
 
 _SPEC_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
@@ -48,18 +51,8 @@ def _add_run_flags(p):
 
 
 def build_spec(args):
-    values = read_config(args.config) if args.config else {}
-    values.update((k, v) for k, v in vars(args).items() if k in _SPEC_TYPES and v is not None)
-    # config-file values arrive as strings: convert each with its field's type
-    for key, val in values.items():
-        if key not in _SPEC_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            values[key] = _SPEC_TYPES[key](val)
-        except ValueError:
-            kind = _SPEC_TYPES[key].__name__
-            raise ValueError(f"{key} = {val!r} is not of type {kind}") from None
-    return ExperimentSpec(**values)
+    return ExperimentSpec(**{k: v for k, v in vars(args).items()
+                             if k in _SPEC_TYPES and v is not None})
 
 
 def cmd_run(args):
@@ -102,9 +95,19 @@ def _parser():
     return parser
 
 
+def _parse_args(argv):
+    """argv with a config file's flags after the subcommand, where argv's own win."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = parser.parse_args(argv[:1] + read_config(args.config) + argv[1:])
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except (ManifoldSvrgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

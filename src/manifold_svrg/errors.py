@@ -55,4 +55,4 @@ def check_real(name, value, low, high=math.inf, open_low=False):
             or not (low < value if open_low else low <= value) or value > high):
         interval = f"{'(' if open_low else '['}{low}, {high}{')' if high == math.inf else ']'}"
         raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 as 0.0, so that one value has one repr

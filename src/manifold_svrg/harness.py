@@ -14,6 +14,7 @@ import math
 import os
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,10 @@ __all__ = [
 TRACE_COLUMNS = ("run_id", "epoch", "f", "grad_norm", "step_size",
                  "ifo_calls", "ro_calls", "seconds")
 
-PROBLEMS = ("pca", "mc")
+# each problem kind's instance class, the checks of (d, n, r) its generator
+# makes before it draws, and the generator, called with a spec
+PROBLEMS = {"pca": (PcaInstance, pca_check, lambda s: pca_generate(s.d, s.n, s.r, s.seed)),
+            "mc": (McInstance, mc_check, lambda s: mc_generate(s.d, s.n, s.r, s.cond, s.seed))}
 
 # each method's runner, called as run(problem, config, X0), and the step
 # rules it runs.  s-svrg-bb is s-svrg held to bb; rgd takes one
@@ -76,34 +80,33 @@ class ExperimentSpec:
     out: str = None               # directory for CSVs; None skips writing
 
     def __post_init__(self):
-        # each field is stored as its declared type, so that one cell has one
-        # value and one hash (config_hash reads repr); inner_k may also be
-        # given as a count, kept as its decimal string
+        # each field is stored as the one check that owns it returns it, so one
+        # cell has one value and one hash; inner_k may also be given as a count
+        store = partial(object.__setattr__, self)
         for f in fields(self):
-            value = getattr(self, f.name)
+            v = getattr(self, f.name)
             if f.type is int:
-                value = check_count(f.name, value, 0 if f.name == "seed" else 1)
-            elif f.name == "inner_k" and not isinstance(value, str):
-                value = str(check_count(f.name, value, 1))
-            elif f.type is float:
-                value = check_real(f.name, value, -math.inf, open_low=True)
-            elif not (isinstance(value, str) or value is None and f.name == "out"):
-                raise ValueError(f"{f.name} must be a str, got {value!r}")
-            object.__setattr__(self, f.name, value)
+                store(f.name, check_count(f.name, v, 0 if f.name == "seed" else 1))
+            elif f.name == "inner_k" and not isinstance(v, str):
+                store(f.name, str(check_count(f.name, v, 1)))
+            elif f.type is str and not (isinstance(v, str) or v is None and f.name == "out"):
+                raise ValueError(f"{f.name} must be a str, got {v!r}")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        # the checks build_problem's generator makes before it draws, with its
-        # messages; cond, which only mc reads, is checked for every problem
-        check_cond(self.cond)
-        (pca_check if self.problem == "pca" else mc_check)(self.d, self.n, self.r)
-        check_real("batch_frac", self.batch_frac, 0, 1, open_low=True)
+        # the generator's checks before it draws; cond, read by mc, for any problem
+        store("cond", check_cond(self.cond))
+        PROBLEMS[self.problem][1](self.d, self.n, self.r)
+        store("batch_frac", check_real("batch_frac", self.batch_frac, 0, 1, open_low=True))
         if self.method not in METHOD_STEPS:
             raise ValueError(f"unknown method {self.method!r}")
-        # decodes the retraction, step rule and inner count, and runs
-        # SvrgConfig's checks, so every run of a valid spec gets this far
-        mode = build_config(self, self.seed).step_mode
-        if not isinstance(mode, METHOD_STEPS[self.method][1]):
+        # decodes the retraction, step rule and inner count and checks rho and grad_tol
+        cfg = build_config(self, self.seed)
+        if not isinstance(cfg.step_mode, METHOD_STEPS[self.method][1]):
             raise ValueError(f"{self.method} does not run step rule {self.step!r}")
+        store("rho", cfg.rho)
+        store("grad_tol", cfg.grad_tol)
+        store("step", _spell_step(cfg.step_mode))
+        store("inner_k", self.inner_k if self.inner_k == "auto" else str(cfg.K))
 
     def config_hash(self):
         payload = repr(sorted((k, v) for k, v in asdict(self).items() if k != "out"))
@@ -112,15 +115,21 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
-    run_id: int
-    seed: int
-    status: str
-    epochs: int
-    final_f: float
-    final_grad: float
-    seconds: float
-    trace: object
+    """One run of a cell; status, final f, final gradient and seconds are its
+    trace's, or for a run that raised Failed:<ExcType>, NaN, NaN and 0.0."""
+
+    run_id: int                # the run's seed is the spec's seed + run_id
+    max_epochs: int            # the epochs a run counts unless it stops at GradTol
+    trace: object              # the run's RunTrace, None for a run that raised
     error: str = None          # "<ExcType>: <message>" for a failed run
+
+    final_f = property(lambda self: self.trace.f[-1] if self.trace else math.nan)
+    final_grad = property(lambda self: self.trace.grad_norm[-1] if self.trace else math.nan)
+    seconds = property(lambda self: self.trace.seconds[-1] if self.trace else 0.0)
+    status = property(lambda self: self.trace.status if self.trace
+                      else "Failed:" + self.error.split(":", 1)[0])
+    epochs = property(lambda self: self.trace.epoch[-1] if self.status == "GradTol"
+                      else self.max_epochs)
 
 
 @dataclass(frozen=True)
@@ -169,10 +178,14 @@ def parse_step(step):
     raise ValueError(f"step = {step!r} is not of the form fixed:<tau>, bb or thm1:<mu>,<kappa>")
 
 
+def _spell_step(mode):
+    """The one spelling parse_step decodes to mode: its name and its fields' reprs."""
+    values = ",".join(repr(getattr(mode, f.name)) for f in fields(mode))
+    return {Fixed: "fixed:", BB: "bb", Theorem1: "thm1:"}[type(mode)] + values
+
+
 def build_problem(spec: ExperimentSpec):
-    if spec.problem == "pca":
-        return pca_generate(spec.d, spec.n, spec.r, spec.seed)
-    return mc_generate(spec.d, spec.n, spec.r, spec.cond, spec.seed)
+    return PROBLEMS[spec.problem][2](spec)
 
 
 def resolve_inner_k(spec: ExperimentSpec):
@@ -210,16 +223,7 @@ def reference_value(spec: ExperimentSpec, problem):
 def _single_run(problem, spec, run_id):
     cfg = build_config(spec, spec.seed + run_id)
     X, trace = METHOD_STEPS[spec.method][0](problem, cfg, X0=warm_start(problem, cfg))
-    return RunResult(
-        run_id=run_id,
-        seed=cfg.seed,
-        status=trace.status,
-        epochs=trace.epoch[-1] if trace.status == "GradTol" else cfg.max_epochs,
-        final_f=trace.f[-1],
-        final_grad=trace.grad_norm[-1],
-        seconds=trace.seconds[-1],
-        trace=trace,
-    ), X
+    return RunResult(run_id, cfg.max_epochs, trace), X
 
 
 def _numerics():
@@ -247,7 +251,7 @@ def _write_csv(fh, spec, seed, columns, rows):
 def _write_trace(path, spec, result):
     tr = result.trace
     with open(path, "w", newline="") as fh:
-        _write_csv(fh, spec, result.seed, TRACE_COLUMNS,
+        _write_csv(fh, spec, spec.seed + result.run_id, TRACE_COLUMNS,
                    zip([result.run_id] * len(tr.epoch), tr.epoch, tr.f, tr.grad_norm,
                        tr.step_size, tr.ifo_calls, tr.ro_calls,
                        [f"{t:.6f}" for t in tr.seconds]))
@@ -265,7 +269,7 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     """
     if problem is None:
         problem = build_problem(spec)
-    if not isinstance(problem, PcaInstance if spec.problem == "pca" else McInstance):
+    if not isinstance(problem, PROBLEMS[spec.problem][0]):
         raise ValueError(f"spec.problem = {spec.problem!r} but the problem is a "
                          f"{type(problem).__name__}")
     for name in ("d", "n", "r"):
@@ -281,11 +285,7 @@ def run_experiment(spec: ExperimentSpec, problem=None):
         try:
             result, _ = _single_run(problem, spec, run_id)
         except Exception as exc:  # keep going; the row reports the failure
-            result = RunResult(run_id=run_id, seed=spec.seed + run_id,
-                               status=f"Failed:{type(exc).__name__}",
-                               epochs=spec.max_epochs, final_f=float("nan"),
-                               final_grad=float("nan"), seconds=0.0, trace=None,
-                               error=f"{type(exc).__name__}: {exc}")
+            result = RunResult(run_id, spec.max_epochs, None, f"{type(exc).__name__}: {exc}")
         results.append(result)
         if spec.out is not None and result.trace is not None:
             _write_trace(os.path.join(spec.out, f"trace_run{run_id:03d}.csv"),

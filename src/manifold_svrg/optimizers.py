@@ -496,9 +496,9 @@ def run_rgd(problem, config: SvrgConfig, X0):
 def warm_start(problem, config: SvrgConfig) -> StiefelPoint:
     """Seeded random orthonormal start refined by K single-sample steps.
 
-    The same seed yields the same start for every method, so paired
-    comparisons share initial conditions.  The refinement step is 1/(2L),
-    small relative to the component curvature.
+    The start depends on the problem and on config's seed, K, retraction and
+    rho, not on the method.  The refinement step is 1/(2L), small relative
+    to the component curvature.
     """
     _check_rank(problem, config)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_WARM)))

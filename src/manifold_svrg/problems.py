@@ -199,7 +199,7 @@ class McInstance:
     The full and batch gradients sum the per-observation gradient rows
     2 resid_i a_i^T into X's shape with a single np.bincount over flat
     (row * r + j) slots precomputed at construction; padding lands in a
-    sentinel row that is dropped.  component_value_grad fits its one column
+    sentinel row that is dropped.  component_egrad fits its one column
     unpadded.
 
     anchored(X) fits all n columns at X once; its batch difference gathers
@@ -317,18 +317,14 @@ class McInstance:
         """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx."""
         return self._scatter(idx, self._contrib(Xk, idx)[0] - c0) / len(idx)
 
-    def component_value_grad(self, X, i):
+    def component_egrad(self, X, i):
         # the column's own rows, unpadded: zero-row padding would change the
         # Gram sums in the last bits
         rows, v = self._pad_rows[i, :self._lengths[i]], self._pad_vals[i, :self._lengths[i]]
         a, resid = self._fit(X[rows][None], v[None, :, None], self._short[i:i + 1])
-        resid = resid[0, :, 0]
         egrad = np.zeros_like(X)
-        egrad[rows] = 2.0 * np.outer(resid, a[0, :, 0])
-        return float(resid @ resid), egrad
-
-    def component_egrad(self, X, i):
-        return self.component_value_grad(X, i)[1]
+        egrad[rows] = 2.0 * np.outer(resid[0, :, 0], a[0, :, 0])
+        return egrad
 
     def value(self, X):
         return self.full_value_egrad(X)[0]

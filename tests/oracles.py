@@ -12,8 +12,9 @@ dense eigensolver, and pca_data draws pca_generate's raw data in one piece.
 
 The rest state what the analysis and the retractions' contracts say, for
 the tests to hold the package to: the tangent-space projection that makes
-test directions, each retraction's declared R'(0), the telescoped
-recursion lemma behind Theorem 1, and the Lojasiewicz ratio probe.
+test directions, the direction each kind steps along, each retraction's
+declared R'(0), the telescoped recursion lemma behind Theorem 1, and the
+Lojasiewicz ratio probe.
 """
 
 import enum
@@ -145,12 +146,7 @@ def estimate_l1_l2(kind, trials, seed):
             Rt = X + t * E
             deriv = E
         else:
-            if kind in GRADIENT_KINDS:
-                direction = Z
-            elif kind is RetractionKind.EXP2:
-                direction = Z - X @ (X.T @ Z)
-            else:
-                direction = Z - 0.5 * X @ (X.T @ Z + Z.T @ X)
+            direction = direction_for(kind, X, Z)
             deriv = declared_derivative(kind, X, direction)
             Rt = retract_array(kind, X, direction, t)
         nd = np.linalg.norm(deriv)
@@ -220,6 +216,16 @@ def declared_derivative(kind, X, direction):
     if kind is RetractionKind.GR:
         return -2.0 * d_rho_array(X, direction, 0.0)
     return direction
+
+
+def direction_for(kind, X, Z):
+    """The direction a kind steps along, made from the draw Z: gp and gr
+    take Z as drawn (a Euclidean gradient), exp2 its horizontal part and
+    every other kind its Stiefel tangent part."""
+    if kind in GRADIENT_KINDS:
+        return Z
+    space = TangentSpace.GRASSMANN if kind is RetractionKind.EXP2 else TangentSpace.STIEFEL
+    return tangent_project_array(X, Z, space)
 
 
 def recursion_lemma_check(a_seq, b, c, d, a_coef, f0=0.0):

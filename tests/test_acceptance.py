@@ -20,7 +20,7 @@ from manifold_svrg.optimizers import BB, run_s_sgd, SvrgConfig, theorem1_schedul
 from manifold_svrg.problems import pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
 from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation, cayley_woodbury,
-                     declared_derivative, estimate_l1_l2, fd_derivative,
+                     declared_derivative, direction_for, estimate_l1_l2, fd_derivative,
                      loj_ratio_probe, recursion_lemma_check, tangent_project_array)
 
 rng = np.random.default_rng(2024)
@@ -50,13 +50,7 @@ def test_criterion_1_retraction_axioms(capfd):
     for kind in FREE_KINDS + GRADIENT_KINDS:
         for _ in range(500):
             X = qr_positive(rng.standard_normal((d, r)))[0]
-            Z = rng.standard_normal((d, r))
-            if kind in GRADIENT_KINDS:
-                direction = Z
-            elif kind is RetractionKind.EXP2:
-                direction = tangent_project_array(X, Z, TangentSpace.GRASSMANN)
-            else:
-                direction = tangent_project_array(X, Z, TangentSpace.STIEFEL)
+            direction = direction_for(kind, X, rng.standard_normal((d, r)))
             worst_zero = max(worst_zero,
                              float(np.linalg.norm(retract_array(kind, X, direction, 0.0) - X)))
             for t in (0.01, 0.1, 1.0, 10.0):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from manifold_svrg import harness
-from manifold_svrg.cli import _parser, build_spec, main, read_config
+from manifold_svrg.cli import _parse_args, _parser, build_spec, main, read_config
 from manifold_svrg.errors import NoConvergentTau, NonFiniteValue, TooManySamples
 from manifold_svrg.harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, SummaryRow,
                                    TRACE_COLUMNS, build_config, build_problem,
@@ -93,16 +93,26 @@ class TestSpec:
         # the message names a field it was given
         assert any(name in str(err.value) for name in bad), str(err.value)
 
-    @pytest.mark.parametrize("given, plain", [(dict(rho=0), dict(rho=0.0)),
-                                              (dict(cond=np.float64(10)), dict(cond=10.0)),
-                                              (dict(inner_k=10), dict(inner_k="10")),
-                                              (dict(inner_k=np.int64(10)), dict(inner_k="10"))],
-                             ids=["rho-int", "cond-numpy", "inner_k-int", "inner_k-numpy"])
+    @pytest.mark.parametrize("given, plain", [
+        (dict(rho=0), dict(rho=0.0)),
+        (dict(rho=-0.0), dict(rho=0.0)),
+        (dict(cond=np.float64(10)), dict(cond=10.0)),
+        (dict(inner_k=10), dict(inner_k="10")),
+        (dict(inner_k=np.int64(10)), dict(inner_k="10")),
+        (dict(inner_k="007"), dict(inner_k="7")),
+        (dict(method="s-svrg", step="fixed:0.10"), dict(method="s-svrg", step="fixed:0.1")),
+        (dict(method="s-svrg", step="fixed:1"), dict(method="s-svrg", step="fixed:1.0")),
+        (dict(method="s-svrg", step="fixed:-0"), dict(method="s-svrg", step="fixed:0.0")),
+        (dict(method="s-svrg", step="thm1: .5,1e0"), dict(method="s-svrg", step="thm1:0.5,1.0"))],
+        ids=["rho-int", "rho-negative-zero", "cond-numpy", "inner_k-int", "inner_k-numpy",
+             "inner_k-zeros", "fixed-zeros", "fixed-int", "fixed-negative-zero", "thm1-spelling"])
     def test_one_cell_one_hash(self, given, plain):
-        # a value is stored as its field's type, so an equal value spelled
+        # a value is stored as its field's type, and a step rule or inner
+        # count in the one form its decode gives, so an equal value spelled
         # another way is the same cell, with the same hash
         spec, want = tiny_spec(**given), tiny_spec(**plain)
         assert spec == want and spec.config_hash() == want.config_hash()
+        assert [getattr(spec, k) for k in given] == list(plain.values())
         assert [type(getattr(spec, k)) for k in given] == [type(v) for v in plain.values()]
 
     def test_numpy_integer_counts_accepted(self):
@@ -220,6 +230,20 @@ class TestRunExperiment:
         row, _ = run_experiment(replace(spec, grad_tol=tol))
         assert row.successes == row.runs == 2
 
+    def test_result_reads_its_trace(self):
+        # a result stores no value its trace holds: status, final f, final
+        # gradient norm and seconds are the trace's, and the epochs its last
+        # row's once the run reaches grad_tol, else the budget
+        assert [f.name for f in fields(harness.RunResult)] == [
+            "run_id", "max_epochs", "trace", "error"]
+        for spec in (tiny_spec(runs=1), tiny_spec(runs=1, max_epochs=2)):
+            _, (result,) = run_experiment(spec)
+            tr = result.trace
+            assert (result.status, result.final_f, result.final_grad, result.seconds) == (
+                tr.status, tr.f[-1], tr.grad_norm[-1], tr.seconds[-1])
+            assert result.epochs == (tr.epoch[-1] if tr.status == "GradTol" else 2)
+        assert tr.status == "MaxEpochs"
+
     def test_convergent_cell(self):
         row, results = run_experiment(tiny_spec())
         assert row.successes == row.runs == 2
@@ -301,6 +325,11 @@ class TestRunExperiment:
         row, results = run_experiment(spec)
         assert row.successes == 0
         assert all(r.status == "Failed:NonFiniteValue" for r in results)
+        # a run that raised has no trace: NaN f and gradient, no seconds,
+        # and the epoch budget
+        for r in results:
+            assert (r.trace, r.epochs, r.seconds) == (None, 2, 0.0)
+            assert np.isnan(r.final_f) and np.isnan(r.final_grad)
         assert np.isnan(row.nrm_bar) and np.isnan(row.err_bar)
 
     def test_failure_message_kept(self, capsys, diverging):
@@ -444,8 +473,7 @@ class TestConfigFile:
     def test_read_config(self, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("problem = pca  # comment\nbatch-frac=0.25\n\n# full line\nd=12\n")
-        assert read_config(str(p)) == {"problem": "pca", "batch_frac": "0.25",
-                                       "d": "12"}
+        assert read_config(str(p)) == ["--problem=pca", "--batch-frac=0.25", "--d=12"]
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "cfg"
@@ -456,31 +484,41 @@ class TestConfigFile:
     def _spec_from(self, tmp_path, config_text, argv_extra=()):
         p = tmp_path / "cfg"
         p.write_text(config_text)
-        from manifold_svrg.cli import _add_run_flags
-        parser = argparse.ArgumentParser()
-        _add_run_flags(parser)
-        return build_spec(parser.parse_args(["--config", str(p), *argv_extra]))
+        return build_spec(_parse_args(["run", "--config", str(p), *argv_extra]))
 
     def test_flags_override_config(self, tmp_path):
         spec = self._spec_from(tmp_path, "d=12\nseed=3\n", ["--seed", "9"])
         assert spec.d == 12 and spec.seed == 9
+        # a flag given before --config wins too
+        spec = self._spec_from(tmp_path, "d=12\nseed=3\n", ["--seed", "9", "--d", "11"])
+        assert spec.d == 11 and spec.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            self._spec_from(tmp_path, "momentum=0.9\n")
+        # argparse alone would take bat as an abbreviation of --batch-frac
+        for key in ("momentum", "bat", "config", "grid"):
+            with pytest.raises(ValueError, match=f"cfg:1: unknown config key '{key}'$"):
+                self._spec_from(tmp_path, f"{key}=0.9\n")
 
     def test_type_coercion(self, tmp_path):
         spec = self._spec_from(tmp_path, "grad-tol=1e-4\nmax-epochs=9\n")
         assert spec.grad_tol == 1e-4 and isinstance(spec.max_epochs, int)
 
-    @pytest.mark.parametrize("line, message", [
-        ("d = abc", "d = 'abc' is not of type int"),
-        ("max-epochs = 2.5", "max_epochs = '2.5' is not of type int"),
-        ("rho = fast", "rho = 'fast' is not of type float")])
-    def test_unparsable_value_named(self, tmp_path, line, message):
-        # the key, the value and the type it should have
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            self._spec_from(tmp_path, line + "\n")
+    @pytest.mark.parametrize("line", ["d = abc", "max-epochs = 2.5", "rho = fast",
+                                      "problem = svm", "retraction = cayley"])
+    def test_unparsable_value_named(self, tmp_path, capsys, line):
+        # a config value is typed and checked by its flag, with its message
+        p = tmp_path / "cfg"
+        p.write_text(line + "\n")
+        key, value = line.split(" = ")
+        flag = ["--" + key, value]
+        errors = []
+        for argv in (["--config", str(p)], flag):
+            with pytest.raises(SystemExit) as exit_:
+                main(["run", *argv])
+            assert exit_.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"bench run: error: argument {flag[0]}: ")
 
 
 class TestCliMain:
@@ -540,10 +578,15 @@ class TestCliMain:
                 (["--n", "0"], "n must be an integer of at least 1, got 0"),
                 (["--r", "0"], "r must be an integer of at least 1, got 0"),
                 (["--max-epochs", "0"], "max_epochs must be an integer of at least 1, got 0"),
-                (["--runs", "0"], "runs must be an integer of at least 1, got 0"),
-                (["--config", str(config)], "d = 'abc' is not of type int")):
+                (["--runs", "0"], "runs must be an integer of at least 1, got 0")):
             assert main(["run", "--problem", "pca", *argv]) == 2
             assert f"error: {message}\n" in capsys.readouterr().err
+        # a config value the flag parser refuses gets its flag's message
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--problem", "pca", "--config", str(config)])
+        assert exit_.value.code == 2
+        assert ("bench run: error: argument --d: invalid int value: 'abc'\n"
+                in capsys.readouterr().err)
         assert main(["tune", "--method", "s-svrg", "--grid", "0.1,abc"]) == 2
         assert ("error: --grid '0.1,abc' is not of the form <tau>,<tau>,...\n"
                 in capsys.readouterr().err)

@@ -70,21 +70,19 @@ def lstsq_components(inst, X):
 
 
 def assert_matches_lstsq(inst, X0, Xk, idx):
-    """Value, full gradient, batch difference and component oracles against lstsq."""
+    """Value, full gradient, batch difference and component gradient against lstsq."""
     def close(got, want):
         assert np.linalg.norm(got - want) <= 1e-11 * (1.0 + np.linalg.norm(want))
 
     f0, g0 = lstsq_components(inst, X0)
-    fk, gk = lstsq_components(inst, Xk)
+    gk = lstsq_components(inst, Xk)[1]
     f, egrad = inst.full_value_egrad(X0)
     close(f, f0.mean())
     close(egrad, g0.mean(axis=0))
     close(inst.batch_egrad_diff(Xk, X0, idx), (gk[idx] - g0[idx]).mean(axis=0))
     close(inst.batch_egrad_diff(X0, Xk, idx), (g0[idx] - gk[idx]).mean(axis=0))
     for i in range(inst.n):
-        fi, gi = inst.component_value_grad(Xk, i)
-        close(fi, fk[i])
-        close(gi, gk[i])
+        close(inst.component_egrad(Xk, i), gk[i])
 
 
 def _constants_or_error(inst):
@@ -451,9 +449,8 @@ class TestMcInstance:
         a = rng.standard_normal(2)
         vals = [X @ a]
         inst = mc_from_columns(6, 2, [np.arange(6)], vals)
-        f, g = inst.component_value_grad(X, 0)
-        assert f <= 1e-24
-        assert np.linalg.norm(g) <= 1e-11
+        assert lstsq_components(inst, X)[0][0] <= 1e-24
+        assert np.linalg.norm(inst.component_egrad(X, 0)) <= 1e-11
 
     def test_full_observation_projection_identity(self):
         # all rows observed: a* = X^T M_i and f_i = ||(I - XX^T) M_i||^2
@@ -462,7 +459,7 @@ class TestMcInstance:
         inst = mc_from_columns(6, 2, [np.arange(6)], [m])
         np.testing.assert_allclose(inst.fitted_matrix(X)[:, 0], X @ (X.T @ m), atol=1e-12)
         want = np.linalg.norm(m - X @ (X.T @ m)) ** 2
-        assert inst.component_value_grad(X, 0)[0] == pytest.approx(want, rel=1e-12)
+        assert lstsq_components(inst, X)[0][0] == pytest.approx(want, rel=1e-12)
 
     def test_component_grad_vs_finite_differences(self):
         X = random_stiefel(30, 3)
@@ -470,13 +467,13 @@ class TestMcInstance:
             g = self.inst.component_egrad(X, i)
             probe = rng.standard_normal((30, 3))
             val = fd_derivative(
-                lambda t: np.array([[self.inst.component_value_grad(X + t * probe, i)[0]]]))
+                lambda t: np.array([[lstsq_components(self.inst, X + t * probe)[0][i]]]))
             assert abs(val[0, 0] - np.sum(g * probe)) <= 1e-5 * max(1.0, abs(val[0, 0]))
 
     def test_finite_sum_consistency(self):
         X = random_stiefel(30, 3)
         f, egrad = self.inst.full_value_egrad(X)
-        fs = [self.inst.component_value_grad(X, i)[0] for i in range(25)]
+        fs = lstsq_components(self.inst, X)[0]
         gs = [self.inst.component_egrad(X, i) for i in range(25)]
         assert abs(f - np.mean(fs)) <= 1e-10
         np.testing.assert_allclose(egrad, np.mean(gs, axis=0), atol=1e-10)
@@ -505,7 +502,7 @@ class TestMcInstance:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(X[[2, 3, 4]].T @ X[[2, 3, 4]], np.zeros(2))
         assert_matches_lstsq(inst, X, random_stiefel(5, 2), np.array([1, 0, 1]))
-        assert inst.component_value_grad(X, 1)[0] == 11.0
+        assert lstsq_components(inst, X)[0][1] == 11.0
 
     def test_singular_column_leaves_other_fits_alone(self):
         # X0 vanishes on column 0's rows 2, 3 and 4: only that column takes

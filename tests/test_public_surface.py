@@ -9,9 +9,7 @@ and every one that takes a real number does the same.
 """
 
 import ast
-import enum
 import importlib
-import inspect
 import math
 import pathlib
 import pkgutil
@@ -21,12 +19,12 @@ import numpy as np
 import pytest
 
 import manifold_svrg
-from manifold_svrg import cli
 from manifold_svrg.harness import ExperimentSpec
 from manifold_svrg.manifold import nu_of_rho
 from manifold_svrg.optimizers import Fixed, SvrgConfig, Theorem1, theorem1_schedule
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, check_cond,
                                     mc_generate, mc_load_observations, pca_generate, pca_load)
+from source_lines import public_options
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(manifold_svrg.__path__))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -115,29 +113,33 @@ def test_one_count_rule(entry, bad, data_root):
 
 
 # "<entry>-<field>": (the entry called with that field set to v and the
-# other arguments valid, a valid value, the values just outside the
-# field's interval).  An entry returns what it stores, or its result
+# other arguments valid, the field's interval, a valid value, the values
+# just outside the interval).  An entry returns what it stores, or its result
 _BELOW = math.nextafter(0.0, -1.0)
+_MU = "[0, 0.6666666666666666]"
 REAL_ENTRIES = {
-    "Fixed-tau": (lambda v: Fixed(v).tau, 1, (_BELOW,)),
-    "Theorem1-mu": (lambda v: Theorem1(v, 1.0).mu, 0, (_BELOW, math.nextafter(2 / 3, 1))),
-    "Theorem1-kappa": (lambda v: Theorem1(0.5, v).kappa, 2, (0.0,)),
+    "Fixed-tau": (lambda v: Fixed(v).tau, "[0, inf)", 1, (_BELOW,)),
+    "Theorem1-mu": (lambda v: Theorem1(v, 1.0).mu, _MU, 0, (_BELOW, math.nextafter(2 / 3, 1))),
+    "Theorem1-kappa": (lambda v: Theorem1(0.5, v).kappa, "(0, inf)", 2, (0.0,)),
     "theorem1_schedule-mu": (lambda v: theorem1_schedule(1000, v, 1.0, L=2.0, C=2.0, L1=1.0,
                                                          L2=0.5, r=2, nu=1.0).tau,
-                             0, (_BELOW, math.nextafter(2 / 3, 1))),
-    "SvrgConfig-rho": (lambda v: SvrgConfig(rho=v).rho, 1, (_BELOW,)),
-    "SvrgConfig-grad_tol": (lambda v: SvrgConfig(grad_tol=v).grad_tol, 0, (_BELOW,)),
-    "ProblemConstants-L": (lambda v: ProblemConstants(v, 1.0).L, 2, (0.0,)),
-    "ProblemConstants-C": (lambda v: ProblemConstants(1.0, v).C, 2, (0.0,)),
-    "check_cond-cond": (check_cond, 10, (math.nextafter(1.0, 0.0),)),
-    "mc_generate-cond": (lambda v: mc_generate(20, 30, 2, v, 0).M_true, 10,
+                             _MU, 0, (_BELOW, math.nextafter(2 / 3, 1))),
+    "SvrgConfig-rho": (lambda v: SvrgConfig(rho=v).rho, "[0, inf)", 1, (_BELOW,)),
+    "SvrgConfig-grad_tol": (lambda v: SvrgConfig(grad_tol=v).grad_tol, "[0, inf)", 0, (_BELOW,)),
+    "ProblemConstants-L": (lambda v: ProblemConstants(v, 1.0).L, "(0, inf)", 2, (0.0,)),
+    "ProblemConstants-C": (lambda v: ProblemConstants(1.0, v).C, "(0, inf)", 2, (0.0,)),
+    "check_cond-cond": (check_cond, "[1, inf)", 10, (math.nextafter(1.0, 0.0),)),
+    "mc_generate-cond": (lambda v: mc_generate(20, 30, 2, v, 0).M_true, "[1, inf)", 10,
                          (math.nextafter(1.0, 0.0),)),
-    "nu_of_rho-rho": (nu_of_rho, 1, (_BELOW,)),
-    "ExperimentSpec-rho": (lambda v: _spec(rho=v).rho, 1, (_BELOW,)),
-    "ExperimentSpec-batch_frac": (lambda v: _spec(batch_frac=v).batch_frac, 1,
+    "nu_of_rho-rho": (nu_of_rho, "[0, inf)", 1, (_BELOW,)),
+    # the spec's floats are refused by their owners' checks, with the
+    # field's own interval: rho and grad_tol by SvrgConfig's
+    "ExperimentSpec-rho": (lambda v: _spec(rho=v).rho, "[0, inf)", 1, (_BELOW,)),
+    "ExperimentSpec-batch_frac": (lambda v: _spec(batch_frac=v).batch_frac, "(0, 1]", 1,
                                   (0.0, math.nextafter(1.0, 2.0))),
-    "ExperimentSpec-grad_tol": (lambda v: _spec(grad_tol=v).grad_tol, 0, (_BELOW,)),
-    "ExperimentSpec-cond": (lambda v: _spec(cond=v).cond, 10, (math.nextafter(1.0, 0.0),)),
+    "ExperimentSpec-grad_tol": (lambda v: _spec(grad_tol=v).grad_tol, "[0, inf)", 0, (_BELOW,)),
+    "ExperimentSpec-cond": (lambda v: _spec(cond=v).cond, "[1, inf)", 10,
+                            (math.nextafter(1.0, 0.0),)),
 }
 
 
@@ -146,11 +148,13 @@ REAL_ENTRIES = {
 def test_one_real_rule(entry, bad):
     # a bool is no real number, a str or None is no number, NaN and an
     # infinity never make a step: each is refused where it enters, with the
-    # message of check_real, as is a value just outside the field's interval
-    make, valid, outside = REAL_ENTRIES[entry]
+    # message of check_real and the field's interval, as is a value just
+    # outside that interval
+    make, interval, valid, outside = REAL_ENTRIES[entry]
     name = entry.rsplit("-", 1)[1]
+    message = f"^{name} must be a real number in {re.escape(interval)}, got "
     for value in outside if bad == "outside" else (bad,):
-        with pytest.raises(ValueError, match=rf"^{name} must be a real number in [(\[].*, got "):
+        with pytest.raises(ValueError, match=message):
             make(value)
     # an int, a numpy float32 and a float64 are taken as the float they are
     for value in (valid, np.float32(valid), np.float64(valid)):
@@ -191,26 +195,8 @@ def test_finite_real_checked_once():
 OPTION_BUDGET = 48
 
 
-def _defaulted(obj):
-    """Names of obj's parameters (or dataclass fields) that have a default."""
-    if not callable(obj) or isinstance(obj, enum.EnumMeta):
-        return []
-    return [p.name for p in inspect.signature(obj).parameters.values()
-            if p.default is not p.empty]
-
-
 def test_option_budget():
-    options = {}
-    for m in MODULES:
-        module = importlib.import_module(f"manifold_svrg.{m}")
-        for name in getattr(module, "__all__", []):
-            params = _defaulted(getattr(module, name))
-            if params:
-                options[f"{m}.{name}"] = params
-    parser = cli._parser()
-    flags = set()
-    for argv in (["run"], ["tune", "--grid", "1"]):
-        flags |= set(vars(parser.parse_args(argv))) - {"command", "func"}
+    options, flags = public_options()
     count = sum(map(len, options.values()))
     listing = "".join(f"\n  {name}: {', '.join(params)}" for name, params in options.items())
     assert count + len(flags) == OPTION_BUDGET, (

@@ -8,6 +8,7 @@ from manifold_svrg.manifold import feasibility_error
 from manifold_svrg.retractions import (_PD_NS_BOUND, GRADIENT_KINDS, RETRACTION_NAMES,
                                        RetractionKind, retract_array, retract_gp_array,
                                        retract_gr_array)
+import oracles
 from oracles import (FREE_KINDS, TangentSpace, declared_derivative, estimate_l1_l2,
                      fd_derivative, tangent_project_array)
 
@@ -21,9 +22,7 @@ def random_instance(d=10, r=3, space=TangentSpace.STIEFEL):
 
 
 def direction_for(kind, X):
-    space = (TangentSpace.GRASSMANN if kind is RetractionKind.EXP2
-             else TangentSpace.STIEFEL)
-    return tangent_project_array(X, rng.standard_normal(X.shape), space)
+    return oracles.direction_for(kind, X, rng.standard_normal(X.shape))
 
 
 def test_kind_from_name():
