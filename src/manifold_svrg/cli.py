@@ -12,8 +12,8 @@ import sys
 from dataclasses import fields
 
 from .errors import ManifoldSvrgError
-from .harness import (METHOD_STEPS, PROBLEMS, ExperimentSpec, emit_table, grid_tune,
-                      run_experiment)
+from .harness import (METHOD_STEPS, PROBLEMS, STEP_FORMS, ExperimentSpec, emit_table,
+                      grid_tune, run_experiment)
 from .retractions import RETRACTION_NAMES
 
 
@@ -38,7 +38,7 @@ def read_config(path):
 _SPEC_TYPES = {f.name: f.type for f in fields(ExperimentSpec)}
 _CHOICES = {"problem": PROBLEMS, "method": METHOD_STEPS,
             "retraction": RETRACTION_NAMES}
-_HELP = {"step": "fixed:<tau> | bb | thm1:<mu>,<kappa>",
+_HELP = {"step": " | ".join(STEP_FORMS.values()),
          "inner_k": "inner iterations per epoch, or 'auto' = 5/batch-frac"}
 
 
@@ -58,8 +58,7 @@ def build_spec(args):
 def cmd_run(args):
     spec = build_spec(args)
     row, results = run_experiment(spec)
-    text, _ = emit_table([row], spec)
-    sys.stdout.write(text)
+    sys.stdout.write(emit_table([row], spec)[0])
     failed = [r for r in results if r.status.startswith("Failed")]
     for r in failed:
         print(f"run {r.run_id}: {r.error}", file=sys.stderr)
@@ -74,8 +73,7 @@ def cmd_tune(args):
         raise ValueError(f"--grid {args.grid!r} is not of the form <tau>,<tau>,...") from None
     tau_star, row = grid_tune(spec, grid)
     print(f"tau_star={tau_star:g}")
-    text, _ = emit_table([row], spec)
-    sys.stdout.write(text)
+    sys.stdout.write(emit_table([row], spec)[0])
     return 0
 
 

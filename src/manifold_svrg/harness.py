@@ -69,7 +69,7 @@ class ExperimentSpec:
     n: int = 2000
     r: int = 5
     rho: float = 0.0
-    step: str = "bb"              # fixed:<tau> | bb | thm1:<mu>,<kappa>
+    step: str = "bb"              # a rule of STEP_RULES, spelled as STEP_FORMS shows
     batch_frac: float = 0.01
     inner_k: str = "auto"         # iteration count or "auto" = 5 / batch_frac
     max_epochs: int = 200
@@ -91,6 +91,8 @@ class ExperimentSpec:
                 store(f.name, str(check_count(f.name, v, 1)))
             elif f.type is str and not (isinstance(v, str) or v is None and f.name == "out"):
                 raise ValueError(f"{f.name} must be a str, got {v!r}")
+        if self.out == "":
+            raise ValueError("out must be a directory path or None, got ''")
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
         # the generator's checks before it draws; cond, read by mc, for any problem
@@ -121,6 +123,7 @@ class RunResult:
     run_id: int                # the run's seed is the spec's seed + run_id
     max_epochs: int            # the epochs a run counts unless it stops at GradTol
     trace: object              # the run's RunTrace, None for a run that raised
+    X: object                  # the StiefelPoint the run returned, None for a run that raised
     error: str = None          # "<ExcType>: <message>" for a failed run
 
     final_f = property(lambda self: self.trace.f[-1] if self.trace else math.nan)
@@ -153,13 +156,30 @@ class SummaryRow:
             raise ValueError("epoch statistics out of order")
 
 
-def _step_rule(step, rule, form):
-    """rule of the numbers after step's colon, as many as form names; a refusal names the step."""
+# each step rule's name and class.  A rule is spelled as its name, then, if
+# its class has fields, a colon and one value per field, comma-separated
+STEP_RULES = {"fixed": Fixed, "bb": BB, "thm1": Theorem1}
+
+
+def _spell(name, values):
+    return f"{name}:{','.join(values)}" if values else name
+
+
+# each rule's form, which messages and `bench --help` show
+STEP_FORMS = {name: _spell(name, [f"<{f.name}>" for f in fields(rule)])
+              for name, rule in STEP_RULES.items()}
+
+
+def parse_step(step):
+    """Decode a step-rule string into a step-mode object; a refusal names the step."""
+    name, colon, args = step.partition(":")
+    rule = STEP_RULES.get(name)
     try:
-        values = [float(p) for p in step.split(":", 1)[1].split(",")]
+        values = [float(p) for p in args.split(",")] if colon else []
     except ValueError:
-        values = []
-    if len(values) != form.count(",") + 1:
+        values = None
+    if rule is None or values is None or len(values) != len(fields(rule)):
+        form = STEP_FORMS.get(name, " | ".join(STEP_FORMS.values()))
         raise ValueError(f"step = {step!r} is not of the form {form}")
     try:
         return rule(*values)
@@ -167,21 +187,10 @@ def _step_rule(step, rule, form):
         raise ValueError(f"step = {step!r}: {exc}") from None
 
 
-def parse_step(step):
-    """Decode a step-rule string into a step-mode object."""
-    if step == "bb":
-        return BB()
-    if step.startswith("fixed:"):
-        return _step_rule(step, Fixed, "fixed:<tau>")
-    if step.startswith("thm1:"):
-        return _step_rule(step, Theorem1, "thm1:<mu>,<kappa>")
-    raise ValueError(f"step = {step!r} is not of the form fixed:<tau>, bb or thm1:<mu>,<kappa>")
-
-
 def _spell_step(mode):
     """The one spelling parse_step decodes to mode: its name and its fields' reprs."""
-    values = ",".join(repr(getattr(mode, f.name)) for f in fields(mode))
-    return {Fixed: "fixed:", BB: "bb", Theorem1: "thm1:"}[type(mode)] + values
+    name = next(name for name, rule in STEP_RULES.items() if type(mode) is rule)
+    return _spell(name, [repr(getattr(mode, f.name)) for f in fields(mode)])
 
 
 def build_problem(spec: ExperimentSpec):
@@ -223,7 +232,7 @@ def reference_value(spec: ExperimentSpec, problem):
 def _single_run(problem, spec, run_id):
     cfg = build_config(spec, spec.seed + run_id)
     X, trace = METHOD_STEPS[spec.method][0](problem, cfg, X0=warm_start(problem, cfg))
-    return RunResult(run_id, cfg.max_epochs, trace), X
+    return RunResult(run_id, cfg.max_epochs, trace, X), X
 
 
 def _numerics():
@@ -244,8 +253,7 @@ def _write_csv(fh, spec, seed, columns, rows):
              f"# {_numerics()}\n")
     writer = csv.writer(fh)
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _write_trace(path, spec, result):
@@ -262,11 +270,14 @@ def run_experiment(spec: ExperimentSpec, problem=None):
 
     problem, when given, must be of the spec's kind and shape (d, n, r).
     Returns (SummaryRow, list of RunResult).  Failed runs (optimizer
-    errors) are kept in the result list with their status and message.  A
+    errors) are kept in the result list with their status and message.  The
+    out directory, if set, is made before any data is drawn.  A
     run succeeds when the point it returns has a recorded gradient norm of
     at most grad_tol, whatever its method; epoch statistics cover the
     successes only and the success count says how many.
     """
+    if spec.out is not None:
+        os.makedirs(spec.out, exist_ok=True)
     if problem is None:
         problem = build_problem(spec)
     if not isinstance(problem, PROBLEMS[spec.problem][0]):
@@ -277,15 +288,13 @@ def run_experiment(spec: ExperimentSpec, problem=None):
             raise ValueError(f"spec.{name} = {getattr(spec, name)} but the problem has "
                              f"{name} = {getattr(problem, name)}")
     f_star = reference_value(spec, problem)
-    if spec.out is not None:
-        os.makedirs(spec.out, exist_ok=True)
 
     results = []
     for run_id in range(spec.runs):
         try:
             result, _ = _single_run(problem, spec, run_id)
         except Exception as exc:  # keep going; the row reports the failure
-            result = RunResult(run_id, spec.max_epochs, None, f"{type(exc).__name__}: {exc}")
+            result = RunResult(run_id, spec.max_epochs, None, None, f"{type(exc).__name__}: {exc}")
         results.append(result)
         if spec.out is not None and result.trace is not None:
             _write_trace(os.path.join(spec.out, f"trace_run{run_id:03d}.csv"),
@@ -296,12 +305,11 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     # a zero reference (exact-rank completion) makes the error absolute
     denom = abs(f_star) if abs(f_star) > 0 else 1.0
     epochs = [r.epochs for r in good] or [r.epochs for r in results]
-    mode = parse_step(spec.step)
     row = SummaryRow(
         problem=spec.problem,
         method=spec.method,
         retraction=spec.retraction,
-        tau_star=mode.tau if isinstance(mode, Fixed) else float("nan"),
+        tau_star=getattr(parse_step(spec.step), "tau", math.nan),  # a fixed step's tau
         runs=spec.runs,
         successes=len(good),
         epoch_min=min(epochs),
@@ -323,19 +331,21 @@ def grid_tune(spec: ExperimentSpec, tau_grid):
     """Pick the fixed step minimizing average epochs with every run converged.
 
     Ties break toward the smaller step.  Raises NoConvergentTau when no
-    grid point converges all of its runs.
+    grid point converges all of its runs.  It writes no files, so a spec
+    with out set is refused.
     """
     if not tau_grid:
         raise ValueError("empty step grid")
+    if spec.out is not None:
+        raise ValueError(f"out = {spec.out!r}, but grid_tune writes no files")
     # a method without fixed steps fails here, before any data is generated
-    cells = [(tau, replace(spec, step=f"fixed:{tau}", out=None)) for tau in sorted(tau_grid)]
+    cells = [(tau, replace(spec, step=f"fixed:{tau}")) for tau in sorted(tau_grid)]
     problem = build_problem(spec)
     best = None
     for tau, cell in cells:
         row, _ = run_experiment(cell, problem=problem)
-        if row.successes == row.runs:
-            if best is None or row.epoch_avg < best[1].epoch_avg:
-                best = (tau, row)
+        if row.successes == row.runs and (best is None or row.epoch_avg < best[1].epoch_avg):
+            best = (tau, row)
     if best is None:
         raise NoConvergentTau(f"no step in {sorted(tau_grid)} converged all {spec.runs} runs")
     return best

@@ -33,12 +33,9 @@ two passes, 2.5 minutes.
 
 import argparse
 import hashlib
-import io
 import os
 import subprocess
 import sys
-import tarfile
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +48,7 @@ sys.path.append(os.path.join(ROOT, "src"))
 
 from manifold_svrg.harness import ExperimentSpec, _single_run, build_problem  # noqa: E402
 
+from source_lines import unpacked  # noqa: E402
 from test_acceptance import DESK_MC, DESK_PCA, DESK_RETRACTIONS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -117,11 +115,7 @@ def _lines(src, prefixes):
 
 def against(rev, prefixes):
     """Print the lines on which REV's src/ and this tree's differ; 1 if any do."""
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT,
-                             stdout=subprocess.PIPE, check=True).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp)
+    with unpacked(rev, "src") as tmp:
         old = _lines(os.path.join(tmp, "src"), prefixes)
     new = _lines(os.path.join(ROOT, "src"), prefixes)
     # "cell run_id" -> sha256, on each side

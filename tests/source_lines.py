@@ -10,17 +10,44 @@ Each `.py` file under `ROOT/src` and `ROOT/tests` gets one
 non-blank, not a comment and not inside a docstring (the string that opens
 a module, class or function body).  The last line is the option count that
 `tests/test_public_surface.py::test_option_budget` pins, of ROOT's package.
+
+To compare with a git revision of this repository in one command,
+
+    python tests/source_lines.py --against REV
+
+unpacks REV's `src/` and `tests/` with `git archive` into a temporary
+directory and prints REV's counts, this tree's counts, and then, for every
+line whose numbers differ, this tree's numbers minus REV's.
 """
 
+import argparse
 import ast
+import contextlib
 import enum
 import importlib
 import inspect
 import io
 import os
 import pkgutil
+import re
+import subprocess
 import sys
+import tarfile
+import tempfile
 import tokenize
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@contextlib.contextmanager
+def unpacked(rev, *paths):
+    """A temporary directory holding the git revision rev's paths, as `git archive` writes them."""
+    archive = subprocess.run(["git", "archive", rev, *paths], cwd=ROOT,
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        yield tmp
 
 
 def line_counts(path):
@@ -86,5 +113,33 @@ def main(root):
     print(f"options {count + len(flags)} ({count} defaulted, {len(flags)} flags)")
 
 
+def _counts(root):
+    """This script's output for root, from a fresh interpreter, so that
+    root's package is the one whose options it counts."""
+    return subprocess.run([sys.executable, os.path.abspath(__file__), root],
+                          stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
+def against(rev):
+    """Print rev's counts, this tree's, and this tree's minus rev's where they differ."""
+    with unpacked(rev, "src", "tests") as tmp:
+        old = _counts(tmp)
+    new = _counts(ROOT)
+    print(f"# {rev}\n{old}# this tree\n{new}# this tree - {rev}")
+    # each line's label (a path, "src total", "options") and its numbers
+    old, new = ({m[1]: [int(n) for n in re.findall(r"\d+", m[2])]
+                 for m in re.finditer(r"^(\S+(?: total)?) (.*)$", text, re.M)}
+                for text in (old, new))
+    for label in dict.fromkeys([*old, *new]):
+        before, after = old.get(label, [0, 0]), new.get(label, [0, 0])
+        if before != after:
+            print(label, *(f"{b - a:+d}" for a, b in zip(before, after)))
+
+
 if __name__ == "__main__":
-    main(sys.argv[1] if len(sys.argv) > 1 else ".")
+    parser = argparse.ArgumentParser(description="source and test line counts, and options")
+    parser.add_argument("root", nargs="?", default=".", help="the tree to count")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with the git revision REV's src/ and tests/")
+    args = parser.parse_args()
+    against(args.against) if args.against else main(args.root)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_svrg.harness import (ExperimentSpec, _single_run, build_config, build_problem,
+from manifold_svrg.harness import (ExperimentSpec, build_config, build_problem,
                                    reference_value, run_experiment)
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import d_rho_array, nu_of_rho
@@ -196,19 +196,18 @@ def test_criterion_6_schedule(capfd):
 def desk_pca_runs():
     # wy is a spelling of jd, so its cell is jd's runs filed under wy; what
     # makes that equal to running it is checked first: the same config at
-    # every run seed, and one wy run that repeats jd's bit for bit
+    # every run seed, and a one-run wy cell that repeats jd's run 0 bit for bit
     problem = build_problem(DESK_PCA)
     wy, jd = (replace(DESK_PCA, retraction=name) for name in ("wy", "jd"))
     for run_id in range(DESK_PCA.runs):
         assert build_config(wy, wy.seed + run_id) == build_config(jd, jd.seed + run_id)
-    (wy_run, wy_X), (jd_run, jd_X) = (_single_run(problem, spec, 0) for spec in (wy, jd))
-    assert (wy_run.epochs, wy_run.final_f) == (jd_run.epochs, jd_run.final_f)
-    assert np.array_equal(getattr(wy_X, "X", wy_X), getattr(jd_X, "X", jd_X))
     cells = {name: run_experiment(replace(DESK_PCA, retraction=name), problem)
              for name in DESK_RETRACTIONS if name != "wy"}
     row, results = cells["jd"]
+    _, (wy_run,) = run_experiment(replace(wy, runs=1), problem)
+    assert (wy_run.epochs, wy_run.final_f) == (results[0].epochs, results[0].final_f)
+    assert np.array_equal(wy_run.X.X, results[0].X.X)
     cells["wy"] = (replace(row, retraction="wy"), results)
-    assert (results[0].epochs, results[0].final_f) == (jd_run.epochs, jd_run.final_f)
     return reference_value(DESK_PCA, problem), {name: cells[name] for name in DESK_RETRACTIONS}
 
 
@@ -276,15 +275,13 @@ def test_criterion_9_desk_mc(capfd):
     good = 0
     floor_hits = 0
     recovery = []
-    epochs = []
-    for run_id in range(spec.runs):
-        res, X = _single_run(problem, spec, run_id)
-        epochs.append(res.epochs)
+    _, results = run_experiment(spec, problem)
+    epochs = [res.epochs for res in results]
+    for res in results:
         if res.status != "GradTol" or res.final_f > 1e-10:
             continue
         floor_hits += 1
-        X_arr = getattr(X, "X", X)  # the solver returns a typed manifold point
-        rel = float(np.linalg.norm(problem.fitted_matrix(X_arr) - problem.M_true)) / m_norm
+        rel = float(np.linalg.norm(problem.fitted_matrix(res.X.X) - problem.M_true)) / m_norm
         recovery.append(rel)
         if rel <= 1e-4:
             good += 1

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import io
+import itertools
 import math
 import os
 import re
@@ -30,6 +31,11 @@ def tiny_spec(**overrides):
                 max_epochs=100, grad_tol=1e-6, runs=2, seed=7, out=None)
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+# every (method, rule) pair a cell runs, and a step of each rule
+METHOD_RULES = [(m, rule) for m, (_, rules) in METHOD_STEPS.items() for rule in rules]
+RULE_STEP = {Fixed: "fixed:0.05", BB: "bb", Theorem1: "thm1:0.5,1.0"}
 
 
 def parse_summary_csv(text):
@@ -86,7 +92,9 @@ class TestSpec:
                                      # a value of another type than its field's
                                      dict(step=None), dict(batch_frac="0.1"),
                                      dict(rho="0"), dict(cond=True), dict(out=5),
-                                     dict(inner_k=0), dict(inner_k=2.5)])
+                                     dict(inner_k=0), dict(inner_k=2.5),
+                                     # an out no directory can be made at
+                                     dict(out="")])
     def test_shape_and_batch_validation(self, bad):
         with pytest.raises(ValueError) as err:
             tiny_spec(**bad)
@@ -215,7 +223,8 @@ class TestRunExperiment:
         spec = tiny_spec(problem=problem, method=method, step="fixed:0.05",
                          d=30, n=25, max_epochs=3, grad_tol=0.0, runs=1)
         inst = build_problem(spec)
-        result, X = harness._single_run(inst, spec, 0)
+        _, (result,) = run_experiment(spec, inst)
+        X = result.X
         assert result.status == "MaxEpochs" and result.trace.epoch[-1] == 3
         assert result.final_f == inst.value(X.X)
         egrad = inst.full_value_egrad(X.X)[1]
@@ -235,7 +244,7 @@ class TestRunExperiment:
         # gradient norm and seconds are the trace's, and the epochs its last
         # row's once the run reaches grad_tol, else the budget
         assert [f.name for f in fields(harness.RunResult)] == [
-            "run_id", "max_epochs", "trace", "error"]
+            "run_id", "max_epochs", "trace", "X", "error"]
         for spec in (tiny_spec(runs=1), tiny_spec(runs=1, max_epochs=2)):
             _, (result,) = run_experiment(spec)
             tr = result.trace
@@ -262,28 +271,37 @@ class TestRunExperiment:
         assert d1 == d2
 
     def test_trace_files(self, tmp_path):
-        spec = tiny_spec(runs=1, out=str(tmp_path))
-        row, results = run_experiment(spec)
-        path = tmp_path / "trace_run000.csv"
-        text = path.read_text()
-        headers = [ln for ln in text.splitlines() if ln.startswith("#")]
-        assert any("generator=numpy.random.PCG64" in ln for ln in headers)
-        assert any(f"seed={spec.seed}" in ln for ln in headers)
-        assert any(f"config_hash={spec.config_hash()}" in ln for ln in headers)
-        data = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert data[0] == ",".join(TRACE_COLUMNS)
-        last = data[-1].split(",")
-        # the summary for a single run must match the trace tail exactly
-        assert float(last[2]) == results[0].final_f
-        assert float(last[3]) == results[0].final_grad == row.nrm_bar
-        assert int(last[0]) == 0
-        # epoch column counts up from zero without gaps
-        epochs = [int(ln.split(",")[1]) for ln in data[1:]]
-        assert epochs == list(range(len(epochs)))
-        # ifo/ro counters never decrease
-        ifo = [int(ln.split(",")[5]) for ln in data[1:]]
-        ro = [int(ln.split(",")[6]) for ln in data[1:]]
-        assert ifo == sorted(ifo) and ro == sorted(ro)
+        # every cell's CSVs read back: each trace's '#' header and columns, a
+        # number in every field (a numpy scalar's repr would not parse),
+        # epochs counting up from zero, counters that never decrease, and a
+        # last row at its result's final f and gradient norm; the summary
+        # reads back as the row
+        for problem, (method, rule) in itertools.product(PROBLEMS, METHOD_RULES):
+            out = tmp_path / f"{problem}-{method}-{rule.__name__}"
+            spec = tiny_spec(problem=problem, method=method, step=RULE_STEP[rule], d=30,
+                             n=24, max_epochs=6, grad_tol=0.0, out=str(out))
+            row, results = run_experiment(spec)
+            for result in results:
+                text = (out / f"trace_run{result.run_id:03d}.csv").read_text()
+                assert text.splitlines()[:3] == [
+                    "# generator=numpy.random.PCG64", f"# seed={spec.seed + result.run_id}",
+                    f"# config_hash={spec.config_hash()}"]
+                columns, *rows = csv.reader(ln for ln in text.splitlines()
+                                            if not ln.startswith("#"))
+                assert columns == list(TRACE_COLUMNS)
+                values = np.array([[float(v) for v in data] for data in rows])
+                assert list(values[:, 0]) == [result.run_id] * len(rows)
+                assert list(values[:, 1]) == list(range(len(rows)))
+                assert np.all(np.diff(values[:, 5:7], axis=0) >= 0)
+                assert list(values[-1, 2:4]) == [result.final_f, result.final_grad]
+            assert row.nrm_bar == np.mean([r.final_grad for r in results])
+            (parsed,) = parse_summary_csv((out / "summary.csv").read_text())
+            np.testing.assert_equal(asdict(parsed), asdict(row))
+
+    def test_numerics_without_dict_config(self, monkeypatch):
+        # numpy < 1.26 has no show_config(mode="dicts"): its BLAS reads unknown
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert harness._numerics() == f"numpy={np.__version__} blas=unknown"
 
     def test_summary_csv_round_trip(self, tmp_path):
         spec = tiny_spec(runs=1, out=str(tmp_path))
@@ -325,10 +343,10 @@ class TestRunExperiment:
         row, results = run_experiment(spec)
         assert row.successes == 0
         assert all(r.status == "Failed:NonFiniteValue" for r in results)
-        # a run that raised has no trace: NaN f and gradient, no seconds,
-        # and the epoch budget
+        # a run that raised has no trace and no point: NaN f and gradient,
+        # no seconds, and the epoch budget
         for r in results:
-            assert (r.trace, r.epochs, r.seconds) == (None, 2, 0.0)
+            assert (r.trace, r.X, r.epochs, r.seconds) == (None, None, 2, 0.0)
             assert np.isnan(r.final_f) and np.isnan(r.final_grad)
         assert np.isnan(row.nrm_bar) and np.isnan(row.err_bar)
 
@@ -348,16 +366,15 @@ class TestRunExperiment:
         assert a.trace.f == b.trace.f
 
     @pytest.mark.parametrize("problem", PROBLEMS)
-    @pytest.mark.parametrize("method, rule", [(m, rule) for m, (_, rules) in METHOD_STEPS.items()
-                                              for rule in rules],
+    @pytest.mark.parametrize("method, rule", METHOD_RULES,
                              ids=lambda v: getattr(v, "__name__", v))
     def test_library_run_is_the_cell_run(self, problem, method, rule):
         # a cell's run is its method's runner on a plain SvrgConfig, started
         # from warm_start, under every rule and on both problems
-        step = {Fixed: "fixed:0.05", BB: "bb", Theorem1: "thm1:0.5,1.0"}[rule]
+        step = RULE_STEP[rule]
         spec = tiny_spec(problem=problem, method=method, step=step, d=30, n=24,
                          max_epochs=6, grad_tol=0.0, runs=1)
-        result, X_cell = harness._single_run(build_problem(spec), spec, 0)
+        _, (result,) = run_experiment(spec)
         inst = build_problem(spec)
         cfg = build_config(spec, spec.seed)
         assert cfg == SvrgConfig(retraction=RetractionKind.QR, step_mode=parse_step(step), K=10,
@@ -368,7 +385,7 @@ class TestRunExperiment:
         for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
             assert getattr(trace, col) == getattr(result.trace, col)
         assert trace.events == result.trace.events
-        assert np.array_equal(X.X, X_cell.X)
+        assert np.array_equal(X.X, result.X.X)
 
     def test_s_sgd_takes_a_fixed_step(self):
         row, (result,) = run_experiment(tiny_spec(method="s-sgd", step="fixed:0.05",
@@ -590,6 +607,30 @@ class TestCliMain:
         assert main(["tune", "--method", "s-svrg", "--grid", "0.1,abc"]) == 2
         assert ("error: --grid '0.1,abc' is not of the form <tau>,<tau>,...\n"
                 in capsys.readouterr().err)
+
+    @pytest.fixture
+    def no_data(self, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("data drawn before out was checked")
+        monkeypatch.setattr(harness, "build_problem", no_data)
+
+    def test_unusable_out_fails_before_data(self, tmp_path, capsys, no_data):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        for out, message in (("", "error: out must be a directory path or None, got ''"),
+                             (str(taken), "error: [Errno 17] File exists")):
+            assert main(["run", *self.RUN_ARGS, "--out", out]) == 2
+            assert message in capsys.readouterr().err
+
+    def test_tune_refuses_out(self, tmp_path, capsys, no_data):
+        # grid_tune writes no files, so it refuses an out before any data is drawn
+        out = tmp_path / "cell"
+        args = list(self.RUN_ARGS)
+        args[args.index("s-svrg-bb")] = "s-svrg"
+        assert main(["tune", *args, "--grid", "0.5", "--out", str(out)]) == 2
+        assert (f"error: out = {str(out)!r}, but grid_tune writes no files"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_rejected_spec_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "cell"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from manifold_svrg import optimizers
 from manifold_svrg.errors import NoFeasibleC, NonFiniteValue
-from manifold_svrg.harness import _single_run, build_problem
+from manifold_svrg.harness import run_experiment
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import (FEAS_TOL, StiefelPoint, d_rho_array, feasibility_error,
                                     nu_of_rho)
@@ -116,8 +116,8 @@ class TestBBStep:
         # rgd's one step per epoch is the plain long BB step, the same rule
         # on completion as on PCA; on criterion 9's cell run 0 reaches the
         # tolerance well inside 400 epochs
-        spec = replace(DESK_MC, method="rgd", max_epochs=400)
-        result, _ = _single_run(build_problem(spec), spec, 0)
+        spec = replace(DESK_MC, method="rgd", max_epochs=400, runs=1)
+        _, (result,) = run_experiment(spec)
         assert result.status == "GradTol"
 
 
