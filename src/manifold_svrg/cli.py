@@ -58,7 +58,7 @@ def build_spec(args):
 def cmd_run(args):
     spec = build_spec(args)
     row, results = run_experiment(spec)
-    sys.stdout.write(emit_table([row], spec)[0])
+    sys.stdout.write(emit_table(row, spec)[0])
     failed = [r for r in results if r.status.startswith("Failed")]
     for r in failed:
         print(f"run {r.run_id}: {r.error}", file=sys.stderr)
@@ -73,7 +73,7 @@ def cmd_tune(args):
         raise ValueError(f"--grid {args.grid!r} is not of the form <tau>,<tau>,...") from None
     tau_star, row = grid_tune(spec, grid)
     print(f"tau_star={tau_star:g}")
-    sys.stdout.write(emit_table([row], spec)[0])
+    sys.stdout.write(emit_table(row, spec)[0])
     return 0
 
 

@@ -13,15 +13,15 @@ import io
 import math
 import os
 import statistics
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .errors import NoConvergentTau, check_count, check_real
-from .optimizers import (BB, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd, run_s_svrg,
-                         warm_start)
+from .optimizers import (BB, STEP_RULES, Fixed, SvrgConfig, Theorem1, run_rgd, run_s_sgd,
+                         run_s_svrg, warm_start)
 from .problems import (McInstance, PcaInstance, check_cond, mc_check, mc_generate,
                        pca_check, pca_generate)
 
@@ -156,11 +156,8 @@ class SummaryRow:
             raise ValueError("epoch statistics out of order")
 
 
-# each step rule's name and class.  A rule is spelled as its name, then, if
-# its class has fields, a colon and one value per field, comma-separated
-STEP_RULES = {"fixed": Fixed, "bb": BB, "thm1": Theorem1}
-
-
+# a step rule of STEP_RULES is spelled as its name, then, if its class has
+# fields, a colon and one value per field, comma-separated
 def _spell(name, values):
     return f"{name}:{','.join(values)}" if values else name
 
@@ -199,7 +196,7 @@ def build_problem(spec: ExperimentSpec):
 
 def resolve_inner_k(spec: ExperimentSpec):
     if spec.inner_k == "auto":
-        return max(1, round(5.0 / spec.batch_frac))
+        return round(5.0 / spec.batch_frac)  # batch_frac <= 1, so at least 5
     if not (spec.inner_k.isdecimal() and int(spec.inner_k) >= 1):
         raise ValueError(f"inner_k = {spec.inner_k!r} is not a positive integer or 'auto'")
     return int(spec.inner_k)
@@ -265,6 +262,11 @@ def _write_trace(path, spec, result):
                        [f"{t:.6f}" for t in tr.seconds]))
 
 
+def _mean(values):
+    """The mean over a cell's runs with a trace, as a float; NaN when none has one."""
+    return float(np.mean(values)) if values else math.nan
+
+
 def run_experiment(spec: ExperimentSpec, problem=None):
     """Execute all seeded runs of one experiment cell.
 
@@ -274,7 +276,9 @@ def run_experiment(spec: ExperimentSpec, problem=None):
     out directory, if set, is made before any data is drawn.  A
     run succeeds when the point it returns has a recorded gradient norm of
     at most grad_tol, whatever its method; epoch statistics cover the
-    successes only and the success count says how many.
+    successes only and the success count says how many, or every run
+    when none succeeds.  Every float field of the row is a float, and the
+    means over runs are NaN when no run has a trace.
     """
     if spec.out is not None:
         os.makedirs(spec.out, exist_ok=True)
@@ -313,17 +317,16 @@ def run_experiment(spec: ExperimentSpec, problem=None):
         runs=spec.runs,
         successes=len(good),
         epoch_min=min(epochs),
-        epoch_avg=statistics.mean(epochs),
+        epoch_avg=statistics.fmean(epochs),
         epoch_max=max(epochs),
-        epoch_std=statistics.pstdev(epochs) if len(epochs) > 1 else 0.0,
-        nrm_bar=float(np.mean([r.final_grad for r in scored])) if scored else float("nan"),
-        err_bar=float(np.mean([abs(r.final_f - f_star) / denom for r in scored]))
-        if scored else float("nan"),
-        t_bar=float(np.mean([r.seconds for r in scored])) if scored else float("nan"),
+        epoch_std=statistics.pstdev(epochs),
+        nrm_bar=_mean([r.final_grad for r in scored]),
+        err_bar=_mean([abs(r.final_f - f_star) / denom for r in scored]),
+        t_bar=_mean([r.seconds for r in scored]),
     )
     if spec.out is not None:
         with open(os.path.join(spec.out, "summary.csv"), "w", newline="") as fh:
-            fh.write(emit_table([row], spec)[1])
+            fh.write(emit_table(row, spec)[1])
     return row, results
 
 
@@ -339,46 +342,33 @@ def grid_tune(spec: ExperimentSpec, tau_grid):
     if spec.out is not None:
         raise ValueError(f"out = {spec.out!r}, but grid_tune writes no files")
     # a method without fixed steps fails here, before any data is generated
-    cells = [(tau, replace(spec, step=f"fixed:{tau}")) for tau in sorted(tau_grid)]
+    cells = [replace(spec, step=f"fixed:{tau}") for tau in sorted(tau_grid)]
     problem = build_problem(spec)
-    best = None
-    for tau, cell in cells:
-        row, _ = run_experiment(cell, problem=problem)
-        if row.successes == row.runs and (best is None or row.epoch_avg < best[1].epoch_avg):
-            best = (tau, row)
+    rows = [run_experiment(cell, problem=problem)[0] for cell in cells]
+    # min keeps the first of equals, so a tie goes to the smaller step
+    best = min((row for row in rows if row.successes == row.runs),
+               key=lambda row: row.epoch_avg, default=None)
     if best is None:
         raise NoConvergentTau(f"no step in {sorted(tau_grid)} converged all {spec.runs} runs")
-    return best
+    return best.tau_star, best
 
 
-def emit_table(rows, spec):
-    """Render summary rows as an aligned text table plus CSV text.
+def emit_table(row, spec):
+    """Render the summary row of spec's cell as aligned text plus CSV text.
 
     The error column uses one-significant-digit scientific notation; the
     CSV keeps every value in full (floats by repr) and opens with the
     trace files' '#' header for spec.  That text is what run_experiment
     writes as summary.csv.
     """
-    if not rows:
-        raise ValueError("need at least one summary row")
     headers = ("method", "retr", "tau*", "epoch(min/avg/max/std)", "nrm", "err", "t")
-    lines = []
-    for row in rows:
-        tau = "-" if row.tau_star != row.tau_star else f"{row.tau_star:g}"
-        lines.append((
-            row.method, row.retraction, tau,
-            f"{row.epoch_min}/{row.epoch_avg:.1f}/{row.epoch_max}/{row.epoch_std:.1f}",
-            f"{row.nrm_bar:.0e}", f"{row.err_bar:.0e}", f"{row.t_bar:.2f}",
-        ))
-    widths = [max(len(headers[j]), max(len(ln[j]) for ln in lines))
-              for j in range(len(headers))]
-    text = "  ".join(h.ljust(w) for h, w in zip(headers, widths)) + "\n"
-    for ln in lines:
-        text += "  ".join(c.ljust(w) for c, w in zip(ln, widths)) + "\n"
-
-    names = [f.name for f in fields(SummaryRow)]
+    tau = "-" if row.tau_star != row.tau_star else f"{row.tau_star:g}"
+    cells = (row.method, row.retraction, tau,
+             f"{row.epoch_min}/{row.epoch_avg:.1f}/{row.epoch_max}/{row.epoch_std:.1f}",
+             f"{row.nrm_bar:.0e}", f"{row.err_bar:.0e}", f"{row.t_bar:.2f}")
+    widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
+    text = "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n"
+                   for line in (headers, cells))
     buf = io.StringIO()
-    _write_csv(buf, spec, spec.seed, names,
-               ([getattr(row, k) for k in names] for row in rows))
+    _write_csv(buf, spec, spec.seed, [f.name for f in fields(SummaryRow)], [astuple(row)])
     return text, buf.getvalue()
-

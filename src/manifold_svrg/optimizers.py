@@ -94,6 +94,10 @@ class Theorem1:
         object.__setattr__(self, "kappa", check_real("kappa", self.kappa, 0, open_low=True))
 
 
+# each step rule's name and class: the rules a config takes
+STEP_RULES = {"fixed": Fixed, "bb": BB, "thm1": Theorem1}
+
+
 @dataclass(frozen=True)
 class SvrgConfig:
     """One run's settings; every method takes them as run(problem, config, X0).
@@ -127,8 +131,9 @@ class SvrgConfig:
             # the Grassmann geodesic retracts only a horizontal direction,
             # and -d_rho(X, G) has a vertical part when rho > 0
             raise ValueError(f"exp2 needs rho = 0, got rho = {self.rho}")
-        if not isinstance(self.step_mode, (Fixed, BB, Theorem1)):
-            raise ValueError(f"step_mode = {self.step_mode!r} is not Fixed, BB or Theorem1")
+        if type(self.step_mode) not in STEP_RULES.values():
+            *rest, last = (rule.__name__ for rule in STEP_RULES.values())
+            raise ValueError(f"step_mode = {self.step_mode!r} is not {', '.join(rest)} or {last}")
 
 
 @dataclass

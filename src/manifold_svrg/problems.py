@@ -231,10 +231,12 @@ class McInstance:
 
     def _check_observations(self, rows, cols, vals):
         # the indices as given: a fractional one would be truncated, row d is
-        # the padding sentinel and a negative index would alias the last one
+        # the padding sentinel and a negative index would alias the last one.
+        # A bool, str or object index is no integer: it is checked as NaN
         for index, bound in ((cols, self.n), (rows, self.d)):
-            for bad, why in ((index != np.trunc(index), "is not an integer"),
-                             ((index < 0) | (index >= bound), f"outside [0, {bound})")):
+            num = index if index.dtype.kind in "iuf" else np.full(index.shape, np.nan)
+            for bad, why in ((num != np.trunc(num), "is not an integer"),
+                             ((num < 0) | (num >= bound), f"outside [0, {bound})")):
                 bad = np.flatnonzero(bad)
                 if bad.size and index is cols:
                     raise InvalidObservation(f"entry {bad[0]}: column index {cols[bad[0]]} {why}")

@@ -298,6 +298,20 @@ class TestRunExperiment:
             (parsed,) = parse_summary_csv((out / "summary.csv").read_text())
             np.testing.assert_equal(asdict(parsed), asdict(row))
 
+    def test_whole_epoch_mean_is_a_float(self, tmp_path):
+        # both runs stop at max_epochs, so the mean is whole; summary.csv
+        # writes it as a float and reads back as the row that wrote it
+        spec = tiny_spec(method="s-svrg", step="fixed:0.05", d=30, n=24, max_epochs=6,
+                         grad_tol=0.0, out=str(tmp_path))
+        row, _ = run_experiment(spec)
+        assert (row.epoch_min, row.epoch_max) == (6, 6)
+        for f in fields(SummaryRow):
+            assert type(getattr(row, f.name)) is f.type
+        text = (tmp_path / "summary.csv").read_text()
+        assert text.splitlines()[-1].split(",")[6:9] == ["6", "6.0", "6"]
+        (parsed,) = parse_summary_csv(text)
+        assert repr(parsed) == repr(row)
+
     def test_numerics_without_dict_config(self, monkeypatch):
         # numpy < 1.26 has no show_config(mode="dicts"): its BLAS reads unknown
         monkeypatch.setattr(np, "show_config", lambda: None)
@@ -448,6 +462,15 @@ class TestGridTune:
         grid_tune(tiny_spec(method="rgd", runs=1, max_epochs=150), [1.0, 2.0, 4.0])
         assert len(calls) == 1
 
+    def test_tie_goes_to_the_smaller_step(self, monkeypatch):
+        # every step converges in as many epochs on average, but 0.05 not on every run
+        def tied(spec, problem=None):
+            tau = parse_step(spec.step).tau
+            return replace(TestEmitTable.ROW, tau_star=tau, successes=19 + (tau > 0.05)), []
+        monkeypatch.setattr(harness, "run_experiment", tied)
+        tau_star, row = grid_tune(tiny_spec(method="s-svrg"), [0.4, 0.05, 0.1, 0.2])
+        assert tau_star == row.tau_star == 0.1
+
     def test_method_without_fixed_steps_rejected(self, monkeypatch):
         def no_data(spec):
             raise AssertionError("data generated for an untunable method")
@@ -464,22 +487,16 @@ class TestEmitTable:
                      t_bar=1.75)
 
     def test_text_formatting(self):
-        text, _ = emit_table([self.ROW], tiny_spec())
-        assert "3e-07" in text and "5e-11" in text
-        assert "10/12.5/18/2.2" in text
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("method")
+        # a header line and the row, each column as wide as its wider cell
+        text, _ = emit_table(self.ROW, tiny_spec())
+        assert text == ("method     retr  tau*  epoch(min/avg/max/std)  nrm    err    t   \n"
+                        "s-svrg-bb  qr    -     10/12.5/18/2.2          3e-07  5e-11  1.75\n")
 
     def test_csv_round_trip(self):
-        _, csv_text = emit_table([self.ROW], tiny_spec())
+        _, csv_text = emit_table(self.ROW, tiny_spec())
         (parsed,) = parse_summary_csv(csv_text)
         assert parsed == replace(self.ROW, tau_star=parsed.tau_star)
         assert np.isnan(parsed.tau_star)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            emit_table([], tiny_spec())
 
     def test_stats_order_invariant(self):
         with pytest.raises(ValueError):

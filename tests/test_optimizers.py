@@ -208,6 +208,11 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{name} "):
             SvrgConfig(**bad)
 
+    def test_unknown_step_mode_names_the_rules(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("step_mode = 0.1 is not Fixed, BB or Theorem1")):
+            SvrgConfig(step_mode=0.1)
+
     def test_exp2_needs_rho_zero(self):
         # exp2, the Grassmann geodesic, retracts only a horizontal direction;
         # -d_rho(X, G) has a vertical part at rho > 0 and the step leaves

@@ -555,6 +555,16 @@ class TestMcInstance:
         with pytest.raises(InvalidObservation, match=f"column {column}: .* is not an integer"):
             mc_from_columns(4, 1, rows, [[1.0, 2.0], [3.0]])
 
+    @pytest.mark.parametrize("bad", [[True, False], ["0", "1"], [0, None]],
+                             ids=["bool", "str", "object"])
+    def test_non_numeric_index_rejected(self, bad):
+        # a bool is no index (True would read as 1), and a str or object one
+        # would fail inside numpy; either is refused as no integer
+        with pytest.raises(InvalidObservation, match="entry 0: column index .* is not an integer"):
+            McInstance(2, 2, 1, [0, 1], bad, [1.0, 2.0])
+        with pytest.raises(InvalidObservation, match="column 0: row index .* is not an integer"):
+            McInstance(2, 2, 1, bad, [1, 0], [1.0, 2.0])
+
     def test_integer_rows_accepted_as_lists_arrays_and_empty_columns(self):
         # integer-valued floats are integers; column 1 has no entry
         for rows, cols in (([0, 2, 1, 3], [0, 2, 0, 2]),
