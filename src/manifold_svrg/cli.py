@@ -66,11 +66,16 @@ def cmd_run(args):
 
 
 def cmd_tune(args):
-    spec = build_spec(args)
     try:
         grid = [float(x) for x in args.grid.split(",") if x.strip()]
     except ValueError:
         raise ValueError(f"--grid {args.grid!r} is not of the form <tau>,<tau>,...") from None
+    # grid_tune runs each of the grid's steps in place of the spec's, so
+    # without --step the spec takes the grid's smallest, not the default bb,
+    # which s-sgd does not run
+    if args.step is None:
+        args.step = f"fixed:{min(grid, default=0.0)}"
+    spec = build_spec(args)
     tau_star, row = grid_tune(spec, grid)
     print(f"tau_star={tau_star:g}")
     sys.stdout.write(emit_table(row, spec)[0])

@@ -50,14 +50,13 @@ PROBLEMS = {"pca": (PcaInstance, pca_check, lambda s: pca_generate(s.d, s.n, s.r
 # each method's runner, called as run(problem, config, X0), and the step
 # rules it runs.  s-svrg-bb is s-svrg held to bb; rgd takes one
 # full-gradient step per epoch; s-sgd takes K * max_epochs single-sample
-# steps, a fixed step as given and under bb its analysis step.  Only s-svrg
-# has the inner loop and batch that thm1 sizes.  The rule also picks the
-# output: a thm1 epoch stops at X_k, k < K drawn with p ~ Delta, the others
-# return the last iterate
+# steps of one fixed size.  Only s-svrg has the inner loop and batch that
+# thm1 sizes.  The rule also picks the output: a thm1 epoch stops at X_k,
+# k < K drawn with p ~ Delta, the others return the last iterate
 METHOD_STEPS = {"s-svrg": (run_s_svrg, (Fixed, BB, Theorem1)),
                 "s-svrg-bb": (run_s_svrg, (BB,)),
                 "rgd": (run_rgd, (Fixed, BB)),
-                "s-sgd": (run_s_sgd, (Fixed, BB))}
+                "s-sgd": (run_s_sgd, (Fixed,))}
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown method {self.method!r}")
         # decodes the retraction, step rule and inner count and checks rho and grad_tol
         cfg = build_config(self, self.seed)
-        if not isinstance(cfg.step_mode, METHOD_STEPS[self.method][1]):
-            raise ValueError(f"{self.method} does not run step rule {self.step!r}")
+        rules = METHOD_STEPS[self.method][1]
+        if not isinstance(cfg.step_mode, rules):
+            forms = [STEP_FORMS[name] for name, rule in STEP_RULES.items() if rule in rules]
+            raise ValueError(f"{self.method} does not run step rule {self.step!r}; "
+                             f"it runs {' or '.join(forms)}")
         store("rho", cfg.rho)
         store("grad_tol", cfg.grad_tol)
         store("step", _spell_step(cfg.step_mode))

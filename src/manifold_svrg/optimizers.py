@@ -53,7 +53,7 @@ _BB_TAU_MIN = 1e-8
 _BB_TAU_MAX = 1e8
 _BB_TAU_INIT = 1.0
 
-# the pd retraction's bound constants (L1, L2): Theorem1's and s-sgd's steps
+# the pd retraction's bound constants (L1, L2), which Theorem1's schedule reads
 _PD_L1, _PD_L2 = 1.0, 0.5
 
 
@@ -103,12 +103,13 @@ class SvrgConfig:
     """One run's settings; every method takes them as run(problem, config, X0).
 
     run_s_svrg reads every field.  run_rgd ignores K and batch: its epoch
-    is one full-gradient step.  run_s_sgd runs for N = K * max_epochs
-    single-sample iterates and ignores batch and grad_tol.  warm_start
-    takes K refinement steps.  retraction is a RetractionKind or any name
-    in RETRACTION_NAMES, stored as the kind it decodes to; rho and grad_tol
-    are real numbers in [0, inf), stored as floats; K, batch, max_epochs and
-    r are integers of at least 1 and seed one of at least 0, stored as ints.
+    is one full-gradient step.  run_s_sgd takes a Fixed step only, runs for
+    N = K * max_epochs single-sample iterates and ignores batch and
+    grad_tol.  warm_start takes K refinement steps.  retraction is a
+    RetractionKind or any name in RETRACTION_NAMES, stored as the kind it
+    decodes to; rho and grad_tol are real numbers in [0, inf), stored as
+    floats; K, batch, max_epochs and r are integers of at least 1 and seed
+    one of at least 0, stored as ints.
     """
 
     retraction: RetractionKind = RetractionKind.PD
@@ -210,12 +211,6 @@ def _solve_c(ratio, tol=1e-14):
     return lo
 
 
-def _l_hat(L, C, L1, L2):
-    """L_hat = 2 L2 C + L1^2 L from the problem's (L, C) and the retraction's
-    (L1, L2): Theorem1's schedule and s-sgd's analysis step both read it."""
-    return 2.0 * L2 * C + L1 * L1 * L
-
-
 def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     """Inner count, batch size, and step from the convergence analysis.
 
@@ -236,7 +231,7 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
                          "return its anchor")
     batch = math.ceil(K ** (2.0 - 3.0 * mu))
     L_tilde = L1 * L1 + 4.0 * L2 * math.sqrt(r)
-    L_hat = _l_hat(L, C, L1, L2)
+    L_hat = 2.0 * L2 * C + L1 * L1 * L
     root = math.sqrt(L_tilde) * L
     c = _solve_c(L_hat / root)
     beta = (root / nu) * K ** (mu - 1.0)
@@ -419,59 +414,35 @@ def _run_anchored(problem, config, X0, K, batch):
     return StiefelPoint(X), trace
 
 
-def _reject_theorem1(config, method):
-    if isinstance(config.step_mode, Theorem1):
-        raise ValueError(f"{method} has no inner loop or batch for the Theorem1 rule to size")
-
-
 def run_s_sgd(problem, config: SvrgConfig, X0):
     """Single-sample stochastic descent with a constant step.
 
-    The run's length is N = config.K * config.max_epochs.  Fixed(tau) is
-    taken as given; BB() means the analysis step min(nu / L_hat, 1 / (sigma
-    sqrt(N))), where sigma is the largest deviation of 100 single-sample
-    Riemannian gradients from the full one at the start point; Theorem1
-    raises ValueError.  Returns the iterate at an index drawn uniformly
-    from {0, ..., N-1} up front, which is the estimator the analysis speaks
-    about.  The trace records every max(1, N // 100)-th iterate X_j, then a
-    last row, indexed N, at that returned point after all N - 1 steps.
-    Recording is not charged to the IFO count.
+    The run's length is N = config.K * config.max_epochs, and its step the
+    tau of a Fixed step_mode; any other rule raises ValueError.  Returns the
+    iterate at an index drawn uniformly from {0, ..., N-1} up front, which
+    is the estimator the analysis speaks about.  The trace records every
+    max(1, N // 100)-th iterate X_j, then a last row, indexed N, at that
+    returned point after all N - 1 steps.  Recording is not charged to the
+    IFO count.
     """
-    _reject_theorem1(config, "s-sgd")
+    if not isinstance(config.step_mode, Fixed):
+        raise ValueError(f"s-sgd takes a Fixed step only, got {config.step_mode!r}")
     t0 = time.perf_counter()
     N = config.K * config.max_epochs
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SGD)))
     X = _start_point(problem, config, X0)
-    n = problem.n
     rho = config.rho
+    tau = config.step_mode.tau
 
     j_bar = int(rng.integers(N))
-    ifo = 0
     trace = RunTrace()
-
-    if isinstance(config.step_mode, Fixed):
-        tau = config.step_mode.tau
-    else:
-        consts = problem.constants()
-        L_hat = _l_hat(consts.L, consts.C, _PD_L1, _PD_L2)
-        _, egrad_full = problem.full_value_egrad(X)
-        g_full = d_rho_array(X, egrad_full, rho)
-        ifo += n
-        sigma = 1e-300
-        for _ in range(100):
-            i = int(rng.integers(n))
-            gi = d_rho_array(X, problem.component_egrad(X, i), rho)
-            ifo += 1
-            sigma = max(sigma, float(np.linalg.norm(gi - g_full)))
-        tau = min(nu_of_rho(rho) / L_hat, 1.0 / (sigma * math.sqrt(N)))
-
     every = max(1, N // 100)
 
     def record(j, X, steps):
         f, egrad = problem.full_value_egrad(X)
         gn = float(np.linalg.norm(d_rho_array(X, egrad, rho)))
         _check_finite(f, gn, f"step {j}")
-        trace.record(j, f, gn, tau, ifo + steps, steps, t0)
+        trace.record(j, f, gn, tau, steps, steps, t0)
 
     # X_0 ... X_{N-1}: step j costs one IFO and one RO call
     path = _single_sample_path(problem, config, X, tau, N - 1, rng, trace.events)
@@ -494,7 +465,8 @@ def run_rgd(problem, config: SvrgConfig, X0):
     nothing, so IFO counts n per full gradient and nothing else.  Theorem1
     raises ValueError.
     """
-    _reject_theorem1(config, "rgd")
+    if isinstance(config.step_mode, Theorem1):
+        raise ValueError("rgd has no inner loop or batch for the Theorem1 rule to size")
     return _run_anchored(problem, config, X0, K=1, batch=0)
 
 

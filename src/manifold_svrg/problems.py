@@ -238,11 +238,15 @@ class McInstance:
             for bad, why in ((num != np.trunc(num), "is not an integer"),
                              ((num < 0) | (num >= bound), f"outside [0, {bound})")):
                 bad = np.flatnonzero(bad)
-                if bad.size and index is cols:
-                    raise InvalidObservation(f"entry {bad[0]}: column index {cols[bad[0]]} {why}")
-                if bad.size:
-                    k = bad[np.argmin(cols[bad])]   # in the first column that holds one
-                    raise InvalidObservation(f"column {int(cols[k])}: row index {rows[k]} {why}")
+                if not bad.size:
+                    continue
+                # a row index is named in the first column that holds one, and
+                # any index as the repr of its Python value, so a str is quoted
+                k = bad[0] if index is cols else bad[np.argmin(cols[bad])]
+                value = repr(index[k:k + 1].tolist()[0])
+                if index is cols:
+                    raise InvalidObservation(f"entry {k}: column index {value} {why}")
+                raise InvalidObservation(f"column {int(cols[k])}: row index {value} {why}")
         if not np.isfinite(vals).all():
             raise NonFiniteInput("observed values contain NaN or Inf")
 

@@ -13,7 +13,10 @@ or, to compare with a git revision of this repository in one step,
 which unpacks REV's `src/` with `git archive` into a temporary directory,
 runs the same cells on it and on this tree's `src/`, one after the other,
 each in a subprocess, and prints the lines that differ (`<` REV's, `>` this
-tree's) and `N of M lines differ`; it exits 1 when a line differs.
+tree's, `-` for a line one side lacks) and a count, e.g. `0 moved, 4 gone,
+0 new (193 before, 189 after)`: a moved line is on both sides with
+another digest, a gone one only REV's and a new one only this tree's.  It
+exits 1 when a line differs.
 
 Other arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
 replays only the cells whose names start with one of them.
@@ -114,7 +117,8 @@ def _lines(src, prefixes):
 
 
 def against(rev, prefixes):
-    """Print the lines on which REV's src/ and this tree's differ; 1 if any do."""
+    """Print the lines on which REV's src/ and this tree's differ and count
+    them as moved, gone and new; 1 if any differ."""
     with unpacked(rev, "src") as tmp:
         old = _lines(os.path.join(tmp, "src"), prefixes)
     new = _lines(os.path.join(ROOT, "src"), prefixes)
@@ -124,7 +128,9 @@ def against(rev, prefixes):
     differ = [key for key in keys if old.get(key) != new.get(key)]
     for key in differ:
         print(f"< {key} {old.get(key, '-')}\n> {key} {new.get(key, '-')}")
-    print(f"{len(differ)} of {len(keys)} lines differ")
+    moved = sum(key in old and key in new for key in differ)
+    print(f"{moved} moved, {len(old.keys() - new.keys())} gone, "
+          f"{len(new.keys() - old.keys())} new ({len(old)} before, {len(new)} after)")
     return 1 if differ else 0
 
 

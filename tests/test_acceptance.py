@@ -16,7 +16,7 @@ from manifold_svrg.harness import (ExperimentSpec, build_config, build_problem,
                                    reference_value, run_experiment)
 from manifold_svrg.linalg import qr_positive
 from manifold_svrg.manifold import d_rho_array, nu_of_rho
-from manifold_svrg.optimizers import BB, run_s_sgd, SvrgConfig, theorem1_schedule
+from manifold_svrg.optimizers import Fixed, run_s_sgd, SvrgConfig, theorem1_schedule
 from manifold_svrg.problems import pca_generate
 from manifold_svrg.retractions import GRADIENT_KINDS, RetractionKind, retract_array
 from oracles import (FREE_KINDS, TangentSpace, brute_force_expectation, cayley_woodbury,
@@ -343,8 +343,8 @@ def test_sgd_sibling_decreasing_trend():
     # non-gating companion to criterion 7: the plain stochastic method
     # trends downward on the same problem even though it plateaus early
     inst = pca_generate(200, 2000, 5, seed=0)
-    # BB(): the analysis step, over N = K * max_epochs = 2000 steps
-    cfg = SvrgConfig(retraction=RetractionKind.QR, step_mode=BB(), seed=0, r=5)
+    # N = K * max_epochs = 2000 steps of a fixed size
+    cfg = SvrgConfig(retraction=RetractionKind.QR, step_mode=Fixed(0.0075), seed=0, r=5)
     X0 = qr_positive(np.random.default_rng(3).standard_normal((200, 5)))[0]
     _, trace = run_s_sgd(inst, cfg, X0=X0)
     assert trace.f[-1] < trace.f[0]

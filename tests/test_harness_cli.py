@@ -65,6 +65,7 @@ class TestSpec:
                                      dict(method="s-svrg-bb", step="fixed:0.5"),
                                      dict(method="rgd", step="thm1:0.5,1.0"),
                                      dict(method="s-sgd", step="thm1:0.5,1.0"),
+                                     dict(method="s-sgd", step="bb"),
                                      # fields every run would reject
                                      dict(inner_k="x"), dict(inner_k="0"),
                                      dict(max_epochs=0), dict(rho=-1.0),
@@ -425,7 +426,8 @@ class TestGridTune:
         # an s-sgd run ends Completed, and succeeds when the point it
         # returns meets grad_tol; the start point already does here, so
         # every step converges and the tie goes to the smallest
-        spec = tiny_spec(method="s-sgd", d=20, n=60, grad_tol=10.0, max_epochs=20)
+        spec = tiny_spec(method="s-sgd", step="fixed:0.01", d=20, n=60, grad_tol=10.0,
+                         max_epochs=20)
         tau_star, row = grid_tune(spec, [0.01, 0.05, 0.2])
         assert tau_star == 0.01
         assert row.successes == row.runs
@@ -568,10 +570,15 @@ class TestCliMain:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "trace_run000.csv").exists()
 
-    def test_tune_smoke(self, capsys):
-        args = [a for a in self.RUN_ARGS]
-        args[args.index("s-svrg-bb")] = "s-svrg"
-        code = main(["tune", *args, "--grid", "0.5"])
+    @pytest.mark.parametrize("method, extra", [("s-svrg", []),
+                                               ("s-sgd", ["--grad-tol", "10"])],
+                             ids=["s-svrg", "s-sgd"])
+    def test_tune_smoke(self, capsys, method, extra):
+        # without --step, which defaults to bb, a rule s-sgd does not run;
+        # s-sgd's runs succeed only where the point returned meets grad_tol
+        args = list(self.RUN_ARGS)
+        args[args.index("s-svrg-bb")] = method
+        code = main(["tune", *args, *extra, "--grid", "0.5"])
         out = capsys.readouterr().out
         assert code == 0
         assert "tau_star=0.5" in out
@@ -612,7 +619,11 @@ class TestCliMain:
                 (["--n", "0"], "n must be an integer of at least 1, got 0"),
                 (["--r", "0"], "r must be an integer of at least 1, got 0"),
                 (["--max-epochs", "0"], "max_epochs must be an integer of at least 1, got 0"),
-                (["--runs", "0"], "runs must be an integer of at least 1, got 0")):
+                (["--runs", "0"], "runs must be an integer of at least 1, got 0"),
+                # --step defaults to bb; a refused rule is named with the method's
+                (["--method", "s-sgd"], "s-sgd does not run step rule 'bb'; it runs fixed:<tau>"),
+                (["--method", "rgd", "--step", "thm1:0.5,1"],
+                 "rgd does not run step rule 'thm1:0.5,1'; it runs fixed:<tau> or bb")):
             assert main(["run", "--problem", "pca", *argv]) == 2
             assert f"error: {message}\n" in capsys.readouterr().err
         # a config value the flag parser refuses gets its flag's message
@@ -624,6 +635,10 @@ class TestCliMain:
         assert main(["tune", "--method", "s-svrg", "--grid", "0.1,abc"]) == 2
         assert ("error: --grid '0.1,abc' is not of the form <tau>,<tau>,...\n"
                 in capsys.readouterr().err)
+        # tune's spec takes a step from the grid, so an empty one is still
+        # refused as empty, for s-sgd too
+        assert main(["tune", "--method", "s-sgd", "--grid", ","]) == 2
+        assert "error: empty step grid\n" in capsys.readouterr().err
 
     @pytest.fixture
     def no_data(self, monkeypatch):
@@ -653,5 +668,6 @@ class TestCliMain:
         out = tmp_path / "cell"
         code = main(["run", *self.RUN_ARGS, "--step", "fixed:0.5", "--out", str(out)])
         assert code == 2
-        assert "error: s-svrg-bb does not run step rule 'fixed:0.5'" in capsys.readouterr().err
+        assert ("error: s-svrg-bb does not run step rule 'fixed:0.5'; it runs bb"
+                in capsys.readouterr().err)
         assert not out.exists()

@@ -560,9 +560,13 @@ class TestMcInstance:
     def test_non_numeric_index_rejected(self, bad):
         # a bool is no index (True would read as 1), and a str or object one
         # would fail inside numpy; either is refused as no integer
-        with pytest.raises(InvalidObservation, match="entry 0: column index .* is not an integer"):
+        # the index is shown as Python reprs its value, so a str is quoted
+        with pytest.raises(InvalidObservation,
+                           match=re.escape(f"entry 0: column index {bad[0]!r} is not an integer")):
             McInstance(2, 2, 1, [0, 1], bad, [1.0, 2.0])
-        with pytest.raises(InvalidObservation, match="column 0: row index .* is not an integer"):
+        # column 0 holds entry 1
+        with pytest.raises(InvalidObservation,
+                           match=re.escape(f"column 0: row index {bad[1]!r} is not an integer")):
             McInstance(2, 2, 1, bad, [1, 0], [1.0, 2.0])
 
     def test_integer_rows_accepted_as_lists_arrays_and_empty_columns(self):
