@@ -60,11 +60,13 @@ def expm(A):
 
     iS is Hermitian, iS = V diag(lam) V^H, so exp(S) = V diag(e^{-i lam}) V^H:
     orthogonal up to the rounding of one unitary V, with no squaring step to
-    build up error.  A's symmetric part is ignored.
+    build up error.  A's symmetric part is ignored.  The result is a
+    C-contiguous copy of the product's real part, not its strided view, so
+    a product that takes it as an operand reads contiguous memory.
     """
     check_finite(A, "expm input")
     lam, V = np.linalg.eigh(1j * skew(A))
-    return ((V * np.exp(-1j * lam)) @ V.conj().T).real
+    return np.ascontiguousarray(((V * np.exp(-1j * lam)) @ V.conj().T).real)
 
 
 def skew(A):

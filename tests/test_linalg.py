@@ -111,7 +111,10 @@ def _one_norm(A):
 
 class TestExpm:
     def test_zero(self):
-        np.testing.assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
+        # a contiguous array of its own, not the strided real part of a complex one
+        E = expm(np.zeros((3, 3)))
+        np.testing.assert_allclose(E, np.eye(3), atol=1e-15)
+        assert E.flags.c_contiguous and E.flags.owndata
 
     def test_planar_rotation(self):
         th = np.pi / 2

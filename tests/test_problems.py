@@ -107,12 +107,12 @@ class TestPcaGenerate:
         v = (A ** 2).mean(axis=1)
         assert v[-1] > v[0]
 
-    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("n", [1, 2, 50, 2048])
     @pytest.mark.parametrize("d", [1, 5, 63, 64, 65, 2 * 64 + 3])
     def test_blocked_draw_is_the_one_shot_draw(self, d, n):
-        # drawn 64 rows at a time into column-major memory and centred
-        # there: the bits of the instance built from one (d, n) draw; d
-        # straddles the 64-row block
+        # drawn a block of rows at a time into column-major memory and
+        # centred there: the bits of the instance built from one (d, n)
+        # draw; at n = 2048 the block is 64 rows, which d straddles
         r = min(d, 3)
         got, want = pca_generate(d, n, r, seed=7), PcaInstance(pca_data(d, n, seed=7), r)
         assert got.B.flags.f_contiguous
@@ -120,6 +120,17 @@ class TestPcaGenerate:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert _constants_or_error(got) == _constants_or_error(want)
         assert got.optimum() == want.optimum()
+
+    def test_one_row_blocks_when_a_row_exceeds_the_block(self):
+        # n > 2^17: the draw and the ingest stage one row at a time, with
+        # the bits of the one-shot draw and of whole-array centring
+        d, n = 3, 2 ** 17 + 1
+        A = pca_data(d, n, seed=7)
+        got = pca_generate(d, n, 2, seed=7)
+        B = A - A.mean(axis=1, keepdims=True)
+        assert np.array_equal(got.B, B)
+        assert np.array_equal(got._col_sq, np.sum(B ** 2, axis=0))
+        assert np.array_equal(got.C, PcaInstance(A, 2).C)
 
     @pytest.mark.parametrize("d, n, r, message", [
         (0, 5, 1, "d must be an integer of at least 1, got 0"),
@@ -140,15 +151,18 @@ class TestPcaGenerate:
 
     def test_peak_memory_is_the_instance(self):
         # the draw is the instance's B: no second d x n array is ever alive
-        # (generating A and then constructing from it peaked at 2.44x)
-        d, n = 256, 4096
-        tracemalloc.start()
-        try:
-            pca_generate(d, n, 8, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * (d * n + d * d) * 8
+        # (generating A and then constructing from it peaked at 2.44x), and
+        # the staging block is at most 1 MB or one row, so at d <= 64 it is
+        # no second copy either (a 64-row block peaked at 2.06x at d = 16);
+        # at d = 256 a 1 MB block is 12% of B and C
+        for d, n, bound in ((256, 4096, 1.3), (16, 200_000, 1.2)):
+            tracemalloc.start()
+            try:
+                pca_generate(d, n, 8, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * (d * n + d * d) * 8, (d, n)
 
 
 class TestPcaInstance:
@@ -200,13 +214,13 @@ class TestPcaInstance:
         assert [v is inst.C for v in held if v.shape == (15, 15)] == [True]
 
     @settings(deadline=None, max_examples=100)
-    @given(d=st.sampled_from([1, 63, 64, 65, 130, 200]), n=st.integers(1, 300),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(d=st.sampled_from([1, 63, 64, 65, 130, 200]),
+           n=st.integers(1, 300) | st.integers(1900, 2200), seed=st.integers(0, 2 ** 32 - 1))
     def test_column_norms_summed_row_by_row(self, d, n, seed):
         # the one blocked pass gives the bits of whole-array centring, of
         # np.sum over a row-major B (row by row, so L keeps its bits) and of
-        # the covariance product; d straddles the 64-row ingest block, and
-        # the data is left unchanged
+        # the covariance product; at n in [1900, 2200] the ingest block is
+        # 59-68 rows, which d straddles, and the data is left unchanged
         local = np.random.default_rng(seed)
         A = local.standard_normal((d, n)) + local.standard_normal((d, 1))
         A_before = A.copy()
@@ -222,8 +236,9 @@ class TestPcaInstance:
     @pytest.mark.parametrize("layout", ["row-major", "column-major", "transposed view"])
     def test_data_never_written(self, layout):
         # the public constructor reads A into a fresh B, whatever A's
-        # layout, and B's bits do not depend on that layout
-        A = pca_data(2 * 64 + 3, 50, seed=2)
+        # layout, and B's bits do not depend on that layout; at n = 2048
+        # the ingest block is 64 rows, so d crosses two block edges
+        A = pca_data(2 * 64 + 3, 2048, seed=2)
         want = PcaInstance(A.copy(), r=2).B
         if layout == "column-major":
             A = np.asfortranarray(A)
@@ -345,10 +360,10 @@ class TestPcaInstance:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_rejected(self, bad):
-        # d = 2 * 64 + 3: the bad entry in the first, a middle and the tail
-        # ingest block
+        # d = 2 * 64 + 3 and n = 2048, so 64-row ingest blocks: the bad
+        # entry in the first, a middle and the tail block
         for row in (2, 64 + 17, 2 * 64 + 2):
-            A = pca_data(2 * 64 + 3, 8, seed=0)
+            A = pca_data(2 * 64 + 3, 2048, seed=0)
             A[row, 3] = bad
             with pytest.raises(NonFiniteInput):
                 PcaInstance(A, r=2)
@@ -364,6 +379,25 @@ class TestPcaInstance:
     def test_malformed_data_rejected(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             PcaInstance(np.ones(shape), r=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64, np.uint8, np.bool_])
+    def test_real_dtype_cast_by_block(self, dtype):
+        # an array of any real dtype is cast as it is staged, with the bits
+        # of the instance of its whole float64 cast, and is not written
+        A = (pca_data(131, 2048, seed=3) * 200).astype(dtype)
+        before = A.copy()
+        got, want = PcaInstance(A, r=2), PcaInstance(A.astype(float), r=2)
+        for name in ("B", "C", "_col_sq"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(A, before)
+
+    def test_complex_data_converts_whole_as_before(self):
+        # only a real-numeric array is staged uncast; complex data still
+        # goes through numpy's float conversion, with its warning
+        A = pca_data(4, 8, seed=0) + 0j
+        with pytest.warns(np.exceptions.ComplexWarning):
+            inst = PcaInstance(A, r=1)
+        assert np.array_equal(inst.B, PcaInstance(A.real.copy(), r=1).B)
 
     @pytest.mark.parametrize("r", [0, 7, 2.5])
     def test_rank_outside_dimension_rejected(self, r):
@@ -842,13 +876,19 @@ class TestMcIO:
 
     def test_pca_load_npy_peak_memory_is_the_instance(self, tmp_path):
         # the file is mapped, not read whole: no raw A next to B (reading it
-        # into memory first peaked at 2.18x)
-        d, n = 256, 4096
-        np.save(tmp_path / "a.npy", pca_data(d, n, seed=0))
-        tracemalloc.start()
-        try:
-            pca_load(tmp_path / "a.npy", r=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.75 * (d * n + d * d) * 8
+        # into memory first peaked at 2.18x), and a float32 file is cast
+        # block by block, not whole (a whole cast peaked at 3.06x at
+        # d = 16), with the bits of the instance of its float64 cast
+        for d, n, dtype, bound in ((256, 4096, np.float64, 1.3), (16, 200_000, np.float32, 1.2)):
+            A = pca_data(d, n, seed=0).astype(dtype)
+            np.save(tmp_path / "a.npy", A)
+            tracemalloc.start()
+            try:
+                got = pca_load(tmp_path / "a.npy", r=8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * (d * n + d * d) * 8, (d, n)
+            want = PcaInstance(A.astype(float), r=8)
+            for name in ("B", "C", "_col_sq"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
