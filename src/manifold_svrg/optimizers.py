@@ -167,8 +167,7 @@ class RunTrace:
 
 def gamma_fn(z, i):
     """Gamma(z, i) = ((1+z)^(i-1) - 1)/z, the geometric accumulation factor."""
-    if i < 1:
-        raise ValueError("i must be at least 1")
+    i = check_count("i", i, 1)
     if z == 0.0:
         return float(i - 1)
     return (math.pow(1.0 + z, i - 1) - 1.0) / z
@@ -225,6 +224,7 @@ def theorem1_schedule(n, mu, kappa, L, C, L1, L2, r, nu):
     hide the inconsistency).
     """
     mu, kappa = astuple(Theorem1(mu, kappa))  # Theorem1's checks; the values as floats
+    n, r = check_count("n", n, 1), check_count("r", r, 1)
     K = math.ceil((kappa * n) ** (1.0 / (3.0 * (1.0 - mu))))
     if K < 2:
         raise ValueError(f"kappa n = {kappa * n:g} gives K = {K}: every epoch would "
@@ -408,6 +408,8 @@ def _run_anchored(problem, config, X0, K, batch):
         for k, idx in enumerate(batches[:out] if tau > 0 else ()):
             G = egrad0 + diff(X, idx) if k else egrad0
             X = _step(config.retraction, X, G, tau, rho)
+        # freed before the next anchor's fit: for MC, the anchor's n m_max r gradient rows
+        del diff
 
         X = _reorthonormalize(X, trace.events, s)
 

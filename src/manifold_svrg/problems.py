@@ -209,17 +209,17 @@ class McInstance:
     than r observations, or whose normal equations are exactly singular,
     gets the minimum-norm fit, and no other column's fit changes with it.
     The full and batch gradients sum the per-observation gradient rows
-    2 resid_i a_i^T into X's shape with a single np.bincount over flat
-    (row * r + j) slots precomputed at construction; padding lands in a
-    sentinel row that is dropped.  component_egrad fits its one column
-    unpadded.
+    2 resid_i a_i^T into X's shape with one np.bincount per column of X
+    over the padded row index itself; padding lands in a sentinel row d
+    that is dropped.  A fit of all n columns reads the stored arrays in
+    place.  component_egrad fits its one column unpadded.
 
     anchored(X) fits all n columns at X once; its batch difference gathers
-    the anchor's per-observation rows from that fit, so an inner step of the
-    variance-reduced loop fits only the batch at Xk.  batch_egrad_diff(Xk,
-    X0, idx) refits X0 on the batch.  No oracle writes the instance: it is
-    fixed after construction, except for the constants() sampled on the
-    first call.
+    the anchor's per-observation rows (n m_max r floats) from that fit, so
+    an inner step of the variance-reduced loop fits only the batch at Xk.
+    batch_egrad_diff(Xk, X0, idx) refits X0 on the batch.  No oracle writes
+    the instance: it is fixed after construction, except for the
+    constants() sampled on the first call.
     """
 
     def __init__(self, d, n, r, rows, cols, vals, M_true=None):
@@ -282,17 +282,14 @@ class McInstance:
             raise InvalidObservation(f"column {j}: row index {ranked[j, k]} is repeated")
         self._pad_vals = np.zeros((self.n, m_max))
         self._pad_vals[filled] = vals[order]
-        self._pad_rows.flags.writeable = self._pad_vals.flags.writeable = False
-        # one pass per j: broadcast over a trailing axis of r runs twice as slow
-        base = self._pad_rows * self.r
-        self._slots = np.empty((self.n, m_max * self.r), dtype=np.intp)
-        for j in range(self.r):
-            np.add(base, j, out=self._slots[:, j::self.r])
         self._short = self._lengths < self.r
         self._has_short = bool(self._short.any())
 
-    rows = property(lambda self: [p[:m] for p, m in zip(self._pad_rows, self._lengths)])
-    vals = property(lambda self: [p[:m] for p, m in zip(self._pad_vals, self._lengths)])
+    # read-only views of writeable arrays: take and bincount copy a read-only index
+    rows = property(lambda self: [p[:m] for p, m in zip(
+        np.lib.stride_tricks.as_strided(self._pad_rows, writeable=False), self._lengths)])
+    vals = property(lambda self: [p[:m] for p, m in zip(
+        np.lib.stride_tricks.as_strided(self._pad_vals, writeable=False), self._lengths)])
 
     def _fit(self, Xi, v, short):
         """Least-squares coefficients a (b, r, 1) and residuals Xi a - v (b, m, 1).
@@ -311,29 +308,33 @@ class McInstance:
             a = _lsq_normal(Xi, v)
         return a, Xi @ a - v
 
-    def _fit_padded(self, X, idx):
-        """_fit of the columns idx, gathered through the padded observation arrays."""
+    def _fit_padded(self, X, idx=None):
+        """_fit of the columns idx through the padded arrays; all n, read in place, for None."""
+        # take, not fancy indexing: about 5 against 18 us at the mc-desk shape
+        rows, vals, short = self._pad_rows, self._pad_vals, self._short
+        if idx is not None:
+            rows, vals, short = (a.take(idx, axis=0) for a in (rows, vals, short))
         Xp = np.concatenate([X, np.zeros((1, X.shape[1]))])
-        # take copies the same rows as fancy indexing, without its general
-        # index machinery: about 5 against 18 us at the mc-desk shape
-        return self._fit(Xp.take(self._pad_rows.take(idx, axis=0), axis=0),
-                         self._pad_vals.take(idx, axis=0)[:, :, None],
-                         self._short.take(idx) if self._has_short else None)
+        return self._fit(Xp.take(rows, axis=0), vals[:, :, None],
+                         short if self._has_short else None)
 
-    def _contrib(self, X, idx):
-        """Per-observation gradient rows 2 resid a^T, shape (b, m_max, r), and residuals."""
+    def _contrib(self, X, idx=None):
+        """Per-observation gradient rows 2 resid a_j, shape (r, b, m_max), and residuals."""
         a, resid = self._fit_padded(X, idx)
-        return 2.0 * resid * a.transpose(0, 2, 1), resid
+        # (2 a_j) resid is (2 resid) a_j exactly, and each j's rows are contiguous
+        return np.ascontiguousarray(2.0 * a[:, :, 0].T)[:, :, None] * resid[:, :, 0], resid
 
     def _scatter(self, idx, contrib):
-        """Sum per-observation rows into a d x r array (duplicates in idx add up)."""
-        flat = np.bincount(self._slots.take(idx, axis=0).reshape(-1), weights=contrib.reshape(-1),
-                           minlength=(self.d + 1) * self.r)
-        return flat[: self.d * self.r].reshape(self.d, self.r)
+        """Sum rows (r, b, m_max) into a d x r array, each bin in batch order; repeats add up."""
+        rows = (self._pad_rows if idx is None else self._pad_rows.take(idx, axis=0)).reshape(-1)
+        out = np.empty((self.d + 1, self.r))
+        for j, c in enumerate(contrib.reshape(self.r, -1)):
+            out[:, j] = np.bincount(rows, c, self.d + 1)
+        return out[:self.d]
 
     def _batch_diff(self, Xk, idx, c0):
-        """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx."""
-        return self._scatter(idx, self._contrib(Xk, idx)[0] - c0) / len(idx)
+        """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx; writes c0."""
+        return self._scatter(idx, np.subtract(self._contrib(Xk, idx)[0], c0, out=c0)) / len(idx)
 
     def component_egrad(self, X, i):
         # the column's own rows, unpadded: zero-row padding would change the
@@ -349,9 +350,8 @@ class McInstance:
 
     def _full(self, X):
         """f and grad f at X, and the per-observation gradient rows of all n columns."""
-        every = np.arange(self.n)
-        c0, resid = self._contrib(X, every)
-        return float(np.sum(resid ** 2)) / self.n, self._scatter(every, c0) / self.n, c0
+        c0, resid = self._contrib(X)
+        return float(np.sum(resid ** 2)) / self.n, self._scatter(None, c0) / self.n, c0
 
     def full_value_egrad(self, X):
         return self._full(X)[:2]
@@ -359,14 +359,14 @@ class McInstance:
     def anchored(self, X):
         """f and grad f at the anchor X, and the batch difference bound to X."""
         f, egrad, c0 = self._full(X)
-        return f, egrad, lambda Xk, idx: self._batch_diff(Xk, idx, c0.take(idx, axis=0))
+        return f, egrad, lambda Xk, idx: self._batch_diff(Xk, idx, c0.take(idx, axis=1))
 
     def batch_egrad_diff(self, Xk, X0, idx):
         return self._batch_diff(Xk, idx, self._contrib(X0, idx)[0])
 
     def fitted_matrix(self, X):
         """Column-wise least-squares reconstruction X a_i from observed rows."""
-        a, _ = self._fit_padded(X, np.arange(self.n))
+        a, _ = self._fit_padded(X)
         return X @ a[:, :, 0].T
 
     def constants(self):
@@ -412,10 +412,10 @@ def pca_generate(d, n, r, seed):
     it is normalized in place, and the instance centres it in place and
     keeps it as B, so the instance's B is the only d x n array made and the
     peak is B, C, one block and the n column norms: about 1.13x the bytes
-    of B and C at d = 16, n = 200 000.  d, n and r are checked before any draw.
+    of B and C at d = 16, n = 200 000.  d, n, r and seed are checked before any draw.
     """
     d, n, r = pca_check(d, n, r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     scale = np.arange(1, d + 1, dtype=float) ** 0.618
     A = np.empty((d, n), order="F")
     k = _staging_rows(d, n)
@@ -465,11 +465,11 @@ def mc_generate(d, n, r, cond, seed):
 
     Singular values are geometrically spaced from 1 down to 1/cond; the
     observation set has exactly (n + d - r) r^2 entries drawn uniformly
-    without replacement.  d, n, r and cond are checked before any draw.
+    without replacement.  d, n, r, cond and seed are checked before any draw.
     """
     cond = check_cond(cond)
     d, n, r, num = mc_check(d, n, r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     U = qr_positive(rng.standard_normal((d, r)))[0]
     V = qr_positive(rng.standard_normal((n, r)))[0]
     sigma = cond ** (-np.arange(r) / max(r - 1.0, 1.0))  # [1.0] at r = 1

@@ -9,6 +9,10 @@ exhaustive enumeration of ordered batches.  estimate_l1_l2 samples the
 package's own retractions to measure their deviation constants, and
 pca_top_subspace factors a PCA instance's stored covariance with the full
 dense eigensolver, and pca_data draws pca_generate's raw data in one piece.
+mc_gradient_rows takes a completion instance's per-observation gradient
+rows from its own fit, and mc_scatter sums them with np.add.at, one
+observation after another in batch order: the summation order the
+instance's gradients keep bit for bit.
 
 The rest state what the analysis and the retractions' contracts say, for
 the tests to hold the package to: the tangent-space projection that makes
@@ -181,6 +185,22 @@ def pca_data(d, n, seed):
     A *= scale[:, None]
     A /= max(A.max(), -A.min())
     return A
+
+
+def mc_gradient_rows(inst, X, idx):
+    """Each padded observation's gradient row 2 resid a^T, shape (b, m_max, r),
+    of the columns idx of a McInstance, from the instance's own fit at X."""
+    a, resid = inst._fit_padded(X, idx)
+    return 2.0 * resid * a.transpose(0, 2, 1)
+
+
+def mc_scatter(inst, idx, grad_rows):
+    """grad_rows (b, m_max, r) of the columns idx added into a (d + 1) x r
+    array by np.add.at at the padded row indices, observation by observation
+    in batch order, with the sentinel row d then dropped."""
+    out = np.zeros((inst.d + 1, inst.r))
+    np.add.at(out, inst._pad_rows[idx].reshape(-1), grad_rows.reshape(-1, inst.r))
+    return out[:inst.d]
 
 
 def sym(A):

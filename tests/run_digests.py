@@ -23,8 +23,10 @@ replays only the cells whose names start with one of them.
 
 The runs are criterion 7's 140 (the desk PCA cell under each retraction),
 criterion 9's 20 (the desk MC cell), run 0 of the pca-rgd benchmark
-workload, and two runs of one small pca and one small mc cell for every
-(method, step rule) pair that ExperimentSpec accepts.  The digest covers
+workload, two runs of one small pca and one small mc cell for every
+(method, step rule) pair that ExperimentSpec accepts, and two runs of a
+small mc cell whose draw has a column of fewer than r entries, so that
+the loop reaches the minimum-norm fit.  The digest covers
 trace columns epoch, f, grad_norm, step_size, ifo_calls and ro_calls, the
 events, the status and the final X; a run that raises digests its
 "<ExcType>: <message>".  Only ExperimentSpec, build_problem and
@@ -59,6 +61,10 @@ METHODS = ("s-svrg", "s-svrg-bb", "rgd", "s-sgd")
 STEPS = ("fixed:0.05", "bb", "thm1:0.5,1.0")
 SMALL = {"pca": dict(problem="pca", retraction="qr", d=20, n=60, r=2, batch_frac=0.1),
          "mc": dict(problem="mc", retraction="jd", d=30, n=24, r=2, batch_frac=0.5)}
+# seed 0 draws one column of a single entry at d = 7, n = 40, r = 2
+SHORT_MC = ExperimentSpec(problem="mc", method="s-svrg-bb", retraction="jd", d=7, n=40, r=2,
+                          step="bb", batch_frac=0.5, inner_k="10", max_epochs=20,
+                          grad_tol=1e-8, runs=2, seed=0)
 
 
 def digest(problem, spec, run_id):
@@ -94,6 +100,7 @@ def cells():
                         continue
                     raise
                 yield f"{problem}-{method}-{step}", spec, range(spec.runs)
+    yield "mc-short", SHORT_MC, range(SHORT_MC.runs)
 
 
 def main(prefixes):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -365,6 +366,25 @@ class TestRunSvrg:
         for col in ("epoch", "f", "grad_norm", "step_size", "ifo_calls", "ro_calls"):
             assert getattr(tr, col) == getattr(ref, col), col
         assert np.array_equal(X.X, X_ref.X)
+
+    def test_holds_one_anchor_at_a_time(self):
+        # an epoch's batch difference, and with it MC's n m_max r anchor
+        # rows, is gone before the next epoch's anchor is fitted
+        inst = mc_generate(12, 20, 2, 10.0, seed=3)
+        cfg = SvrgConfig(retraction=RetractionKind.JD, step_mode=BB(), K=4, batch=3,
+                         max_epochs=5, grad_tol=0.0, seed=2, r=2)
+        refs, alive = [], []
+        anchored = inst.anchored
+
+        def watched(X):
+            alive.append(sum(ref() is not None for ref in refs))
+            f, egrad, diff = anchored(X)
+            refs.append(weakref.ref(diff))
+            return f, egrad, diff
+
+        inst.anchored = watched
+        _, tr = run_s_svrg(inst, cfg, X0=random_point(12, 2))
+        assert tr.status == "MaxEpochs" and alive == [0] * 6
 
     def test_divergence_detected(self):
         # a compact manifold keeps f finite under any step, so the guard is

@@ -12,7 +12,7 @@ from manifold_svrg.linalg import qr_positive
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, mc_generate,
                                     mc_load_observations, mc_save_observations,
                                     pca_generate, pca_load)
-from oracles import fd_derivative, pca_data, pca_top_subspace
+from oracles import fd_derivative, mc_gradient_rows, mc_scatter, pca_data, pca_top_subspace
 
 rng = np.random.default_rng(13)
 
@@ -633,7 +633,7 @@ class TestMcInstance:
             assert [ri.tolist() for ri in got.rows] == want_rows
             assert [vi.tolist() for vi in got.vals] == want_vals
         with pytest.raises(ValueError, match="read-only"):
-            inst.rows[1][0] = 3   # the fits and scatter slots would not follow
+            inst.rows[1][0] = 3   # the fits and scatters would not follow
 
     def test_repeated_row_rejected(self):
         # the fit would count the repeated entry twice, f_i observes it once
@@ -698,10 +698,10 @@ def mc_with_short_column():
     return mc_from_columns(30, 3, rows, vals)
 
 
-FAMILIES = pytest.mark.parametrize("make", [
-    lambda: pca_generate(15, 40, 3, seed=9),
-    lambda: mc_generate(30, 25, 3, cond=10.0, seed=8),
-    mc_with_short_column], ids=["pca", "mc", "mc-short"])
+MC_FIXTURES = {"mc": lambda: mc_generate(30, 25, 3, cond=10.0, seed=8),
+               "mc-short": mc_with_short_column}
+FAMILIES = pytest.mark.parametrize("make", [lambda: pca_generate(15, 40, 3, seed=9),
+                                            *MC_FIXTURES.values()], ids=["pca", *MC_FIXTURES])
 
 
 @FAMILIES
@@ -747,6 +747,48 @@ def test_anchored_is_the_general_oracle_at_its_anchor(make):
         idx = np.asarray(idx)
         assert np.array_equal(diff(Xk, idx), inst.batch_egrad_diff(Xk, X0, idx))
         assert np.array_equal(diff(X0, idx), inst.batch_egrad_diff(X0, X0, idx))
+
+
+@pytest.mark.parametrize("make", MC_FIXTURES.values(), ids=MC_FIXTURES)
+def test_mc_gradients_are_the_reference_scatter(make):
+    # the full gradient, anchored's difference and batch_egrad_diff add each
+    # row of X's terms in batch order, observation by observation: the bits
+    # of np.add.at, with repeated columns adding up
+    inst = make()
+    X0, Xk = random_stiefel(inst.d, inst.r), random_stiefel(inst.d, inst.r)
+    every = np.arange(inst.n)
+    want = mc_scatter(inst, every, mc_gradient_rows(inst, X0, every)) / inst.n
+    assert np.array_equal(inst.full_value_egrad(X0)[1], want)
+    _, _, diff = inst.anchored(X0)
+    for idx in ([4, 4, 17, 0, 4, 24, 17], [5, 5], [5, 0, 5, 7, 12, 5], every[::-1]):
+        idx = np.asarray(idx)
+        rows = mc_gradient_rows(inst, Xk, idx) - mc_gradient_rows(inst, X0, idx)
+        want = mc_scatter(inst, idx, rows) / len(idx)
+        assert np.array_equal(diff(Xk, idx), want)
+        assert np.array_equal(inst.batch_egrad_diff(Xk, X0, idx), want)
+
+
+@pytest.mark.parametrize("d, n, r", [(200, 400, 5), (300, 3000, 8)],
+                         ids=["mc-desk", "300-3000-8"])
+def test_mc_memory_is_the_observations_and_one_anchor(d, n, r):
+    # the instance keeps its observations once, padded per column, with no
+    # array of n m_max r entries (a slot table r times the padded row index
+    # was one), and anchored peaks at its anchor's n m_max r gradient rows
+    # and one fit's smaller temporaries: the slot gather and copies of the
+    # index arrays took it to 2.21x those rows at the mc-desk shape and
+    # 2.13x at (300, 3000, 8)
+    inst = mc_generate(d, n, r, cond=10.0, seed=0)
+    entries = n * inst._pad_rows.shape[1] * r
+    sizes = {k: v.size for k, v in vars(inst).items() if isinstance(v, np.ndarray)}
+    assert max(sizes.values()) < entries, sizes
+    X = random_stiefel(d, r)
+    tracemalloc.start()
+    try:
+        inst.anchored(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * entries * 8, peak / (entries * 8)
 
 
 @st.composite

@@ -21,7 +21,7 @@ import pytest
 import manifold_svrg
 from manifold_svrg.harness import ExperimentSpec
 from manifold_svrg.manifold import nu_of_rho
-from manifold_svrg.optimizers import Fixed, SvrgConfig, Theorem1, theorem1_schedule
+from manifold_svrg.optimizers import Fixed, SvrgConfig, Theorem1, gamma_fn, theorem1_schedule
 from manifold_svrg.problems import (McInstance, PcaInstance, ProblemConstants, check_cond,
                                     mc_generate, mc_load_observations, pca_generate, pca_load)
 from source_lines import public_options
@@ -75,6 +75,7 @@ COUNT_ENTRIES = {
     "pca_generate-d": lambda v, root: pca_generate(v, 8, 1, 0),
     "pca_generate-n": lambda v, root: pca_generate(6, v, 1, 0),
     "pca_generate-r": lambda v, root: pca_generate(6, 8, v, 0),
+    "pca_generate-seed": lambda v, root: pca_generate(6, 8, 1, v),
     "pca_load-r": lambda v, root: pca_load(root / "a.npy", v),
     "McInstance-d": lambda v, root: McInstance(v, 2, 1, [0, 1], [0, 1], [1.0, 2.0]),
     "McInstance-n": lambda v, root: McInstance(2, v, 1, [0, 1], [0, 1], [1.0, 2.0]),
@@ -82,13 +83,21 @@ COUNT_ENTRIES = {
     "mc_generate-d": lambda v, root: mc_generate(v, 30, 1, 10.0, 0),
     "mc_generate-n": lambda v, root: mc_generate(20, v, 1, 10.0, 0),
     "mc_generate-r": lambda v, root: mc_generate(20, 30, v, 10.0, 0),
+    "mc_generate-seed": lambda v, root: mc_generate(20, 30, 1, 10.0, v),
     "mc_load_observations-d": lambda v, root: mc_load_observations(root / "obs.txt", 1, d=v),
     "mc_load_observations-n": lambda v, root: mc_load_observations(root / "obs.txt", 1, n=v),
+    "theorem1_schedule-n": lambda v, root: theorem1_schedule(v, 0.5, 1.0, L=2.0, C=2.0, L1=1.0,
+                                                            L2=0.5, r=2, nu=1.0),
+    "theorem1_schedule-r": lambda v, root: theorem1_schedule(1000, 0.5, 1.0, L=2.0, C=2.0,
+                                                            L1=1.0, L2=0.5, r=v, nu=1.0),
+    "gamma_fn-i": lambda v, root: gamma_fn(0.5, v),
     **{f"SvrgConfig-{k}": lambda v, root, k=k: SvrgConfig(**{k: v})
        for k in ("K", "batch", "max_epochs", "r")},
     **{f"ExperimentSpec-{k}": lambda v, root, k=k: _spec(**{k: v})
        for k in ("d", "n", "r", "max_epochs", "runs", "inner_k")},
 }
+# an entry's lower bound, where it is not 1
+COUNT_LOWS = {"pca_generate-seed": 0, "mc_generate-seed": 0}
 
 
 @pytest.fixture(scope="module")
@@ -103,11 +112,14 @@ def data_root(tmp_path_factory):
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
 def test_one_count_rule(entry, bad, data_root):
     # a fraction is not truncated and a bool is no count: each is refused
-    # where it enters, with the message of check_count
+    # where it enters, with the message of check_count, and so is the
+    # integer one below the entry's bound ("zero" is -1 for a seed)
     make = COUNT_ENTRIES[entry]
     make(2, data_root)
     name = entry.rsplit("-", 1)[1]
-    message = f"{name} must be an integer of at least 1, got {bad}"
+    low = COUNT_LOWS.get(entry, 1)
+    bad = low - 1 if bad == 0 else bad
+    message = f"{name} must be an integer of at least {low}, got {bad}"
     with pytest.raises(ValueError, match=re.escape(message)):
         make(bad, data_root)
 
