@@ -8,10 +8,13 @@ std, mean final gradient norm, mean relative error, mean seconds).
 """
 
 import csv
+import ctypes
+import glob
 import hashlib
 import io
 import math
 import os
+import re
 import statistics
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
@@ -234,14 +237,48 @@ def _single_run(problem, spec, run_id):
     return RunResult(run_id, cfg.max_epochs, trace, X), X
 
 
-def _numerics():
-    """numpy's version and the BLAS it links: the one library trace bits depend on."""
+# the getters of OpenBLAS's live thread count and of its config string, which
+# names the core its kernels were picked for; the names differ between the
+# 64-bit-integer and 32-bit builds and between wheel generations
+_THREAD_SYMBOLS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+_CONFIG_SYMBOLS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                   "openblas_get_config64_", "openblas_get_config")
+
+
+def _openblas_state():
+    """The thread count and core name of the OpenBLAS numpy's wheel bundles,
+    each None where it cannot be read.
+
+    The library is opened through ctypes by the path the wheel ships it at,
+    which returns the copy the process already loaded; its config string
+    ends '<core> MAX_THREADS=<n>'.
+    """
+    wheel = os.path.dirname(os.path.dirname(np.__file__))
+    paths = sorted(glob.glob(os.path.join(wheel, "numpy.libs", "*openblas*")))
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
-        blas = "unknown"
-    return f"numpy={np.__version__} blas={blas}"
+        lib = ctypes.CDLL(paths[0])
+    except (IndexError, OSError):
+        return None, None
+
+    def call(names, restype):  # the first getter the library has, or None
+        fn = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            return fn()
+
+    config = call(_CONFIG_SYMBOLS, ctypes.c_char_p)
+    core = config and re.search(r"(\S+) MAX_THREADS=", config.decode(errors="replace"))
+    return call(_THREAD_SYMBOLS, ctypes.c_int), core and core[1]
+
+
+def _numerics():
+    """numpy's version, the BLAS it links, and that BLAS's live thread count
+    and kernel core: what trace bits depend on, each 'unknown' where unread."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads, core = (v or "unknown" for v in _openblas_state())
+    return (f"numpy={np.__version__} blas={blas['name']} {blas['version']} "
+            f"blas_threads={threads} blas_core={core}")
 
 
 def _write_csv(fh, spec, seed, columns, rows):

@@ -66,7 +66,8 @@ class PcaInstance:
 
     The objective is the negated average explained variance; its optimum is
     the span of the top-r eigenvectors of the centered covariance.  The
-    shape (d, n) of A and the rank r pass pca_check.
+    shape (d, n) of A and the rank r pass pca_check, and data whose every
+    row is constant, which centres to zero, is refused.
 
     The centered data B is the instance's one d x n array, stored
     column-major: B.T is then a contiguous B^T, so a minibatch is a gather
@@ -135,6 +136,9 @@ class PcaInstance:
             np.square(block, out=block)
             for row in block:
                 self._col_sq += row
+        if not self._col_sq.any():
+            raise ValueError("data matrix has no variance: each row is constant, so the "
+                             "centred data is zero")
         self.B = B
         # scaled in place: the bits of (1/n) * (B @ B.T) without a second d x d array
         self.C = self.B @ self.B.T
@@ -197,7 +201,7 @@ class McInstance:
     """Low-rank matrix completion from uniformly observed entries.
 
     Lives on the Grassmann manifold (rho = 0 by default): the objective is
-    invariant to right rotation of X.  d, n and r pass pca_check: r may
+    invariant to right rotation of X.  d, n and r pass _check_shape: r may
     exceed n here, unlike in mc_generate.  Omega is one triple: entry k is
     the value vals[k] at (rows[k], cols[k]), each (row, column) at most
     once; a column with no entry contributes zero.  Omega is stored once,
@@ -211,8 +215,11 @@ class McInstance:
     The full and batch gradients sum the per-observation gradient rows
     2 resid_i a_i^T into X's shape with one np.bincount per column of X
     over the padded row index itself; padding lands in a sentinel row d
-    that is dropped.  A fit of all n columns reads the stored arrays in
-    place.  component_egrad fits its one column unpadded.
+    that is dropped.  A batch is gathered once: the fit takes its padded
+    rows and values, and its short-column flags only on an instance that
+    has a short column, and hands the scatter the row index it used.  A
+    fit of all n columns reads the stored arrays in place.
+    component_egrad fits its one column unpadded.
 
     anchored(X) fits all n columns at X once; its batch difference gathers
     the anchor's per-observation rows (n m_max r floats) from that fit, so
@@ -223,7 +230,7 @@ class McInstance:
     """
 
     def __init__(self, d, n, r, rows, cols, vals, M_true=None):
-        self.d, self.n, self.r = pca_check(d, n, r)
+        self.d, self.n, self.r = _check_shape(d, n, r)
         rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
         if not rows.ndim == cols.ndim == vals.ndim == 1 or not rows.size == cols.size == vals.size:
             raise ValueError("rows, cols and vals must be 1-D and of one length, got shapes "
@@ -282,8 +289,8 @@ class McInstance:
             raise InvalidObservation(f"column {j}: row index {ranked[j, k]} is repeated")
         self._pad_vals = np.zeros((self.n, m_max))
         self._pad_vals[filled] = vals[order]
-        self._short = self._lengths < self.r
-        self._has_short = bool(self._short.any())
+        short = self._lengths < self.r   # flags kept only when some column is short
+        self._short = short if short.any() else None
 
     # read-only views of writeable arrays: take and bincount copy a read-only index
     rows = property(lambda self: [p[:m] for p, m in zip(
@@ -309,38 +316,36 @@ class McInstance:
         return a, Xi @ a - v
 
     def _fit_padded(self, X, idx=None):
-        """_fit of the columns idx through the padded arrays; all n, read in place, for None."""
+        """_fit of the columns idx, all n for None, through the padded arrays: a,
+        the residuals, the gradient rows 2 resid a_j (r, b, m_max) and the padded
+        row index (b, m_max) they were gathered at, each gathered once."""
         # take, not fancy indexing: about 5 against 18 us at the mc-desk shape
         rows, vals, short = self._pad_rows, self._pad_vals, self._short
         if idx is not None:
-            rows, vals, short = (a.take(idx, axis=0) for a in (rows, vals, short))
+            rows, vals, short = [a if a is None else a.take(idx, 0) for a in (rows, vals, short)]
         Xp = np.concatenate([X, np.zeros((1, X.shape[1]))])
-        return self._fit(Xp.take(rows, axis=0), vals[:, :, None],
-                         short if self._has_short else None)
-
-    def _contrib(self, X, idx=None):
-        """Per-observation gradient rows 2 resid a_j, shape (r, b, m_max), and residuals."""
-        a, resid = self._fit_padded(X, idx)
+        a, resid = self._fit(Xp.take(rows, axis=0), vals[:, :, None], short)
         # (2 a_j) resid is (2 resid) a_j exactly, and each j's rows are contiguous
-        return np.ascontiguousarray(2.0 * a[:, :, 0].T)[:, :, None] * resid[:, :, 0], resid
+        grad = np.ascontiguousarray(2.0 * a[:, :, 0].T)[:, :, None] * resid[:, :, 0]
+        return a, resid, grad, rows
 
-    def _scatter(self, idx, contrib):
-        """Sum rows (r, b, m_max) into a d x r array, each bin in batch order; repeats add up."""
-        rows = (self._pad_rows if idx is None else self._pad_rows.take(idx, axis=0)).reshape(-1)
-        out = np.empty((self.d + 1, self.r))
+    def _scatter(self, rows, contrib):
+        """contrib (r, b, m_max) summed into d x r over rows (b, m_max), bins in batch order."""
+        rows, out = rows.reshape(-1), np.empty((self.d + 1, self.r))
         for j, c in enumerate(contrib.reshape(self.r, -1)):
             out[:, j] = np.bincount(rows, c, self.d + 1)
         return out[:self.d]
 
     def _batch_diff(self, Xk, idx, c0):
         """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx; writes c0."""
-        return self._scatter(idx, np.subtract(self._contrib(Xk, idx)[0], c0, out=c0)) / len(idx)
+        _, _, ck, rows = self._fit_padded(Xk, idx)
+        return self._scatter(rows, np.subtract(ck, c0, out=c0)) / len(idx)
 
     def component_egrad(self, X, i):
         # the column's own rows, unpadded: zero-row padding would change the
         # Gram sums in the last bits
         rows, v = self._pad_rows[i, :self._lengths[i]], self._pad_vals[i, :self._lengths[i]]
-        a, resid = self._fit(X[rows][None], v[None, :, None], self._short[i:i + 1])
+        a, resid = self._fit(X[rows][None], v[None, :, None], self._lengths[i:i + 1] < self.r)
         egrad = np.zeros_like(X)
         egrad[rows] = 2.0 * np.outer(resid[0, :, 0], a[0, :, 0])
         return egrad
@@ -350,8 +355,8 @@ class McInstance:
 
     def _full(self, X):
         """f and grad f at X, and the per-observation gradient rows of all n columns."""
-        c0, resid = self._contrib(X)
-        return float(np.sum(resid ** 2)) / self.n, self._scatter(None, c0) / self.n, c0
+        _, resid, c0, rows = self._fit_padded(X)
+        return float(np.sum(resid ** 2)) / self.n, self._scatter(rows, c0) / self.n, c0
 
     def full_value_egrad(self, X):
         return self._full(X)[:2]
@@ -362,11 +367,11 @@ class McInstance:
         return f, egrad, lambda Xk, idx: self._batch_diff(Xk, idx, c0.take(idx, axis=1))
 
     def batch_egrad_diff(self, Xk, X0, idx):
-        return self._batch_diff(Xk, idx, self._contrib(X0, idx)[0])
+        return self._batch_diff(Xk, idx, self._fit_padded(X0, idx)[2])
 
     def fitted_matrix(self, X):
         """Column-wise least-squares reconstruction X a_i from observed rows."""
-        a, _ = self._fit_padded(X)
+        a = self._fit_padded(X)[0]
         return X @ a[:, :, 0].T
 
     def constants(self):
@@ -394,11 +399,19 @@ class McInstance:
         return ProblemConstants(L=2.0 * max(lip, 1e-12), C=2.0 * max(bound, 1e-12))
 
 
-def pca_check(d, n, r):
+def _check_shape(d, n, r):
     """d, n and r as ints, checked: each an integer of at least 1, r at most d."""
     d, n, r = (check_count(name, v, 1) for name, v in (("d", d), ("n", n), ("r", r)))
     if r > d:
         raise ValueError(f"r = {r} outside [1, d = {d}]")
+    return d, n, r
+
+
+def pca_check(d, n, r):
+    """_check_shape's d, n and r, and n at least 2: a single column centres to zero."""
+    d, n, r = _check_shape(d, n, r)
+    if n == 1:
+        raise ValueError("n = 1 outside [2, inf): a single column centres to zero")
     return d, n, r
 
 
@@ -412,7 +425,8 @@ def pca_generate(d, n, r, seed):
     it is normalized in place, and the instance centres it in place and
     keeps it as B, so the instance's B is the only d x n array made and the
     peak is B, C, one block and the n column norms: about 1.13x the bytes
-    of B and C at d = 16, n = 200 000.  d, n, r and seed are checked before any draw.
+    of B and C at d = 16, n = 200 000.  d, n, r and seed are checked before
+    any draw, by pca_check, so n = 1, whose data centres to zero, draws nothing.
     """
     d, n, r = pca_check(d, n, r)
     rng = np.random.default_rng(check_count("seed", seed, 0))
@@ -449,9 +463,9 @@ def check_cond(cond):
 
 
 def mc_check(d, n, r):
-    """mc_generate's checks before it draws: pca_check's, r at most n, and
+    """mc_generate's checks before it draws: _check_shape's, r at most n, and
     |Omega| = (n + d - r) r^2 at most d n.  Returns d, n, r and |Omega|."""
-    d, n, r = pca_check(d, n, r)
+    d, n, r = _check_shape(d, n, r)
     if r > n:
         raise ValueError(f"r = {r} outside [1, min(d, n) = {min(d, n)}]")
     num = (n + d - r) * r * r

@@ -190,7 +190,7 @@ def pca_data(d, n, seed):
 def mc_gradient_rows(inst, X, idx):
     """Each padded observation's gradient row 2 resid a^T, shape (b, m_max, r),
     of the columns idx of a McInstance, from the instance's own fit at X."""
-    a, resid = inst._fit_padded(X, idx)
+    a, resid = inst._fit_padded(X, idx)[:2]
     return 2.0 * resid * a.transpose(0, 2, 1)
 
 

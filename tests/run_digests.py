@@ -12,11 +12,14 @@ or, to compare with a git revision of this repository in one step,
 
 which unpacks REV's `src/` with `git archive` into a temporary directory,
 runs the same cells on it and on this tree's `src/`, one after the other,
-each in a subprocess, and prints the lines that differ (`<` REV's, `>` this
-tree's, `-` for a line one side lacks) and a count, e.g. `0 moved, 4 gone,
+each in a subprocess with OPENBLAS_NUM_THREADS set to the live OpenBLAS
+thread count of the process that launched them, and prints that count,
+each tree's numerics line (`<` REV's, `>` this tree's), the lines that
+differ (`-` for a line one side lacks) and a count, e.g. `0 moved, 4 gone,
 0 new (193 before, 189 after)`: a moved line is on both sides with
-another digest, a gone one only REV's and a new one only this tree's.  It
-exits 1 when a line differs.
+another digest, a gone one only REV's and a new one only this tree's.  So
+`0 moved` means equal bits at one stated thread count.  It exits 1 when a
+line differs.
 
 Other arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
 replays only the cells whose names start with one of them.
@@ -29,11 +32,14 @@ small mc cell whose draw has a column of fewer than r entries, so that
 the loop reaches the minimum-norm fit.  The digest covers
 trace columns epoch, f, grad_norm, step_size, ifo_calls and ro_calls, the
 events, the status and the final X; a run that raises digests its
-"<ExcType>: <message>".  Only ExperimentSpec, build_problem and
-_single_run are called, so any tree with those three can be checked;
-digests agree only under the same numpy and BLAS.  A full pass took
-60-75 s on 2 cores, nearly all of it criteria 7 and 9; `--against` makes
-two passes, 2.5 minutes.
+"<ExcType>: <message>".  Only ExperimentSpec, build_problem, _single_run
+and _numerics are called, so any tree with those four can be checked.
+Digests agree only under the same numpy, BLAS build, BLAS thread count and
+BLAS core: the pca-rgd run's differ between 1 and 2 OpenBLAS threads.  So
+the output opens with the tree's numerics line, `# numpy=... blas=...`,
+which names the thread count and core on a tree that reads them.  A full
+pass took 60-75 s on 2 cores, nearly all of it criteria 7 and 9;
+`--against` makes two passes, 2.5 minutes.
 """
 
 import argparse
@@ -51,7 +57,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 # after PYTHONPATH, so that PYTHONPATH=<other tree>/src picks the package
 sys.path.append(os.path.join(ROOT, "src"))
 
-from manifold_svrg.harness import ExperimentSpec, _single_run, build_problem  # noqa: E402
+from manifold_svrg.harness import (ExperimentSpec, _numerics, _single_run,  # noqa: E402
+                                   build_problem)
 
 from source_lines import unpacked  # noqa: E402
 from test_acceptance import DESK_MC, DESK_PCA, DESK_RETRACTIONS  # noqa: E402
@@ -104,6 +111,7 @@ def cells():
 
 
 def main(prefixes):
+    print(f"# {_numerics()}", flush=True)
     key = problem = None
     for name, spec, run_ids in cells():
         if prefixes and not name.startswith(tuple(prefixes)):
@@ -116,9 +124,10 @@ def main(prefixes):
             print(name, run_id, digest(problem, spec, run_id), flush=True)
 
 
-def _lines(src, prefixes):
-    """This script's output with the package imported from the directory src."""
-    env = dict(os.environ, PYTHONPATH=src)
+def _lines(src, prefixes, threads):
+    """This script's output with the package imported from the directory src,
+    on threads OpenBLAS threads."""
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
     return subprocess.run([sys.executable, os.path.abspath(__file__), *prefixes], env=env,
                           stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
 
@@ -126,11 +135,18 @@ def _lines(src, prefixes):
 def against(rev, prefixes):
     """Print the lines on which REV's src/ and this tree's differ and count
     them as moved, gone and new; 1 if any differ."""
+    # this tree's reader, which REV's src/ may lack
+    from manifold_svrg.harness import _openblas_state
+    threads = _openblas_state()[0]
+    if threads is None:
+        raise SystemExit("cannot read this process's OpenBLAS thread count to run both trees at")
+    print(f"both trees run on OPENBLAS_NUM_THREADS={threads}")
     with unpacked(rev, "src") as tmp:
-        old = _lines(os.path.join(tmp, "src"), prefixes)
-    new = _lines(os.path.join(ROOT, "src"), prefixes)
-    # "cell run_id" -> sha256, on each side
-    old, new = (dict(line.rsplit(" ", 1) for line in side) for side in (old, new))
+        old = _lines(os.path.join(tmp, "src"), prefixes, threads)
+    new = _lines(os.path.join(ROOT, "src"), prefixes, threads)
+    # each side's numerics line, then "cell run_id" -> sha256
+    print(f"< {old[0]}\n> {new[0]}")
+    old, new = (dict(line.rsplit(" ", 1) for line in side[1:]) for side in (old, new))
     keys = list(dict.fromkeys([*old, *new]))
     differ = [key for key in keys if old.get(key) != new.get(key)]
     for key in differ:

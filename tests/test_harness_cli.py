@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import io
 import itertools
 import math
@@ -146,6 +147,16 @@ class TestSpec:
             mc_generate(d, n, r, 10.0, seed=7)
         with pytest.raises(error, match=re.escape(message)):
             tiny_spec(problem="mc", d=d, n=n, r=r)
+
+    def test_single_column_pca_rejected_at_the_spec(self):
+        # one column centres to zero: the spec refuses it with pca_generate's
+        # message, while n = 0 keeps the count rule's; completion takes n = 1
+        message = "n = 1 outside [2, inf): a single column centres to zero"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_spec(n=1)
+        with pytest.raises(ValueError, match=re.escape("n must be an integer of at least 1")):
+            tiny_spec(n=0)
+        assert tiny_spec(problem="mc", retraction="jd", n=1, r=1).n == 1
 
     def test_wy_runs_jd_under_its_own_name(self):
         # wy is a spelling of jd: the runs are jd's, bit for bit, while the
@@ -313,10 +324,27 @@ class TestRunExperiment:
         (parsed,) = parse_summary_csv(text)
         assert repr(parsed) == repr(row)
 
-    def test_numerics_without_dict_config(self, monkeypatch):
-        # numpy < 1.26 has no show_config(mode="dicts"): its BLAS reads unknown
-        monkeypatch.setattr(np, "show_config", lambda: None)
-        assert harness._numerics() == f"numpy={np.__version__} blas=unknown"
+    def test_trace_names_blas_threads_and_core(self, tmp_path, monkeypatch):
+        # read back from a written trace: the live thread count and the core
+        # of the OpenBLAS numpy loads, as perfbench's own reader sees them,
+        # and 'unknown' for both where the library cannot be opened
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "envinfo.py")
+        envinfo = importlib.util.module_from_spec(importlib.util.spec_from_file_location(
+            "envinfo", path))
+        envinfo.__spec__.loader.exec_module(envinfo)
+        openblas = envinfo._openblas(np)
+        core = re.search(r"(\S+) MAX_THREADS=", openblas.get("config", ""))
+        want = (str(openblas.get("threads", "unknown")), core[1] if core else "unknown")
+
+        def fields_of(out):
+            run_experiment(tiny_spec(runs=1, max_epochs=2, out=str(out)))
+            line = (out / "trace_run000.csv").read_text().splitlines()[4]
+            return re.fullmatch(r"# numpy=\S+ blas=.+ blas_threads=(\S+) blas_core=(\S+)",
+                                line).groups()
+
+        assert fields_of(tmp_path / "live") == want
+        monkeypatch.setattr(harness.glob, "glob", lambda pattern: [])
+        assert fields_of(tmp_path / "unread") == ("unknown", "unknown")
 
     def test_summary_csv_round_trip(self, tmp_path):
         spec = tiny_spec(runs=1, out=str(tmp_path))
@@ -653,6 +681,12 @@ class TestCliMain:
                              (str(taken), "error: [Errno 17] File exists")):
             assert main(["run", *self.RUN_ARGS, "--out", out]) == 2
             assert message in capsys.readouterr().err
+
+    def test_single_column_pca_refused_before_data(self, capsys, no_data):
+        # every run on one column would fail in the warm start, at L = 0
+        assert main(["run", "--d", "6", "--n", "1", "--r", "2", "--runs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: n = 1 outside [2, inf): a single column centres to zero\n")
 
     def test_tune_refuses_out(self, tmp_path, capsys, no_data):
         # grid_tune writes no files, so it refuses an out before any data is drawn

@@ -85,13 +85,6 @@ def assert_matches_lstsq(inst, X0, Xk, idx):
         close(inst.component_egrad(Xk, i), gk[i])
 
 
-def _constants_or_error(inst):
-    try:
-        return inst.constants()
-    except ValueError as exc:  # all-zero centred data (n = 1) has no positive L
-        return str(exc)
-
-
 class TestPcaGenerate:
     def test_normalization(self):
         A = pca_data(1, 50, seed=0)
@@ -112,13 +105,19 @@ class TestPcaGenerate:
     def test_blocked_draw_is_the_one_shot_draw(self, d, n):
         # drawn a block of rows at a time into column-major memory and
         # centred there: the bits of the instance built from one (d, n)
-        # draw; at n = 2048 the block is 64 rows, which d straddles
+        # draw; at n = 2048 the block is 64 rows, which d straddles.  One
+        # column centres to zero: both refuse it, the generator before it draws
         r = min(d, 3)
+        if n == 1:
+            for make in (pca_generate, lambda d, n, r, seed: PcaInstance(pca_data(d, n, seed), r)):
+                with pytest.raises(ValueError, match=re.escape("n = 1 outside [2, inf)")):
+                    make(d, n, r, seed=7)
+            return
         got, want = pca_generate(d, n, r, seed=7), PcaInstance(pca_data(d, n, seed=7), r)
         assert got.B.flags.f_contiguous
         for name in ("B", "C", "_col_sq"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert _constants_or_error(got) == _constants_or_error(want)
+        assert got.constants() == want.constants()
         assert got.optimum() == want.optimum()
 
     def test_one_row_blocks_when_a_row_exceeds_the_block(self):
@@ -139,9 +138,11 @@ class TestPcaGenerate:
         (5, 5, 0, "r must be an integer of at least 1, got 0"),
         (5, 5, 6, "r = 6 outside [1, d = 5]"),
         # a fractional rank is refused, not truncated to r = 2
-        (6, 10, 2.9, "r must be an integer of at least 1, got 2.9")],
+        (6, 10, 2.9, "r must be an integer of at least 1, got 2.9"),
+        # one column centres to zero: no run could take a step on it
+        (6, 1, 2, "n = 1 outside [2, inf): a single column centres to zero")],
         ids=["0-5-1-d = 0", "-2-5-1-d = -2", "5-0-1-n = 0", "5-5-0-r = 0", "5-5-6-r = 6",
-             "6-10-2.9-r = 2.9"])
+             "6-10-2.9-r = 2.9", "6-1-2-n = 1"])
     def test_bad_shape_rejected_before_drawing(self, d, n, r, message, monkeypatch):
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the shape")
@@ -215,7 +216,7 @@ class TestPcaInstance:
 
     @settings(deadline=None, max_examples=100)
     @given(d=st.sampled_from([1, 63, 64, 65, 130, 200]),
-           n=st.integers(1, 300) | st.integers(1900, 2200), seed=st.integers(0, 2 ** 32 - 1))
+           n=st.integers(2, 300) | st.integers(1900, 2200), seed=st.integers(0, 2 ** 32 - 1))
     def test_column_norms_summed_row_by_row(self, d, n, seed):
         # the one blocked pass gives the bits of whole-array centring, of
         # np.sum over a row-major B (row by row, so L keeps its bits) and of
@@ -252,7 +253,7 @@ class TestPcaInstance:
         assert not np.shares_memory(inst.B, A)
 
     @settings(deadline=None, max_examples=200)
-    @given(d=st.integers(1, 80), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+    @given(d=st.integers(1, 80), n=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
     def test_batch_diff_row_gather_exact(self, d, n, seed, data):
         # gathering rows of the column-major B^T gives the same bits as
@@ -268,7 +269,7 @@ class TestPcaInstance:
         assert np.array_equal(inst.batch_egrad_diff(Xk, X0, idx), want)
 
     @settings(deadline=None, max_examples=200)
-    @given(d=st.integers(1, 60), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+    @given(d=st.integers(1, 60), n=st.integers(2, 300), seed=st.integers(0, 2 ** 32 - 1),
            data=st.data())
     def test_covariance_full_gradient(self, d, n, seed, data):
         # the covariance oracle against the two products -(2/n) B (B^T X).
@@ -383,8 +384,11 @@ class TestPcaInstance:
     @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64, np.uint8, np.bool_])
     def test_real_dtype_cast_by_block(self, dtype):
         # an array of any real dtype is cast as it is staged, with the bits
-        # of the instance of its whole float64 cast, and is not written
-        A = (pca_data(131, 2048, seed=3) * 200).astype(dtype)
+        # of the instance of its whole float64 cast, and is not written.  Cast
+        # to bool, every entry would be True: constant rows, which are refused,
+        # so the bools are the entries' signs
+        A = pca_data(131, 2048, seed=3) * 200
+        A = A > 0 if dtype is np.bool_ else A.astype(dtype)
         before = A.copy()
         got, want = PcaInstance(A, r=2), PcaInstance(A.astype(float), r=2)
         for name in ("B", "C", "_col_sq"):
@@ -403,6 +407,24 @@ class TestPcaInstance:
     def test_rank_outside_dimension_rejected(self, r):
         with pytest.raises(ValueError):
             PcaInstance(pca_data(6, 8, seed=0), r=r)
+
+    @pytest.mark.parametrize("A, message", [
+        (np.ones((6, 8)), "data matrix has no variance: each row is constant, so the centred "
+                          "data is zero"),
+        (np.arange(6.0)[:, None] * np.ones(8), "data matrix has no variance"),
+        (np.ones((6, 8), dtype=np.float32), "data matrix has no variance"),
+        # one column centres to zero whatever its values
+        (np.arange(6.0)[:, None], "n = 1 outside [2, inf): a single column centres to zero")],
+        ids=["ones", "constant-rows", "float32", "one-column"])
+    def test_data_without_variance_rejected(self, A, message, tmp_path):
+        # centred to B = 0, whose L = 0 no run can use: refused where the
+        # data enters, by the constructor and the loader
+        np.save(tmp_path / "a.npy", A)
+        np.savetxt(tmp_path / "a.csv", A, delimiter=",")
+        for make in (lambda: PcaInstance(A, r=2), lambda: pca_load(tmp_path / "a.npy", r=2),
+                     lambda: pca_load(tmp_path / "a.csv", r=2)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
 
     def test_single_unit_column_L(self):
         # the centered columns are +-e1, each of unit norm
@@ -548,8 +570,8 @@ class TestMcInstance:
         Xk = random_stiefel(6, 2)
         inst = mc_from_columns(6, 2, [[2, 3, 4], [0, 1, 3, 5], [5, 0, 2, 1]],
                                [[1.0, -2.0, 0.5], [3.0, 1.0, -1.0, 0.25], [0.7, -0.3, 2.0, 1.1]])
-        a_with, _ = inst._fit_padded(X0, np.arange(3))
-        a_without, _ = inst._fit_padded(X0, np.array([1, 2]))
+        a_with = inst._fit_padded(X0, np.arange(3))[0]
+        a_without = inst._fit_padded(X0, np.array([1, 2]))[0]
         assert np.array_equal(a_with[1:], a_without)
         _, _, diff = inst.anchored(X0)
         idx = np.array([1, 2])
@@ -566,8 +588,8 @@ class TestMcInstance:
         rows[5], vals[5] = short, self.inst.vals[5][:2]
         cut = mc_from_columns(30, 3, rows, vals)
         idx = np.array([0, 5, 9, 17])
-        a_with, _ = cut._fit_padded(X, idx)
-        a_without, _ = cut._fit_padded(X, idx[idx != 5])
+        a_with = cut._fit_padded(X, idx)[0]
+        a_without = cut._fit_padded(X, idx[idx != 5])[0]
         assert np.array_equal(a_with[[0, 2, 3]], a_without)
         want = np.linalg.lstsq(X[short], vals[5], rcond=None)[0]
         np.testing.assert_allclose(a_with[1, :, 0], want, atol=1e-12)
@@ -747,6 +769,20 @@ def test_anchored_is_the_general_oracle_at_its_anchor(make):
         idx = np.asarray(idx)
         assert np.array_equal(diff(Xk, idx), inst.batch_egrad_diff(Xk, X0, idx))
         assert np.array_equal(diff(X0, idx), inst.batch_egrad_diff(X0, X0, idx))
+
+
+@pytest.mark.parametrize("make", MC_FIXTURES.values(), ids=MC_FIXTURES)
+def test_mc_fit_hands_the_scatter_its_row_index(make):
+    # a batch is gathered once: the fit returns the padded row index it took,
+    # which the scatter sums over, and short-column flags exist, to be
+    # gathered, only on an instance with a column of fewer than r entries
+    inst = make()
+    idx = np.array([4, 4, 17, 0, 24])
+    a, resid, grad, rows = inst._fit_padded(random_stiefel(inst.d, inst.r), idx)
+    assert np.array_equal(rows, inst._pad_rows[idx])
+    assert grad.shape == (inst.r, *rows.shape) and resid.shape == (*rows.shape, 1)
+    assert (inst._short is None) == bool(np.all(inst._lengths >= inst.r))
+    assert np.array_equal(inst._fit_padded(random_stiefel(inst.d, inst.r))[3], inst._pad_rows)
 
 
 @pytest.mark.parametrize("make", MC_FIXTURES.values(), ids=MC_FIXTURES)
