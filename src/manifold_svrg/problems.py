@@ -212,14 +212,14 @@ class McInstance:
     _fit, which also holds the one rank-deficient rule: a column of fewer
     than r observations, or whose normal equations are exactly singular,
     gets the minimum-norm fit, and no other column's fit changes with it.
-    The full and batch gradients sum the per-observation gradient rows
-    2 resid_i a_i^T into X's shape with one np.bincount per column of X
-    over the padded row index itself; padding lands in a sentinel row d
-    that is dropped.  A batch is gathered once: the fit takes its padded
-    rows and values, and its short-column flags only on an instance that
-    has a short column, and hands the scatter the row index it used.  A
-    fit of all n columns reads the stored arrays in place.
-    component_egrad fits its one column unpadded.
+    Every gradient is one gather, one fit and one scatter.  _fit gathers its
+    columns' padded rows and values once (short-column flags only on an
+    instance that has a short column; all n columns in place) and hands
+    _scatter its row index, over which one np.bincount per column of X sums
+    the gradient rows 2 resid_i a_i^T; padding lands in a sentinel row d
+    that is dropped.  component_egrad fits only its column's own slots, so
+    no padded zero row enters its Gram sums, and, like the batch gradients,
+    it reads +0.0 where an exactly fitted row's terms vanish.
 
     anchored(X) fits all n columns at X once; its batch difference gathers
     the anchor's per-observation rows (n m_max r floats) from that fit, so
@@ -298,39 +298,35 @@ class McInstance:
     vals = property(lambda self: [p[:m] for p, m in zip(
         np.lib.stride_tricks.as_strided(self._pad_vals, writeable=False), self._lengths)])
 
-    def _fit(self, Xi, v, short):
-        """Least-squares coefficients a (b, r, 1) and residuals Xi a - v (b, m, 1).
-
-        Xi (b, m, r) holds the observed rows of X for b columns and v (b, m, 1)
-        their values; short (b,) flags columns with fewer than r observations,
-        or is None when the instance has no such column.  Short and singular
-        columns get minimum-norm fits, and leave the others' bits alone.
+    def _fit(self, X, idx=None, width=None):
+        """Stacked least squares of the columns idx (all n for None) over their
+        first width padded slots (all m_max for None): the coefficients a
+        (b, r, 1), the residuals X_i a - v (b, m, 1), the gradient rows
+        2 resid a_j (r, b, m) and the padded row index (b, m) they were
+        gathered at, each gathered once.  Short and singular columns get
+        minimum-norm fits, and leave the others' bits alone.
         """
-        if short is not None and short.any():
-            full = ~short
-            a = np.empty((len(Xi), Xi.shape[2], 1))
-            a[full] = _lsq_normal(Xi[full], v[full])
-            a[short] = np.linalg.pinv(Xi[short]) @ v[short]
-        else:
-            a = _lsq_normal(Xi, v)
-        return a, Xi @ a - v
-
-    def _fit_padded(self, X, idx=None):
-        """_fit of the columns idx, all n for None, through the padded arrays: a,
-        the residuals, the gradient rows 2 resid a_j (r, b, m_max) and the padded
-        row index (b, m_max) they were gathered at, each gathered once."""
         # take, not fancy indexing: about 5 against 18 us at the mc-desk shape
         rows, vals, short = self._pad_rows, self._pad_vals, self._short
         if idx is not None:
             rows, vals, short = [a if a is None else a.take(idx, 0) for a in (rows, vals, short)]
-        Xp = np.concatenate([X, np.zeros((1, X.shape[1]))])
-        a, resid = self._fit(Xp.take(rows, axis=0), vals[:, :, None], short)
+        rows, vals = rows[:, :width], vals[:, :width, None]
+        Xi = np.concatenate([X, np.zeros((1, X.shape[1]))]).take(rows, axis=0)
+        if short is not None and short.any():
+            full = ~short
+            a = np.empty((len(Xi), Xi.shape[2], 1))
+            a[full] = _lsq_normal(Xi[full], vals[full])
+            a[short] = np.linalg.pinv(Xi[short]) @ vals[short]
+        else:
+            a = _lsq_normal(Xi, vals)
+        resid = Xi @ a - vals
+        del Xi  # freed first: anchored peaks at its gradient rows, not at both
         # (2 a_j) resid is (2 resid) a_j exactly, and each j's rows are contiguous
         grad = np.ascontiguousarray(2.0 * a[:, :, 0].T)[:, :, None] * resid[:, :, 0]
         return a, resid, grad, rows
 
     def _scatter(self, rows, contrib):
-        """contrib (r, b, m_max) summed into d x r over rows (b, m_max), bins in batch order."""
+        """contrib (r, b, m) summed into d x r over rows (b, m), bins in batch order."""
         rows, out = rows.reshape(-1), np.empty((self.d + 1, self.r))
         for j, c in enumerate(contrib.reshape(self.r, -1)):
             out[:, j] = np.bincount(rows, c, self.d + 1)
@@ -338,24 +334,21 @@ class McInstance:
 
     def _batch_diff(self, Xk, idx, c0):
         """mean over idx of grad f_i(Xk) - grad f_i(X0), given X0's rows c0 of idx; writes c0."""
-        _, _, ck, rows = self._fit_padded(Xk, idx)
+        _, _, ck, rows = self._fit(Xk, idx)
         return self._scatter(rows, np.subtract(ck, c0, out=c0)) / len(idx)
 
     def component_egrad(self, X, i):
-        # the column's own rows, unpadded: zero-row padding would change the
-        # Gram sums in the last bits
-        rows, v = self._pad_rows[i, :self._lengths[i]], self._pad_vals[i, :self._lengths[i]]
-        a, resid = self._fit(X[rows][None], v[None, :, None], self._lengths[i:i + 1] < self.r)
-        egrad = np.zeros_like(X)
-        egrad[rows] = 2.0 * np.outer(resid[0, :, 0], a[0, :, 0])
-        return egrad
+        # the column's own slots: zero-row padding would change the Gram sums
+        # in the last bits
+        _, _, grad, rows = self._fit(X, [i], self._lengths[i])
+        return self._scatter(rows, grad)
 
     def value(self, X):
         return self.full_value_egrad(X)[0]
 
     def _full(self, X):
         """f and grad f at X, and the per-observation gradient rows of all n columns."""
-        _, resid, c0, rows = self._fit_padded(X)
+        _, resid, c0, rows = self._fit(X)
         return float(np.sum(resid ** 2)) / self.n, self._scatter(rows, c0) / self.n, c0
 
     def full_value_egrad(self, X):
@@ -367,11 +360,11 @@ class McInstance:
         return f, egrad, lambda Xk, idx: self._batch_diff(Xk, idx, c0.take(idx, axis=1))
 
     def batch_egrad_diff(self, Xk, X0, idx):
-        return self._batch_diff(Xk, idx, self._fit_padded(X0, idx)[2])
+        return self._batch_diff(Xk, idx, self._fit(X0, idx)[2])
 
     def fitted_matrix(self, X):
         """Column-wise least-squares reconstruction X a_i from observed rows."""
-        a = self._fit_padded(X)[0]
+        a = self._fit(X)[0]
         return X @ a[:, :, 0].T
 
     def constants(self):

@@ -187,19 +187,21 @@ def pca_data(d, n, seed):
     return A
 
 
-def mc_gradient_rows(inst, X, idx):
-    """Each padded observation's gradient row 2 resid a^T, shape (b, m_max, r),
-    of the columns idx of a McInstance, from the instance's own fit at X."""
-    a, resid = inst._fit_padded(X, idx)[:2]
+def mc_gradient_rows(inst, X, idx, width=None):
+    """Each padded observation's gradient row 2 resid a^T, shape (b, m, r), of
+    the columns idx of a McInstance over their first width padded slots (all
+    m_max for None), from the instance's own fit at X."""
+    a, resid = inst._fit(X, idx, width)[:2]
     return 2.0 * resid * a.transpose(0, 2, 1)
 
 
 def mc_scatter(inst, idx, grad_rows):
-    """grad_rows (b, m_max, r) of the columns idx added into a (d + 1) x r
-    array by np.add.at at the padded row indices, observation by observation
-    in batch order, with the sentinel row d then dropped."""
+    """grad_rows (b, m, r) of the columns idx added into a (d + 1) x r array by
+    np.add.at at the row indices of their first m padded slots, observation by
+    observation in batch order, with the sentinel row d then dropped."""
     out = np.zeros((inst.d + 1, inst.r))
-    np.add.at(out, inst._pad_rows[idx].reshape(-1), grad_rows.reshape(-1, inst.r))
+    rows = inst._pad_rows[idx, :grad_rows.shape[1]]
+    np.add.at(out, rows.reshape(-1), grad_rows.reshape(-1, inst.r))
     return out[:inst.d]
 
 

@@ -19,17 +19,20 @@ differ (`-` for a line one side lacks) and a count, e.g. `0 moved, 4 gone,
 0 new (193 before, 189 after)`: a moved line is on both sides with
 another digest, a gone one only REV's and a new one only this tree's.  So
 `0 moved` means equal bits at one stated thread count.  It exits 1 when a
-line differs.
+line differs.  Both trees run this script's cells, so a cell added here
+runs on both; a line is gone or new only where one tree refuses a spec.
 
 Other arguments, if any, are cell-name prefixes: `run_digests.py c7-wy mc-`
 replays only the cells whose names start with one of them.
 
 The runs are criterion 7's 140 (the desk PCA cell under each retraction),
-criterion 9's 20 (the desk MC cell), run 0 of the pca-rgd benchmark
-workload, two runs of one small pca and one small mc cell for every
-(method, step rule) pair that ExperimentSpec accepts, and two runs of a
-small mc cell whose draw has a column of fewer than r entries, so that
-the loop reaches the minimum-norm fit.  The digest covers
+criterion 9's 20 (the desk MC cell), 8 of mc-fixed (the desk MC cell
+under s-svrg's fixed step of 500, whose epoch counts one ulp does not
+move), run 0 of the pca-rgd benchmark workload, two runs of one small
+pca and one small mc cell for every (method, step rule) pair that
+ExperimentSpec accepts, and two runs of a small mc cell whose draw has a
+column of fewer than r entries, so that the loop reaches the minimum-norm
+fit.  The digest covers
 trace columns epoch, f, grad_norm, step_size, ifo_calls and ro_calls, the
 events, the status and the final X; a run that raises digests its
 "<ExcType>: <message>".  Only ExperimentSpec, build_problem, _single_run
@@ -61,7 +64,7 @@ from manifold_svrg.harness import (ExperimentSpec, _numerics, _single_run,  # no
                                    build_problem)
 
 from source_lines import unpacked  # noqa: E402
-from test_acceptance import DESK_MC, DESK_PCA, DESK_RETRACTIONS  # noqa: E402
+from test_acceptance import DESK_MC, DESK_MC_FIXED, DESK_PCA, DESK_RETRACTIONS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 METHODS = ("s-svrg", "s-svrg-bb", "rgd", "s-sgd")
@@ -94,6 +97,7 @@ def cells():
     for retr in DESK_RETRACTIONS:
         yield f"c7-{retr}", replace(DESK_PCA, retraction=retr), range(DESK_PCA.runs)
     yield "c9", DESK_MC, range(DESK_MC.runs)
+    yield "mc-fixed", DESK_MC_FIXED, range(DESK_MC_FIXED.runs)
     yield "bench-pca-rgd", WORKLOADS["pca-rgd"].specs[0], [0]
     for problem, shape in SMALL.items():
         for method in METHODS:

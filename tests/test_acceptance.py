@@ -36,6 +36,9 @@ DESK_MC = ExperimentSpec(problem="mc", method="s-svrg-bb", retraction="jd",
                          d=200, n=400, r=5, rho=0.0, step="bb",
                          batch_frac=0.05, inner_k="200", max_epochs=250,
                          grad_tol=3e-9, runs=20, seed=0, cond=10.0)
+# criterion 9's instance under a fixed step, whose epoch counts one ulp does
+# not move (tests/run_digests.py replays run ids 0-7)
+DESK_MC_FIXED = replace(DESK_MC, method="s-svrg", step="fixed:500", runs=8)
 
 
 def report(capfd, num, ok, detail):
@@ -349,3 +352,23 @@ def test_sgd_sibling_decreasing_trend():
     _, trace = run_s_sgd(inst, cfg, X0=X0)
     assert trace.f[-1] < trace.f[0]
     assert np.mean(trace.f[-3:]) < np.mean(trace.f[:3])
+
+
+def test_fixed_step_mc_epochs_hold_under_one_ulp():
+    # non-gating companion to criterion 9: scaling every batch difference by
+    # 1 + 2^-52 moves last bits of the trace, but not one run's epoch count,
+    # so a change that only rounds differently leaves this cell's epochs alone
+    spec = replace(DESK_MC_FIXED, runs=4)
+    problem = build_problem(spec)
+    plain = run_experiment(spec, problem)[1]
+    anchored = problem.anchored
+
+    def scaled(X):
+        f, egrad, diff = anchored(X)
+        return f, egrad, lambda Xk, idx: diff(Xk, idx) * (1.0 + 2.0 ** -52)
+
+    problem.anchored = scaled
+    perturbed = run_experiment(spec, problem)[1]
+    assert [res.status for res in plain] == ["GradTol"] * spec.runs
+    assert [res.epochs for res in perturbed] == [res.epochs for res in plain]
+    assert any(a.trace.f != b.trace.f for a, b in zip(plain, perturbed))

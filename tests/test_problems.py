@@ -570,8 +570,8 @@ class TestMcInstance:
         Xk = random_stiefel(6, 2)
         inst = mc_from_columns(6, 2, [[2, 3, 4], [0, 1, 3, 5], [5, 0, 2, 1]],
                                [[1.0, -2.0, 0.5], [3.0, 1.0, -1.0, 0.25], [0.7, -0.3, 2.0, 1.1]])
-        a_with = inst._fit_padded(X0, np.arange(3))[0]
-        a_without = inst._fit_padded(X0, np.array([1, 2]))[0]
+        a_with = inst._fit(X0, np.arange(3))[0]
+        a_without = inst._fit(X0, np.array([1, 2]))[0]
         assert np.array_equal(a_with[1:], a_without)
         _, _, diff = inst.anchored(X0)
         idx = np.array([1, 2])
@@ -588,8 +588,8 @@ class TestMcInstance:
         rows[5], vals[5] = short, self.inst.vals[5][:2]
         cut = mc_from_columns(30, 3, rows, vals)
         idx = np.array([0, 5, 9, 17])
-        a_with = cut._fit_padded(X, idx)[0]
-        a_without = cut._fit_padded(X, idx[idx != 5])[0]
+        a_with = cut._fit(X, idx)[0]
+        a_without = cut._fit(X, idx[idx != 5])[0]
         assert np.array_equal(a_with[[0, 2, 3]], a_without)
         want = np.linalg.lstsq(X[short], vals[5], rcond=None)[0]
         np.testing.assert_allclose(a_with[1, :, 0], want, atol=1e-12)
@@ -775,24 +775,33 @@ def test_anchored_is_the_general_oracle_at_its_anchor(make):
 def test_mc_fit_hands_the_scatter_its_row_index(make):
     # a batch is gathered once: the fit returns the padded row index it took,
     # which the scatter sums over, and short-column flags exist, to be
-    # gathered, only on an instance with a column of fewer than r entries
+    # gathered, only on an instance with a column of fewer than r entries.
+    # A component's fit takes its column's own slots, the shortest column's
+    # here
     inst = make()
-    idx = np.array([4, 4, 17, 0, 24])
-    a, resid, grad, rows = inst._fit_padded(random_stiefel(inst.d, inst.r), idx)
-    assert np.array_equal(rows, inst._pad_rows[idx])
-    assert grad.shape == (inst.r, *rows.shape) and resid.shape == (*rows.shape, 1)
+    i = int(np.argmin(inst._lengths))
+    X = random_stiefel(inst.d, inst.r)
+    for args, want in (((np.array([4, 4, 17, 0, 24]),), inst._pad_rows[[4, 4, 17, 0, 24]]),
+                       (([i], inst._lengths[i]), inst._pad_rows[[i], :inst._lengths[i]])):
+        a, resid, grad, rows = inst._fit(X, *args)
+        assert np.array_equal(rows, want)
+        assert grad.shape == (inst.r, *rows.shape) and resid.shape == (*rows.shape, 1)
     assert (inst._short is None) == bool(np.all(inst._lengths >= inst.r))
-    assert np.array_equal(inst._fit_padded(random_stiefel(inst.d, inst.r))[3], inst._pad_rows)
+    assert np.array_equal(inst._fit(X)[3], inst._pad_rows)
 
 
 @pytest.mark.parametrize("make", MC_FIXTURES.values(), ids=MC_FIXTURES)
 def test_mc_gradients_are_the_reference_scatter(make):
     # the full gradient, anchored's difference and batch_egrad_diff add each
     # row of X's terms in batch order, observation by observation: the bits
-    # of np.add.at, with repeated columns adding up
+    # of np.add.at, with repeated columns adding up.  A component gradient is
+    # its column's own slots scattered alike, signed zeros included
     inst = make()
     X0, Xk = random_stiefel(inst.d, inst.r), random_stiefel(inst.d, inst.r)
     every = np.arange(inst.n)
+    for i in every:
+        want = mc_scatter(inst, [i], mc_gradient_rows(inst, X0, [i], inst._lengths[i]))
+        assert inst.component_egrad(X0, i).tobytes() == want.tobytes(), i
     want = mc_scatter(inst, every, mc_gradient_rows(inst, X0, every)) / inst.n
     assert np.array_equal(inst.full_value_egrad(X0)[1], want)
     _, _, diff = inst.anchored(X0)
